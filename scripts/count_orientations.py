@@ -1,62 +1,22 @@
 """Eulerian orientation counts and T(G; 3, 3) on small graphs.
 
-Compares the Holant-based counts with direct enumeration and with a
-deletion-contraction Tutte evaluation.
+Compares the Holant-based counts with the direct-enumeration and
+deletion-contraction oracles of tests/oracles.py, so it runs from a
+checkout of the repository.
 
 Usage: python3 scripts/count_orientations.py
 """
 
-import itertools
 import sys
 import time
-from fractions import Fraction
+from pathlib import Path
 
 from eightvertex.evaluate import Graph, eo_count, tutte33
 
-
-def complete_graph(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def direct_eo_count(edges):
-    count = 0
-    verts = sorted({v for e in edges for v in e})
-    for bits in itertools.product((0, 1), repeat=len(edges)):
-        indeg = dict.fromkeys(verts, 0)
-        for (u, v), b in zip(edges, bits):
-            indeg[v if b else u] += 1
-        if all(indeg[v] * 2 == len([e for e in edges if v in e])
-               for v in verts):
-            count += 1
-    return count
-
-
-def tutte_dc(edges, x, y):
-    edges = list(edges)
-    if not edges:
-        return Fraction(1)
-    u, v = edges[0]
-    rest = edges[1:]
-    if u == v:
-        return y * tutte_dc(rest, x, y)
-    # bridge test: is v reachable from u without the first edge?
-    adj = {}
-    for a, b in rest:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen, stack = {u}, [u]
-    while stack:
-        w = stack.pop()
-        for nb in adj.get(w, []):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if v not in seen:
-        contracted = [(u if a == v else a, u if b == v else b)
-                      for a, b in rest]
-        return x * tutte_dc(contracted, x, y)
-    contracted = [(u if a == v else a, u if b == v else b) for a, b in rest]
-    return tutte_dc(rest, x, y) + tutte_dc(contracted, x, y)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import (  # noqa: E402
+    complete_graph, count_eulerian_orientations, tutte_polynomial,
+)
 
 
 def main():
@@ -66,7 +26,7 @@ def main():
     for name, g in (("dipole", dipole), ("K5", k5)):
         t0 = time.monotonic()
         holant = eo_count(g)
-        direct = direct_eo_count(g.edges)
+        direct = count_eulerian_orientations(g.edges)
         dt = time.monotonic() - t0
         flag = "ok" if holant == direct else "MISMATCH"
         print(f"  {name:8s} holant={holant:6d} direct={direct:6d} "
@@ -79,7 +39,7 @@ def main():
     for name, g in (("K3", k3), ("K4", k4)):
         t0 = time.monotonic()
         holant = tutte33(g)
-        direct = tutte_dc(g.edges, Fraction(3), Fraction(3))
+        direct = tutte_polynomial(g.edges, 3, 3)
         dt = time.monotonic() - t0
         flag = "ok" if holant == direct else "MISMATCH"
         print(f"  {name:8s} holant={holant} direct={direct} "

@@ -29,10 +29,6 @@ from .numeric import Scalar, scalar, as_power_of_i, I, ALPHA, Cyclo8
 from .signatures import Signature
 
 
-def _wt(m: int) -> int:
-    return bin(m).count("1")
-
-
 # -- affine spaces -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,8 +364,8 @@ def _alpha_weight_twist(f: Signature, pattern: int) -> Signature:
     """Multiply f(x) by alpha^(number of positions where both pattern and
     x are 1)."""
     a = scalar(ALPHA)
-    return Signature(f.arity,
-                     [v * a ** _wt(m & pattern) for m, v in enumerate(f.values)])
+    return Signature(f.arity, [v * a ** (m & pattern).bit_count()
+                               for m, v in enumerate(f.values)])
 
 
 def in_L(f: Signature) -> bool:

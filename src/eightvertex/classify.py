@@ -55,10 +55,6 @@ from .signatures import (
 from .classes import in_A, in_L, in_P, in_alphaA
 
 
-def _wt(m: int) -> int:
-    return bin(m).count("1")
-
-
 # -- transform steps -----------------------------------------------------
 #
 # A certificate transform is a sequence of steps, each a tuple:
@@ -143,7 +139,7 @@ def transform_disequality(steps) -> Signature:
         t = step_matrix(step)
         if t.is_half:
             inv = scalar(1) / scalar(t.gamma_sq)
-            parities = {_wt(m) % 2 for m in g.support()}
+            parities = {m.bit_count() % 2 for m in g.support()}
             if len(parities) > 1:
                 raise OddSupportWithHalfTransform(
                     "binary side has mixed-parity support under a "
@@ -154,7 +150,7 @@ def transform_disequality(steps) -> Signature:
                 if v.is_zero():
                     vals.append(v)
                 else:
-                    vals.append(v * inv ** ((_wt(m) - p) // 2))
+                    vals.append(v * inv ** ((m.bit_count() - p) // 2))
             g = Signature(2, vals)
         else:
             r = t.inverse().full_rows()

@@ -302,3 +302,7 @@ def demo_interp_cmd(grid_path, t, lambdas, as_json):
         click.echo(line)
     if "agrees" in report:
         click.echo(f"agrees: {report['agrees']}")
+
+
+if __name__ == "__main__":
+    main()

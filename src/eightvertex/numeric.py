@@ -1,8 +1,17 @@
 """Exact arithmetic in the cyclotomic field Q(zeta8), plus an approximate
 complex fallback.
 
-Elements of :class:`Cyclo8` are written over the basis (1, zeta, zeta^2,
-zeta^3) where zeta is a primitive 8th root of unity, so zeta^4 = -1.
+An element of :class:`Cyclo8` is (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d,
+where zeta is a primitive 8th root of unity (so zeta^4 = -1), the n_k are
+ints and d is a positive int.  The fraction is always in lowest terms,
+gcd(n0, n1, n2, n3, d) = 1, so every element has exactly one
+representation and zero is (0, 0, 0, 0) / 1.  Products use the four
+closed-form sums modulo x^4 + 1; sums of equal denominators skip the
+lcm; the gcd runs only when d != 1.  Inversion multiplies by the product
+of the three other Galois conjugates and divides by the rational norm in
+integers (Cohen, *A Course in Computational Algebraic Number Theory*,
+GTM 138, 4.2-4.3).  ``coeffs`` gives the coefficients as Fractions.
+
 The field houses every constant the rest of the package needs:
 
 * ``zeta^2`` is the imaginary unit i,
@@ -22,6 +31,7 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -36,27 +46,44 @@ class NotExact(TypeError):
     """An exact-only operation met an approximate scalar."""
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _frac(v):
+    """An int or a Fraction as it is; a rational string as a Fraction."""
+    if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"not a rational: {v!r}")
 
 
 class Cyclo8:
-    """An element c0 + c1*zeta + c2*zeta^2 + c3*zeta^3 of Q(zeta8)."""
+    """An element (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d of Q(zeta8),
+    kept in lowest terms with d > 0."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("n", "d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        object.__setattr__(self, "coeffs",
-                           (_frac(c0), _frac(c1), _frac(c2), _frac(c3)))
+        if type(c0) is int and type(c1) is int and type(c2) is int \
+                and type(c3) is int:
+            _set_n(self, (c0, c1, c2, c3))
+            _set_d(self, 1)
+            return
+        c0, c1, c2, c3 = map(_frac, (c0, c1, c2, c3))
+        d0, d1, d2, d3 = (c0.denominator, c1.denominator, c2.denominator,
+                          c3.denominator)
+        d = d0 if d0 == d1 == d2 == d3 else math.lcm(d0, d1, d2, d3)
+        # each Fraction is reduced, so gcd(n, d) = 1 already
+        _set_n(self, (c0.numerator * (d // d0), c1.numerator * (d // d1),
+                      c2.numerator * (d // d2), c3.numerator * (d // d3)))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo8 is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The four coefficients as Fractions."""
+        d = self.d
+        return tuple(Fraction(k, d) for k in self.n)
 
     # -- constructors -------------------------------------------------
 
@@ -93,58 +120,48 @@ class Cyclo8:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        return Cyclo8(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        return _add(self, o.n, o.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.coeffs
-        return Cyclo8(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3 = self.n
+        return _raw((-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        b0, b1, b2, b3 = o.n
+        return _add(self, (-b0, -b1, -b2, -b3), o.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        a0, a1, a2, a3 = self.n
+        return _add(o, (-a0, -a1, -a2, -a3), self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = [Fraction(0)] * 4
-        for k1 in range(4):
-            if not a[k1]:
-                continue
-            for k2 in range(4):
-                if not b[k2]:
-                    continue
-                k = k1 + k2
-                v = a[k1] * b[k2]
-                if k >= 4:
-                    out[k - 4] -= v
-                else:
-                    out[k] += v
-        return Cyclo8(*out)
+        return _mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo8":
-        if self.is_zero():
+        if not any(self.n):
             raise DivisionByZero("inverse of zero")
-        # product of the other Galois conjugates; x * y is the field norm,
-        # a nonzero rational.
+        # y is the product of the other Galois conjugates, so x * y is the
+        # field norm c / (d * dy), the constant term of the product.  The
+        # conjugates pair off into |x|^2 |x.galois(3)|^2, so c > 0.
         y = self.galois(3) * self.galois(5) * self.galois(7)
-        n = self * y
-        assert n.is_rational(), "norm must be rational"
-        return y * Cyclo8(1 / n.coeffs[0])
+        a0, a1, a2, a3 = self.n
+        y0, y1, y2, y3 = y.n
+        c = a0 * y0 - a1 * y3 - a2 * y2 - a3 * y1
+        d = self.d
+        return _reduced(y0 * d, y1 * d, y2 * d, y3 * d, c)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -161,13 +178,14 @@ class Cyclo8:
     def __pow__(self, n: int) -> "Cyclo8":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclo8(1)
+        result = ONE
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _mul(result, base)
             n >>= 1
+            if n:
+                base = _mul(base, base)
         return result
 
     # -- structure maps -----------------------------------------------
@@ -175,16 +193,17 @@ class Cyclo8:
     def galois(self, k: int) -> "Cyclo8":
         """The automorphism zeta -> zeta^k for odd k."""
         assert k % 2 == 1
-        out = [Fraction(0)] * 4
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = (j * k) % 8
-            if e >= 4:
-                out[e - 4] -= c
-            else:
-                out[e] += c
-        return Cyclo8(*out)
+        a0, a1, a2, a3 = self.n
+        k %= 8
+        if k == 1:
+            return self
+        if k == 3:
+            n = (a0, a3, -a2, a1)
+        elif k == 5:
+            n = (a0, -a1, a2, -a3)
+        else:
+            n = (a0, -a3, -a2, -a1)
+        return _raw(n, self.d)
 
     def conjugate(self) -> "Cyclo8":
         """Complex conjugation: zeta -> zeta^7 = -zeta^3."""
@@ -193,33 +212,35 @@ class Cyclo8:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.n)
 
     def is_rational(self) -> bool:
-        return not (self.coeffs[1] or self.coeffs[2] or self.coeffs[3])
-
-    def is_real(self) -> bool:
-        return self.conjugate() == self
+        _, a1, a2, a3 = self.n
+        return not (a1 or a2 or a3)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.d == o.d and self.n == o.n
 
     def __hash__(self):
+        # equal to hash(self.coeffs), since hash(Fraction(k)) == hash(k)
+        if self.d == 1:
+            return hash(self.n)
         return hash(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.n)
 
     # -- conversion ------------------------------------------------------
 
     def to_complex(self) -> complex:
         z = 0j
-        for j, c in enumerate(self.coeffs):
+        d = self.d
+        for j, c in enumerate(self.n):
             if c:
-                z += float(c) * _ZETA ** j
+                z += (c / d) * _ZETA ** j
         return z
 
     def __repr__(self):
@@ -227,6 +248,57 @@ class Cyclo8:
 
     def __str__(self):
         return format_cyclo8(self)
+
+
+_set_n = Cyclo8.n.__set__
+_set_d = Cyclo8.d.__set__
+_new = object.__new__
+
+
+def _raw(n: tuple, d: int) -> Cyclo8:
+    """The element n / d, which must already be in lowest terms."""
+    x = _new(Cyclo8)
+    _set_n(x, n)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> Cyclo8:
+    """The element (n0, n1, n2, n3) / d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    return _raw((n0, n1, n2, n3), d)
+
+
+def _add(x: Cyclo8, bn: tuple, bd: int) -> Cyclo8:
+    """x + bn / bd."""
+    a0, a1, a2, a3 = x.n
+    b0, b1, b2, b3 = bn
+    ad = x.d
+    if ad == bd:
+        return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, ad)
+    g = gcd(ad, bd)
+    sa = bd // g
+    sb = ad // g
+    return _reduced(a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb,
+                    a3 * sa + b3 * sb, ad * sa)
+
+
+def _mul(x: Cyclo8, y: Cyclo8) -> Cyclo8:
+    """x * y, with zeta^4 = -1 folded into the four sums."""
+    a0, a1, a2, a3 = x.n
+    b0, b1, b2, b3 = y.n
+    return _reduced(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                    a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                    a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                    a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                    x.d * y.d)
 
 
 ZERO = Cyclo8(0)
@@ -460,7 +532,7 @@ class Scalar:
         if isinstance(v, Scalar):
             return v
         if not isinstance(v, Cyclo8):
-            v = Cyclo8(_frac(v))
+            v = Cyclo8(v)
         return Scalar(exact=v)
 
     @staticmethod
@@ -506,13 +578,6 @@ class Scalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _pair(self, other):
-        o = Scalar.of(other)
-        if self.is_exact and o.is_exact:
-            return self, o, True, False
-        demote = self.is_exact != o.is_exact
-        return self, o, False, demote or self.demoted or o.demoted
-
     def _approx_parts(self):
         if self.is_exact:
             z = self.exact_value.to_complex()
@@ -520,21 +585,22 @@ class Scalar:
         return self.approx_value.to_complex(), self.approx_value.eps
 
     def _binop(self, other, op):
-        a, b, both_exact, demoted = self._pair(other)
-        if both_exact:
-            if op == "+":
-                v = a.exact_value + b.exact_value
+        b = other if type(other) is Scalar else Scalar.of(other)
+        x, y = self.exact_value, b.exact_value
+        if x is not None and y is not None:
+            if op == "*":
+                v = x * y
+            elif op == "+":
+                v = x + y
             elif op == "-":
-                v = a.exact_value - b.exact_value
-            elif op == "*":
-                v = a.exact_value * b.exact_value
+                v = x - y
             else:
-                if b.exact_value.is_zero():
+                if y.is_zero():
                     raise DivisionByZero("scalar division by zero")
-                v = a.exact_value / b.exact_value
-            s = Scalar(exact=v)
-            return s
-        za, ea = a._approx_parts()
+                v = x / y
+            return _exact(v)
+        demoted = (x is None) != (y is None) or self.demoted or b.demoted
+        za, ea = self._approx_parts()
         zb, eb = b._approx_parts()
         if op == "+":
             z = za + zb
@@ -619,6 +685,19 @@ class Scalar:
             return format_cyclo8(self.exact_value)
         z = self.approx_value.to_complex()
         return f"{z.real}{z.imag:+}j"
+
+
+_set_exact = Scalar.exact_value.__set__
+_set_approx = Scalar.approx_value.__set__
+_set_demoted = Scalar.demoted.__set__
+
+
+def _exact(v: Cyclo8) -> Scalar:
+    s = _new(Scalar)
+    _set_exact(s, v)
+    _set_approx(s, None)
+    _set_demoted(s, False)
+    return s
 
 
 def parse_scalar(text: str) -> Scalar:

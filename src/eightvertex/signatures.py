@@ -28,10 +28,6 @@ class OddSupportWithHalfTransform(ValueError):
     itself."""
 
 
-def _wt(m: int) -> int:
-    return bin(m).count("1")
-
-
 class Signature:
     """An exact-valued constraint function of arity 1..6."""
 
@@ -348,7 +344,7 @@ def holographic_transform(f: Signature, t: Transform2x2) -> Signature:
         out = []
         gsq = t.gamma_sq
         for m, v in enumerate(f.values):
-            w = _wt(m)
+            w = m.bit_count()
             if w % 2:
                 if not v.is_zero():
                     raise OddSupportWithHalfTransform(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import eightvertex
 from eightvertex.cli import main
 
 
@@ -183,3 +188,26 @@ def test_demo_interp_default(runner):
     data = json.loads(r.output)
     assert data["agrees"] is True
     assert set(data["values"]) == {"0", "3", "-1"}
+
+
+@pytest.mark.parametrize("module", ["eightvertex", "eightvertex.cli"])
+def test_python_m_entry_points(runner, module):
+    src = str(Path(eightvertex.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    r = run("classify", "--preset", "eo", "--json")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == invoke(runner, "classify", "--preset", "eo",
+                              "--json").output
+    assert json.loads(r.stdout)["verdict"] == "hard"
+    bad = run("classify", "--sig", "1,2,3")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")

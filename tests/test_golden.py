@@ -1,0 +1,68 @@
+"""Differential gate: classify output on two fixed corpora.
+
+The digest covers ``classify(f).to_json_dict()`` (or the name of the
+exception it raises) for every signature of
+
+* the test_09 sweep: 1000 ``random_ev`` draws at seed 90909, in test_09's
+  draw order;
+* 300 signatures with Gaussian-rational entries p/q + (r/s)i, a quarter
+  of them zero, so that denominators other than 1 reach every layer.
+
+``GOLDEN`` was recorded with the Fraction-backed ``Cyclo8`` that the
+integer representation replaced.  A refactor that changes any verdict,
+branch, certificate or reason changes the digest.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from eightvertex.classify import classify
+from eightvertex.numeric import Cyclo8
+from eightvertex.signatures import EightVertexSig
+
+from util import NONZERO_POOL, random_ev
+
+GOLDEN = "5432e06ea835abbd1a0604d8ce78e6f4bf52bdd64d4979f04eb97ca524aeaffa"
+
+
+def sweep_corpus():
+    rng = random.Random(90909)
+    for _ in range(1000):
+        yield random_ev(rng)
+        rng.choice(NONZERO_POOL)   # test_09's rescaling draw
+
+
+def gaussian_corpus():
+    rng = random.Random(4242)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Cyclo8(0)
+        re = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        im = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        return Cyclo8(re, 0, im, 0)
+
+    for _ in range(300):
+        yield EightVertexSig.make(*(entry() for _ in range(8)))
+
+
+def outcome(f) -> str:
+    try:
+        return json.dumps(classify(f).to_json_dict(), sort_keys=True)
+    except Exception as exc:   # the exception type is part of the behaviour
+        return type(exc).__name__
+
+
+def corpus_digest() -> str:
+    h = hashlib.sha256()
+    for corpus in (sweep_corpus(), gaussian_corpus()):
+        for f in corpus:
+            h.update(outcome(f).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_classify_golden_digest():
+    assert corpus_digest() == GOLDEN

@@ -167,3 +167,82 @@ def test_scalar_approx_equality_window():
     a = Scalar.approx(1.0, 0.0, eps=1e-6)
     assert a == Scalar.approx(1.0 + 1e-9, 0.0, eps=1e-6)
     assert a != Scalar.approx(1.1, 0.0, eps=1e-6)
+
+
+# -- differential test against sympy: Q[x] / (x^4 + 1) ----------------------
+
+wide_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-40, max_value=40).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+)
+wide_cyclos = st.builds(Cyclo8, wide_fracs, wide_fracs, wide_fracs,
+                        wide_fracs)
+
+
+def _to_poly(x, sp):
+    X = sp.Symbol("x")
+    return sp.Poly([sp.Rational(c.numerator, c.denominator)
+                    for c in reversed(x.coeffs)], X, domain=sp.QQ)
+
+
+def _from_poly(p, sp):
+    p = p.rem(sp.Poly(sp.Symbol("x") ** 4 + 1, sp.Symbol("x"),
+                      domain=sp.QQ))
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return Cyclo8(*(cs + [Fraction(0)] * (4 - len(cs))))
+
+
+def _check_canonical(x):
+    assert x.d > 0
+    assert math.gcd(*x.n, x.d) == 1
+    if not any(x.n):
+        assert x.n == (0, 0, 0, 0) and x.d == 1
+    assert x.coeffs == tuple(Fraction(k, x.d) for k in x.n)
+    assert hash(x) == hash(x.coeffs)
+    assert x == Cyclo8(*x.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_cyclos, wide_cyclos, st.integers(min_value=-5, max_value=5))
+def test_field_matches_sympy(x, y, k):
+    sp = pytest.importorskip("sympy")
+    X = sp.Symbol("x")
+    mod = sp.Poly(X ** 4 + 1, X, domain=sp.QQ)
+    px, py = _to_poly(x, sp), _to_poly(y, sp)
+    results = {
+        "add": (x + y, px + py),
+        "sub": (x - y, px - py),
+        "mul": (x * y, px * py),
+        "int_mul": (x * k, px * k),
+        "int_rsub": (k - x, k - px),
+    }
+    if not x.is_zero():
+        inv = px.invert(mod)
+        results["inverse"] = (x.inverse(), inv)
+        results["rtruediv"] = (k / x, inv * k)
+        if not y.is_zero():
+            results["truediv"] = (x / y, px * py.invert(mod))
+        results["pow"] = (x ** k, (px if k >= 0 else inv) ** abs(k))
+    for j in (1, 3, 5, 7):
+        results[f"galois{j}"] = (x.galois(j), px.compose(
+            sp.Poly(X ** j, X, domain=sp.QQ)))
+    for name, (got, want) in results.items():
+        _check_canonical(got)
+        assert got == _from_poly(want, sp), name
+    _check_canonical(x)
+    assert (x == y) == (x.coeffs == y.coeffs)
+    assert (hash(x) == hash(y)) or x != y
+    assert parse_cyclo8(format_cyclo8(x)) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_cyclos, wide_cyclos)
+def test_sqrt_in_field_matches_sympy(x, y):
+    sp = pytest.importorskip("sympy")
+    for v in (x, _from_poly(_to_poly(y, sp) ** 2, sp)):
+        r = sqrt_in_field(v)
+        if r is not None:
+            _check_canonical(r)
+            assert _from_poly(_to_poly(r, sp) ** 2, sp) == v
+    assert sqrt_in_field(y * y) is not None
