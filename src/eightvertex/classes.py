@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .numeric import Scalar, scalar, as_power_of_i, I, ALPHA, Cyclo8
+from .numeric import Scalar, scalar, as_power_of_i, I, ALPHA
 from .signatures import Signature
 
 
@@ -207,40 +207,6 @@ def _u_of(m: int, piv) -> int:
     return u
 
 
-def in_A_scaled(f: Signature, mu_sq, mask: int = None):
-    """Class-A membership of the signature whose value at x is
-    f(x) * mu^{mask(x)} where mu is either square root of mu_sq and
-    mask(x) is the indicator bit chosen per position (a bitmask over value
-    indices; default: scale every position, which reduces to plain in_A
-    up to the global factor).
-
-    Returns an ACertificate of the scaled signature when mu lies in
-    Q(zeta8) (trying both roots), or of f itself when the mask is constant
-    on the support (the root is absorbed into lam); otherwise None.
-    """
-    from .numeric import sqrt_in_field
-    mu_sq = scalar(mu_sq)
-    size = 1 << f.arity
-    if mask is None:
-        mask = (1 << size) - 1
-    if f.is_zero():
-        return in_A(f)
-    mu = sqrt_in_field(mu_sq.cyclo)
-    if mu is not None:
-        for root in (mu, -mu):
-            g = Signature(f.arity,
-                          [v * root if (mask >> m) & 1 else v
-                           for m, v in enumerate(f.values)])
-            cert = in_A(g)
-            if cert is not None:
-                return cert
-        return None
-    bits = {(mask >> m) & 1 for m in f.support()}
-    if len(bits) == 1:
-        return in_A(f)
-    return None
-
-
 # -- class P -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -382,23 +348,6 @@ def in_alphaA(f: Signature):
     ACertificate of alpha^{wt(x)} f(x), or None."""
     full = (1 << f.arity) - 1
     return in_A(_alpha_weight_twist(f, full))
-
-
-def membership_profile(f: Signature) -> dict:
-    return {
-        "A": in_A(f) is not None,
-        "P": in_P(f) is not None,
-        "L": in_L(f),
-        "alphaA": in_alphaA(f) is not None,
-    }
-
-
-def affine_support(f: Signature):
-    """The affine hull of the support when the support is exactly an
-    affine subspace, else None (zero signatures get the full space)."""
-    if f.is_zero():
-        return AffineSpace.full(f.arity)
-    return AffineSpace.from_support(f.support(), f.arity)
 
 
 # -- brute-force oracles -------------------------------------------------

@@ -36,7 +36,6 @@ from .numeric import (
     Cyclo8,
     DivisionByZero,
     I,
-    NotExact,
     Scalar,
     as_power_of_i,
     parse_scalar,
@@ -554,8 +553,6 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
 def classify(f: EightVertexSig) -> Verdict:
     """Classify an eight-vertex signature as hard, tractable (with
     certificate), or vanishing."""
-    if not all(v.is_exact for v in f.entries()):
-        raise NotExact("classification requires exact entries")
     inner = (f.b, f.c, f.d, f.w, f.z, f.y)
     if all(v.is_zero() for v in f.entries()):
         return Verdict.vanishing("zero", "identically zero signature")

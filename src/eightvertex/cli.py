@@ -9,12 +9,13 @@ Exit codes: 0 on success (a hard verdict is data, not an error),
 """
 
 import json
+import math
 import sys
 from fractions import Fraction
 
 import click
 
-from .numeric import DivisionByZero, NotExact, parse_scalar, scalar
+from .numeric import DivisionByZero, parse_scalar
 from .signatures import EightVertexSig, Signature
 from .classify import Certificate, check_certificate, classify as classify_sig
 from .evaluate import (
@@ -29,6 +30,7 @@ from .evaluate import (
     eo_count,
     grid_from_graph,
     interpolation_demo,
+    ising_energies,
     ising_signature,
     tutte33 as tutte33_value,
 )
@@ -39,9 +41,9 @@ PRESETS = {
     "sample-tractable": "1,1,1,0,0,1,1,0",
 }
 
-_INPUT_ERRORS = (ValueError, KeyError, NotExact, DivisionByZero,
-                 NotRepresentable, NotAffineSignature, DanglingPort,
-                 json.JSONDecodeError, OSError)
+_INPUT_ERRORS = (ValueError, KeyError, DivisionByZero, NotRepresentable,
+                 NotAffineSignature, DanglingPort, json.JSONDecodeError,
+                 OSError)
 
 
 def _fail(msg: str, code: int = 2):
@@ -66,51 +68,12 @@ def _load_graph(path: str) -> Graph:
         return Graph.parse(fh.read())
 
 
-def _value_payload(val) -> dict:
-    z = val.to_complex()
-    out = {"approx": [z.real, z.imag]}
-    if val.is_exact:
-        out["exact"] = str(val)
-    return out
-
-
 def _print_value(val, as_json: bool):
-    payload = _value_payload(val)
+    z = val.to_complex()
     if as_json:
-        click.echo(json.dumps(payload))
+        click.echo(json.dumps({"approx": [z.real, z.imag], "exact": str(val)}))
     else:
-        z = payload["approx"]
-        if "exact" in payload:
-            click.echo(f"{payload['exact']}  (~ {z[0]:g} {z[1]:+g}i)")
-        else:
-            click.echo(f"~ {z[0]:g} {z[1]:+g}i")
-
-
-def _pinned(grid: Grid, edge_index: int, s: int) -> Grid:
-    """Replace one edge by two pin vertices forcing its value to s."""
-    (v, p), (w, q) = grid.edges[edge_index]
-    sigs = dict(grid.signatures)
-    sigs.setdefault("_pin0", Signature(1, [1, 0]))
-    sigs.setdefault("_pin1", Signature(1, [0, 1]))
-    vertices = list(grid.vertices)
-    a = len(vertices)
-    vertices.append(f"_pin{1 - s}")   # sees the complement of (v, p)
-    vertices.append(f"_pin{s}")       # sees the complement of (w, q)
-    edges = list(grid.edges)
-    edges[edge_index] = ((v, p), (a, 1))
-    edges.append(((w, q), (a + 1, 1)))
-    return Grid(sigs, vertices, edges)
-
-
-def _eval_grid(grid: Grid, threads: int, max_edges: int):
-    if threads <= 1 or not grid.edges:
-        return brute_force(grid, max_edges=max_edges)
-    from concurrent.futures import ThreadPoolExecutor
-    parts = [_pinned(grid, 0, s) for s in (0, 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        vals = list(pool.map(
-            lambda g: brute_force(g, max_edges=max_edges + 1), parts))
-    return vals[0] + vals[1]
+        click.echo(f"{val}  (~ {z.real:g} {z.imag:+g}i)")
 
 
 @click.group()
@@ -147,9 +110,8 @@ def classify_cmd(sig, preset, as_json):
 @click.option("--sig", help="signature to place on every graph vertex")
 @click.option("--preset", type=click.Choice(sorted(PRESETS)))
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--threads", default=1, show_default=True)
 @click.option("--max-edges", default=28, show_default=True)
-def eval_cmd(grid_path, graph_path, sig, preset, as_json, threads, max_edges):
+def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
     """Evaluate a Holant partition function by brute force."""
     try:
         if grid_path is not None:
@@ -160,7 +122,7 @@ def eval_cmd(grid_path, graph_path, sig, preset, as_json, threads, max_edges):
                                    f.to_signature(), "f")
         else:
             _fail("one of --grid or --graph is required")
-        val = _eval_grid(grid, threads, max_edges)
+        val = brute_force(grid, max_edges=max_edges)
     except TooManyEdges as e:
         _fail(str(e), code=3)
     except _INPUT_ERRORS as e:
@@ -223,15 +185,22 @@ def tutte33_cmd(graph_path, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
     """Build the eight-vertex signature of an Ising-type energy
-    function (couplings in units of i*pi/4) and classify it."""
+    function (couplings in units of i*pi/4) and classify it; with
+    --approx, print its float weights instead."""
     try:
         params = [Fraction(v) for v in (jh, jv, j, jp, jpp)]
-        f = ising_signature(*params, exact=not approx)
+        if not approx:
+            f = ising_signature(*params)
     except _INPUT_ERRORS as e:
         _fail(str(e))
-    payload = {"signature": str(f)}
-    if not approx:
-        payload["classification"] = classify_sig(f).to_json_dict()
+    if approx:
+        # the real weights e^{-energy}, written as Python complexes
+        energies = ising_energies(*params)
+        payload = {"signature": ";".join(
+            f"{math.exp(-float(energies[k]))}+0.0j" for k in "abcdwzyx")}
+    else:
+        payload = {"signature": str(f),
+                   "classification": classify_sig(f).to_json_dict()}
     if as_json:
         click.echo(json.dumps(payload))
     else:
@@ -251,7 +220,10 @@ def check_cert_cmd(sig, cert_path, as_json):
         f = EightVertexSig.parse(sig)
         with open(cert_path) as fh:
             data = json.load(fh)
-        if "certificate" in data:
+        if "verdict" in data:
+            if "certificate" not in data:
+                raise ValueError(f"a {data['verdict']} verdict carries no "
+                                 "certificate")
             data = data["certificate"]
         cert = Certificate.from_json_dict(data)
     except _INPUT_ERRORS as e:

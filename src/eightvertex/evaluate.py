@@ -22,8 +22,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import (Cyclo8, Scalar, scalar, parse_scalar, I, SQRT2,
-                      ComplexApprox)
+from .numeric import Scalar, scalar, parse_scalar, ALPHA, I, SQRT2
 from .signatures import Signature, EightVertexSig
 from .gadgets import chain_power, eigen_report, signature_from_matrix
 from .classes import in_A
@@ -74,19 +73,60 @@ class Grid:
 
     @staticmethod
     def from_json(text: str) -> "Grid":
-        data = json.loads(text)
+        """Parse a grid file.  Input of the wrong shape raises ValueError
+        (KeyError for a missing field)."""
+        data = _expect(json.loads(text), dict,
+                       "a grid is an object with signatures, vertices and "
+                       "edges")
         sigs = {}
-        for name, spec in data["signatures"].items():
+        for name, spec in _expect(data["signatures"], dict,
+                                  "signatures is an object").items():
+            _expect(spec, dict, f"signature {name!r} is an object")
             if "eightvertex" in spec:
-                sigs[name] = EightVertexSig.parse(spec["eightvertex"]).to_signature()
+                text8 = _expect(spec["eightvertex"], str,
+                                "an eightvertex entry is a string")
+                sigs[name] = EightVertexSig.parse(text8).to_signature()
             else:
-                vals = [parse_scalar(v) if isinstance(v, str) else scalar(v)
-                        for v in spec["values"]]
-                sigs[name] = Signature(spec["arity"], vals)
-        vertices = [v["sig"] for v in data["vertices"]]
-        edges = [((e[0][0], e[0][1]), (e[1][0], e[1][1]))
-                 for e in data["edges"]]
+                vals = [_grid_value(v) for v in _expect(
+                    spec["values"], list, "values is a list")]
+                sigs[name] = Signature(
+                    _expect(spec["arity"], int, "arity is an int"), vals)
+        vertices = []
+        for v in _expect(data["vertices"], list, "vertices is a list"):
+            v = _expect(v, dict, "a vertex is an object")
+            vertices.append(_expect(v["sig"], str, "a vertex sig is a string"))
+        edges = [_grid_edge(e)
+                 for e in _expect(data["edges"], list, "edges is a list")]
         return Grid(sigs, vertices, edges)
+
+
+def _expect(value, kind, rule: str):
+    """value if it is a kind (a bool is not an int); else ValueError."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"bad grid: {rule}, got {json.dumps(value)[:40]}")
+
+
+def _grid_value(v) -> Scalar:
+    """A signature value of a grid file: an int, or a string in the scalar
+    syntax.  Floats are refused, since every value must be exact."""
+    if isinstance(v, str):
+        return parse_scalar(v)
+    return scalar(_expect(v, int, "a value is an int or a scalar string"))
+
+
+def _grid_edge(e) -> tuple:
+    """An edge [[v, p], [w, q]] of a grid file, with int entries."""
+    try:
+        (v, p), (w, q) = e
+    except (TypeError, ValueError):
+        v = p = w = q = None
+    # JSON gives ints only inside lists, so four ints mean the right shape
+    if not (type(v) is int and type(p) is int and type(w) is int
+            and type(q) is int):
+        raise ValueError("bad grid: an edge is [[v, p], [w, q]] of ints, "
+                         f"got {json.dumps(e)[:40]}")
+    return ((v, p), (w, q))
 
 
 def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
@@ -225,8 +265,8 @@ def affine_eval(grid: Grid) -> Scalar:
 
     live = set(range(len(grid.edges)))
     factor = scalar(1)
-    half = scalar(SQRT2) * scalar(Cyclo8.zeta())         # sqrt2 * zeta8
-    half_inv = scalar(SQRT2) * scalar(Cyclo8.zeta()) ** 7
+    half = scalar(SQRT2) * scalar(ALPHA)                 # sqrt2 * zeta8
+    half_inv = scalar(SQRT2) * scalar(ALPHA) ** 7
 
     def substitute(x, others, t):
         """Replace variable x by XOR(others) + t everywhere."""
@@ -447,40 +487,36 @@ def tutte33(graph: Graph) -> Fraction:
 
 # -- Ising couplings ----------------------------------------------------------
 
-def ising_signature(jh, jv, j, jp, jpp, exact=True) -> EightVertexSig:
-    """The eight-vertex signature of a two-spin model with horizontal,
-    vertical and three four-spin couplings.
+def ising_energies(jh, jv, j, jp, jpp) -> dict:
+    """The energies of the entries of the eight-vertex signature of a
+    two-spin model with horizontal, vertical and three four-spin
+    couplings, as Fractions keyed by entry name: entry k has Boltzmann
+    weight e^{-energy[k]}."""
+    jh, jv, j, jp, jpp = (Fraction(t) for t in (jh, jv, j, jp, jpp))
+    return {
+        "c": -jh - jv - j - jp - jpp,
+        "z": +jh + jv - j - jp - jpp,
+        "d": -jh + jv + j + jp - jpp,
+        "w": +jh - jv + j + jp - jpp,
+        "b": j - jp + jpp,
+        "y": j - jp + jpp,
+        "a": -j + jp + jpp,
+        "x": -j + jp + jpp,
+    }
 
-    In exact mode the couplings are rationals measured in units of
-    i*pi/4, so each Boltzmann weight is a power of the primitive 8th root
-    of unity; non-integer energies raise NotRepresentable.  In approx mode
-    the couplings are real floats and the weights are e^{-energy}.
-    """
-    if exact:
-        jh, jv, j, jp, jpp = (Fraction(t) for t in (jh, jv, j, jp, jpp))
-    eps = [
-        -jh - jv - j - jp - jpp,
-        +jh + jv - j - jp - jpp,
-        -jh + jv + j + jp - jpp,
-        +jh - jv + j + jp - jpp,
-        j - jp + jpp,
-        j - jp + jpp,
-        -j + jp + jpp,
-        -j + jp + jpp,
-    ]
-    if exact:
-        weights = []
-        for e in eps:
-            if e.denominator != 1:
-                raise NotRepresentable(
-                    f"energy {e} is not an integer multiple of i*pi/4")
-            weights.append(scalar(Cyclo8.zeta() ** ((-int(e)) % 8)))
-    else:
-        import math
-        weights = [Scalar.approx(math.exp(-float(e))) for e in eps]
-    w1, w2, w3, w4, w5, w6, w7, w8 = weights
-    # (c, z, d, w, b, y, a, x) receive w1..w8 in that order
-    return EightVertexSig(a=w7, b=w5, c=w1, d=w3, w=w4, z=w2, y=w6, x=w8)
+
+def ising_signature(jh, jv, j, jp, jpp) -> EightVertexSig:
+    """The eight-vertex signature of :func:`ising_energies` with the
+    couplings measured in units of i*pi/4, so that each weight is a power
+    of the primitive 8th root of unity; non-integer energies raise
+    NotRepresentable."""
+    weights = {}
+    for k, e in ising_energies(jh, jv, j, jp, jpp).items():
+        if e.denominator != 1:
+            raise NotRepresentable(
+                f"energy {e} is not an integer multiple of i*pi/4")
+        weights[k] = scalar(ALPHA ** ((-int(e)) % 8))
+    return EightVertexSig(**weights)
 
 
 # -- interpolation demonstration ---------------------------------------------

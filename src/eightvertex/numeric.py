@@ -1,5 +1,4 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta8), plus an approximate
-complex fallback.
+"""Exact arithmetic in the cyclotomic field Q(zeta8).
 
 An element of :class:`Cyclo8` is (n0 + n1*zeta + n2*zeta^2 + n3*zeta^3) / d,
 where zeta is a primitive 8th root of unity (so zeta^4 = -1), the n_k are
@@ -18,11 +17,13 @@ The field houses every constant the rest of the package needs:
 * ``zeta`` is alpha, a square root of i,
 * ``zeta - zeta^3`` is sqrt(2).
 
-:class:`Scalar` is the tagged union used throughout: either an exact
-Cyclo8 value or an approximate complex number with a comparison tolerance.
-Mixing the two demotes the result to approximate and sets a provenance
-flag; classification code refuses demoted/approximate scalars by raising
-:class:`NotExact`.
+:class:`Scalar` wraps a Cyclo8 and is the value type the other modules
+pass around.  It adds no arithmetic of its own: every operation is the
+Cyclo8 operation, and only Scalars, ints, Fractions and Cyclo8s mix with
+it (floats and complex numbers raise TypeError).  It stays a class of its
+own, rather than a name for Cyclo8, because the benchmark's tracer
+(``benchmark/tracing.py``) counts scalar operations by wrapping
+``Scalar._binop``, ``__neg__``, ``__pow__`` and ``__eq__`` by name.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ _ZETA = cmath.exp(1j * cmath.pi / 4)
 
 class DivisionByZero(ZeroDivisionError):
     pass
-
-
-class NotExact(TypeError):
-    """An exact-only operation met an approximate scalar."""
 
 
 def _frac(v):
@@ -88,19 +85,11 @@ class Cyclo8:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(q) -> "Cyclo8":
-        return Cyclo8(_frac(q))
-
-    @staticmethod
     def i() -> "Cyclo8":
         return Cyclo8(0, 0, 1, 0)
 
     @staticmethod
     def alpha() -> "Cyclo8":
-        return Cyclo8(0, 1, 0, 0)
-
-    @staticmethod
-    def zeta() -> "Cyclo8":
         return Cyclo8(0, 1, 0, 0)
 
     @staticmethod
@@ -323,20 +312,6 @@ def as_power_of_i(x: Cyclo8):
     return None
 
 
-def root_of_unity_order(x: Cyclo8):
-    """Smallest n with x^n = 1, or None.
-
-    Every root of unity inside Q(zeta8) has order dividing 8, so testing
-    n = 1..8 is complete.
-    """
-    p = ONE
-    for n in range(1, 9):
-        p = p * x
-        if p == ONE:
-            return n
-    return None
-
-
 # -- square roots ------------------------------------------------------
 
 def _rational_sqrt(q: Fraction):
@@ -476,144 +451,52 @@ def format_cyclo8(x: Cyclo8) -> str:
     return f"{c0},{c1},{c2},{c3}"
 
 
-# -- approximate fallback ----------------------------------------------
-
-class ComplexApprox:
-    """A complex double with a componentwise comparison tolerance."""
-
-    __slots__ = ("re", "im", "eps")
-
-    def __init__(self, re: float, im: float = 0.0, eps: float = 1e-9):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        object.__setattr__(self, "re", float(re))
-        object.__setattr__(self, "im", float(im))
-        object.__setattr__(self, "eps", float(eps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexApprox is immutable")
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexApprox):
-            return NotImplemented
-        eps = max(self.eps, other.eps)
-        return abs(self.re - other.re) <= eps and abs(self.im - other.im) <= eps
-
-    def __repr__(self):
-        return f"ComplexApprox({self.re}, {self.im}, eps={self.eps})"
-
-
 class Scalar:
-    """Tagged union Exact(Cyclo8) | Approx(ComplexApprox).
+    """An exact element of Q(zeta8), the value type of signatures,
+    certificates and Holant sums.  ``cyclo`` is the field element; the
+    constructor takes it as it is, and :func:`scalar` converts."""
 
-    Combining exact and approximate values demotes the result to
-    approximate and records the demotion in ``demoted``.
-    """
+    __slots__ = ("cyclo",)
 
-    __slots__ = ("exact_value", "approx_value", "demoted")
-
-    def __init__(self, exact=None, approx=None, demoted=False):
-        if (exact is None) == (approx is None):
-            raise ValueError("exactly one of exact/approx required")
-        object.__setattr__(self, "exact_value", exact)
-        object.__setattr__(self, "approx_value", approx)
-        object.__setattr__(self, "demoted", bool(demoted))
+    def __init__(self, value: Cyclo8):
+        _set_cyclo(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def exact(v) -> "Scalar":
-        if isinstance(v, Scalar):
-            return v
-        if not isinstance(v, Cyclo8):
-            v = Cyclo8(v)
-        return Scalar(exact=v)
-
-    @staticmethod
-    def approx(re, im=0.0, eps=1e-9) -> "Scalar":
-        return Scalar(approx=ComplexApprox(re, im, eps))
-
     @staticmethod
     def of(v) -> "Scalar":
+        """v as a Scalar; v is a Scalar, an int, a Fraction or a Cyclo8."""
         if isinstance(v, Scalar):
             return v
-        if isinstance(v, (int, Fraction, Cyclo8)):
-            return Scalar.exact(v)
-        if isinstance(v, ComplexApprox):
-            return Scalar(approx=v)
-        if isinstance(v, complex):
-            return Scalar.approx(v.real, v.imag)
-        if isinstance(v, float):
-            return Scalar.approx(v)
+        if isinstance(v, Cyclo8):
+            return Scalar(v)
+        if isinstance(v, (int, Fraction)):
+            return Scalar(Cyclo8(v))
         raise TypeError(f"cannot make a Scalar from {v!r}")
 
-    # -- access ----------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact_value is not None
-
-    @property
-    def cyclo(self) -> Cyclo8:
-        if self.exact_value is None:
-            raise NotExact("approximate scalar where an exact one is required")
-        return self.exact_value
-
     def to_complex(self) -> complex:
-        if self.exact_value is not None:
-            return self.exact_value.to_complex()
-        return self.approx_value.to_complex()
+        return self.cyclo.to_complex()
 
     def is_zero(self) -> bool:
-        if self.exact_value is not None:
-            return self.exact_value.is_zero()
-        a = self.approx_value
-        return abs(a.re) <= a.eps and abs(a.im) <= a.eps
+        return self.cyclo.is_zero()
 
     # -- arithmetic --------------------------------------------------------
 
-    def _approx_parts(self):
-        if self.is_exact:
-            z = self.exact_value.to_complex()
-            return z, 1e-12
-        return self.approx_value.to_complex(), self.approx_value.eps
-
     def _binop(self, other, op):
-        b = other if type(other) is Scalar else Scalar.of(other)
-        x, y = self.exact_value, b.exact_value
-        if x is not None and y is not None:
-            if op == "*":
-                v = x * y
-            elif op == "+":
-                v = x + y
-            elif op == "-":
-                v = x - y
-            else:
-                if y.is_zero():
-                    raise DivisionByZero("scalar division by zero")
-                v = x / y
-            return _exact(v)
-        demoted = (x is None) != (y is None) or self.demoted or b.demoted
-        za, ea = self._approx_parts()
-        zb, eb = b._approx_parts()
-        if op == "+":
-            z = za + zb
+        x = self.cyclo
+        y = (other if type(other) is Scalar else Scalar.of(other)).cyclo
+        if op == "*":
+            v = x * y
+        elif op == "+":
+            v = x + y
         elif op == "-":
-            z = za - zb
-        elif op == "*":
-            z = za * zb
+            v = x - y
         else:
-            if zb == 0:
+            if y.is_zero():
                 raise DivisionByZero("scalar division by zero")
-            z = za / zb
-        return Scalar(approx=ComplexApprox(z.real, z.imag, max(ea, eb)),
-                      demoted=demoted)
+            v = x / y
+        return Scalar(v)
 
     def __add__(self, other):
         return self._binop(other, "+")
@@ -638,70 +521,33 @@ class Scalar:
         return Scalar.of(other)._binop(self, "/")
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar(exact=-self.exact_value)
-        a = self.approx_value
-        return Scalar(approx=ComplexApprox(-a.re, -a.im, a.eps),
-                      demoted=self.demoted)
-
-    def conjugate(self) -> "Scalar":
-        if self.is_exact:
-            return Scalar(exact=self.exact_value.conjugate())
-        a = self.approx_value
-        return Scalar(approx=ComplexApprox(a.re, -a.im, a.eps),
-                      demoted=self.demoted)
+        return Scalar(-self.cyclo)
 
     def __pow__(self, n: int) -> "Scalar":
-        if self.is_exact:
-            return Scalar(exact=self.exact_value ** n)
-        z = self.approx_value.to_complex() ** n
-        return Scalar(approx=ComplexApprox(z.real, z.imag, self.approx_value.eps),
-                      demoted=self.demoted)
+        return Scalar(self.cyclo ** n)
 
     def __eq__(self, other):
         try:
             o = Scalar.of(other)
         except TypeError:
             return NotImplemented
-        if self.is_exact and o.is_exact:
-            return self.exact_value == o.exact_value
-        za, ea = self._approx_parts()
-        zb, eb = o._approx_parts()
-        eps = max(ea, eb)
-        return abs(za.real - zb.real) <= eps and abs(za.imag - zb.imag) <= eps
+        return self.cyclo == o.cyclo
 
     def __hash__(self):
-        if self.is_exact:
-            return hash(self.exact_value)
-        raise TypeError("approximate scalars are unhashable")
+        return hash(self.cyclo)
 
     def __repr__(self):
-        if self.is_exact:
-            return f"Scalar({format_cyclo8(self.exact_value)})"
-        return f"Scalar(~{self.approx_value.to_complex()})"
+        return f"Scalar({format_cyclo8(self.cyclo)})"
 
     def __str__(self):
-        if self.is_exact:
-            return format_cyclo8(self.exact_value)
-        z = self.approx_value.to_complex()
-        return f"{z.real}{z.imag:+}j"
+        return format_cyclo8(self.cyclo)
 
 
-_set_exact = Scalar.exact_value.__set__
-_set_approx = Scalar.approx_value.__set__
-_set_demoted = Scalar.demoted.__set__
-
-
-def _exact(v: Cyclo8) -> Scalar:
-    s = _new(Scalar)
-    _set_exact(s, v)
-    _set_approx(s, None)
-    _set_demoted(s, False)
-    return s
+_set_cyclo = Scalar.cyclo.__set__
 
 
 def parse_scalar(text: str) -> Scalar:
-    return Scalar(exact=parse_cyclo8(text))
+    return Scalar(parse_cyclo8(text))
 
 
 def scalar(v) -> Scalar:

@@ -72,9 +72,6 @@ class Signature:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
-    def is_exact(self) -> bool:
-        return all(v.is_exact for v in self.values)
-
     def scale(self, s) -> "Signature":
         s = scalar(s)
         return Signature(self.arity, [s * v for v in self.values])

@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
+from eightvertex.numeric import scalar, I, ALPHA
 from eightvertex.signatures import (
-    Signature, EightVertexSig, equality, disequality2,
+    Signature, equality, disequality2,
     Transform2x2, holographic_transform,
 )
 from eightvertex.classes import (
-    in_A, in_A_scaled, in_P, in_L, in_alphaA, membership_profile,
-    affine_support, oracle_in_A, oracle_in_P,
+    in_A, in_P, in_L, in_alphaA, oracle_in_A, oracle_in_P,
 )
 
 from util import ENTRY_POOL, NONZERO_POOL, random_signature
@@ -100,29 +99,6 @@ def test_alphaA_is_A_after_alpha_twist(seed):
     f = random_signature(rng, rng.choice([2, 4]))
     g = holographic_transform(f, Transform2x2.diag(1, ALPHA))
     assert (in_alphaA(f) is not None) == (in_A(g) is not None)
-
-
-@given(rng_seed)
-@settings(max_examples=60, deadline=None)
-def test_in_A_scaled_agrees_at_one(seed):
-    rng = random.Random(seed)
-    f = random_signature(rng, rng.choice([2, 3, 4]))
-    assert (in_A_scaled(f, Cyclo8(1)) is not None) == (in_A(f) is not None)
-
-
-def test_membership_profile_keys():
-    prof = membership_profile(equality(2))
-    assert set(prof) == {"A", "P", "L", "alphaA"}
-    assert all(prof.values())
-
-
-def test_affine_support():
-    # full even-weight support is the affine space x1+x2+x3+x4 = 0
-    f = EightVertexSig.make(1, 1, 1, 1, 1, 1, 1, 1).to_signature()
-    assert affine_support(f) is not None
-    # dropping one point of a pair breaks closure under xor
-    g = EightVertexSig.make(1, 1, 1, 1, 0, 1, 1, 1).to_signature()
-    assert affine_support(g) is None
 
 
 def test_A_certificate_is_checkable():

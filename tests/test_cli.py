@@ -97,12 +97,51 @@ def test_eval_grid_file(runner, tmp_path):
 
 
 def test_eval_threads_agree(runner, tmp_path):
+    # eval runs brute force in one thread; its value on the dipole with
+    # the eo preset is the Eulerian orientation count
     p = tmp_path / "dipole.txt"
     p.write_text(DIPOLE_TEXT)
-    serial = invoke(runner, "eval", "--graph", str(p), "--preset", "eo")
-    parallel = invoke(runner, "eval", "--graph", str(p), "--preset", "eo",
-                      "--threads", "4")
-    assert serial.output == parallel.output
+    val = invoke(runner, "eval", "--graph", str(p), "--preset", "eo", "--json")
+    count = invoke(runner, "eo", "--graph", str(p), "--json")
+    assert val.exit_code == count.exit_code == 0
+    assert json.loads(val.output)["exact"] == str(
+        json.loads(count.output)["count"])
+
+
+def _grid_with(**changes):
+    data = json.loads(GRID_JSON)
+    data.update(changes)
+    return json.dumps(data)
+
+
+def _values_grid(value):
+    values = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, value]
+    return _grid_with(signatures={"F": {"arity": 4, "values": values}})
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([json.loads(GRID_JSON)]),
+    _grid_with(edges=[[[0, 1], [1, 1]], 5, [[0, 3], [1, 3]],
+                      [[0, 4], [1, 4]]]),
+    _grid_with(edges=[[[0, p], [1, p], [1, 1]] for p in range(1, 5)]),
+    _grid_with(edges=[[[0, p], [1, "1"]] for p in range(1, 5)]),
+    _values_grid([0]),
+    _values_grid(1.0),
+    _values_grid(0.5),
+    _values_grid(True),
+    _values_grid(None),
+    _grid_with(signatures=["F"]),
+    _grid_with(vertices=[0, 0]),
+], ids=["array", "int-edge", "three-ends", "string-port", "list-value",
+        "float-one", "float-half", "bool-value", "null-value",
+        "signature-list", "int-vertex"])
+def test_eval_malformed_grid_exit_2(runner, tmp_path, text):
+    p = tmp_path / "grid.json"
+    p.write_text(text)
+    for cmd in ("eval", "eval-affine"):
+        r = runner.invoke(main, [cmd, "--grid", str(p)])
+        assert r.exit_code == 2, r.output
+        assert r.output.startswith("error: bad grid:")
 
 
 def test_eval_max_edges_exit_3(runner, tmp_path):
@@ -174,6 +213,17 @@ def test_check_cert_round_trip(runner, tmp_path):
                "--cert", str(p))
     assert r.exit_code == 0
     assert "false" in r.output
+
+
+@pytest.mark.parametrize("sig, kind", [("0,1,1,1,1,1,1,0", "hard"),
+                                       ("0,0,0,0,0,0,0,0", "vanishing")])
+def test_check_cert_verdict_without_certificate(runner, tmp_path, sig, kind):
+    r = invoke(runner, "classify", "--sig", sig, "--json")
+    p = tmp_path / "verdict.json"
+    p.write_text(r.output)
+    r = invoke(runner, "check-cert", "--sig", sig, "--cert", str(p))
+    assert r.exit_code == 2
+    assert r.output == f"error: a {kind} verdict carries no certificate\n"
 
 
 def test_check_cert_missing_file(runner):

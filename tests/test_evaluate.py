@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar
+from eightvertex.numeric import ALPHA, Cyclo8, scalar
 from eightvertex.signatures import Signature, EightVertexSig, equality
 from eightvertex.evaluate import (
     Grid, Graph, brute_force, affine_eval, eo_signature, eo_count,
-    tutte_signature, medial_graph, tutte33, ising_signature,
+    tutte_signature, medial_graph, tutte33, ising_energies, ising_signature,
     grid_from_graph, chain_block, slot_signature, interpolation_demo,
     TooManyEdges, DanglingPort, NotAffineSignature,
 )
@@ -140,14 +140,22 @@ def test_ising_exact_point():
 
 
 def test_ising_approx_mode():
-    ev = ising_signature(Fraction(1, 2), 0, 0, 0, 0, exact=False)
-    vals = [v for v in ev.entries()]
-    assert all(not v.is_exact for v in vals)
+    # the energies behind both the exact weights and the float weights
+    # of ising --approx
+    e = ising_energies(Fraction(1, 2), 0, 0, 0, 0)
+    assert [e[k] for k in "abcdwzyx"] == [
+        0, 0, Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2),
+        Fraction(1, 2), 0, 0]
+    params = (3, 1, 2, 0, 1)
+    ev = ising_signature(*params)
+    e = ising_energies(*params)
+    assert [v.cyclo for v in ev.entries()] == [
+        ALPHA ** (-int(e[k]) % 8) for k in "abcdwzyx"]
 
 
 def test_ising_inexact_coupling_rejected():
     with pytest.raises(Exception):
-        ising_signature(Fraction(1, 2), 0, 0, 0, 0, exact=True)
+        ising_signature(Fraction(1, 2), 0, 0, 0, 0)
 
 
 def test_chain_block_and_slot_diagonal():

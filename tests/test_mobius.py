@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eightvertex.numeric import Cyclo8, ONE, I, unit_modulus
+from eightvertex.numeric import ALPHA, Cyclo8, ONE, I, unit_modulus
 from eightvertex.mobius import Mobius, ExtComplex, NotInField
 
 HALF = Fraction(1, 2)
@@ -53,7 +53,7 @@ def test_projective_orders_finite():
     assert Mobius(0, -1, 1, -1).projective_order() == 3
     assert Mobius(1, -1, 1, 1).projective_order() == 4
     assert Mobius(3, -3, 1, 0).projective_order() == 6
-    assert Mobius(1, 0, 0, Cyclo8.zeta()).projective_order() == 8
+    assert Mobius(1, 0, 0, ALPHA).projective_order() == 8
 
 
 def test_projective_order_matches_powers():
