@@ -16,16 +16,22 @@ Three families matter here:
 The zero signature belongs to every class by convention (take lam = 0).
 
 Membership tests return certificates that can be re-checked by direct
-evaluation; brute-force oracles (exhaustive Q enumeration, definition
-level factor search) are provided for cross-validation at small arity.
+evaluation, and re-check each one before returning it.  The class-A test
+(and so the alphaA and L tests built on it) never divides in the field:
+f(x) = v * i^k is found by comparing f(x) with the four quarter turns of
+v, and multiplying by a power of i or alpha is a signed rotation of the
+coefficients (``Cyclo8.rotate``).  Brute-force oracles (exhaustive Q
+enumeration, definition level factor search) are provided for
+cross-validation at small arity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .numeric import Scalar, scalar, as_power_of_i, I, ALPHA
+from .numeric import Scalar, scalar, as_power_of_i
 from .signatures import Signature
 
 
@@ -134,7 +140,7 @@ class ACertificate:
     def value_at(self, m: int) -> Scalar:
         if not self.space.contains(m):
             return scalar(0)
-        return self.lam * scalar(I) ** self.q_at(m)
+        return Scalar(self.lam.cyclo.rotate(2 * self.q_at(m)))
 
     def check(self, f: Signature) -> bool:
         return all(f.values[m] == self.value_at(m)
@@ -150,24 +156,24 @@ def in_A(f: Signature):
     space = AffineSpace.from_support(supp, n)
     if space is None:
         return None
-    v0 = f.values[supp[0]]
-    exps = {}
-    for m in supp:
-        k = as_power_of_i((f.values[m] / v0).cyclo)
-        if k is None:
-            return None
-        exps[m] = k
+    # f[m] = v0 * i^k exactly when f[m] is the k-th quarter turn of v0
+    v0 = f.values[supp[0]].cyclo
+    turns = {v0.rotate(2 * k): k for k in range(4)}
     piv = space.pivots
     k = space.dim
-    # index support points by their free-coordinate values
-    by_u = {}
+    # index the exponents by the free-coordinate values of their points
+    e = {}
     for m in supp:
+        x = turns.get(f.values[m].cyclo)
+        if x is None:
+            return None
         u = 0
         for j, p in enumerate(piv):
             if (m >> p) & 1:
                 u |= 1 << j
-        by_u[u] = exps[m]
-    e = by_u
+        if u == 0:
+            m0 = m
+        e[u] = x
     a0 = e[0]
     lin = [(e[1 << j] - a0) % 4 if k else 0 for j in range(k)]
     quad = {}
@@ -191,20 +197,12 @@ def in_A(f: Signature):
     lin_vars = {n - piv[j]: lin[j] for j in range(k) if lin[j]}
     quad_vars = {tuple(sorted((n - piv[j], n - piv[l]))): b
                  for (j, l), b in quad.items() if b}
-    m0 = next(m for m in supp if _u_of(m, piv) == 0)
-    lam = f.values[m0] / scalar(I) ** a0
+    lam = Scalar(f.values[m0].cyclo.rotate(-2 * a0))
     cert = ACertificate(lam=lam, space=space, a0=a0,
                         lin=lin_vars, quad=quad_vars)
-    assert cert.check(f)
+    if not cert.check(f):
+        raise AssertionError
     return cert
-
-
-def _u_of(m: int, piv) -> int:
-    u = 0
-    for j, p in enumerate(piv):
-        if (m >> p) & 1:
-            u |= 1 << j
-    return u
 
 
 # -- class P -----------------------------------------------------------
@@ -262,43 +260,56 @@ def _restrict(f: Signature, varbits, fixed_m):
     return Signature(k, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _bipartition(n: int, smask: int):
+    """The split of the 0-based positions of n variables into those in
+    smask and the rest, with index tables: the entry at row r (bits of r
+    on the smask positions, first position most significant) and column
+    c (bits of c on the rest, likewise) is at index rows[r] | cols[c].
+    Arity is at most 6, so the cache holds at most 63 entries."""
+    svars = tuple(i for i in range(n) if (smask >> i) & 1)
+    ovars = tuple(i for i in range(n) if not (smask >> i) & 1)
+
+    def scatter(positions, a):
+        k = len(positions)
+        m = 0
+        for pos, i in enumerate(positions):
+            m |= ((a >> (k - 1 - pos)) & 1) << (n - 1 - i)
+        return m
+
+    rows = tuple(scatter(svars, r) for r in range(1 << len(svars)))
+    cols = tuple(scatter(ovars, c) for c in range(1 << len(ovars)))
+    return svars, ovars, rows, cols
+
+
 def _split_rank1(f: Signature, varlist):
     """Try to factor f (over the given 1-based variable labels) across a
     bipartition; return (factors list) or None."""
     n = f.arity
     if _small_antipodal(f):
         return [(tuple(varlist), f)]
+    vals = f.values
     for smask in range(1, 1 << (n - 1)):
-        svars = [i for i in range(n) if (smask >> i) & 1]
-        ovars = [i for i in range(n) if not (smask >> i) & 1]
-        ks, ko = len(svars), len(ovars)
-        # matrix rows indexed by svar assignments, cols by the rest
-        def idx(r, c):
-            m = 0
-            for pos, i in enumerate(svars):
-                m |= ((r >> (ks - 1 - pos)) & 1) << (n - 1 - i)
-            for pos, i in enumerate(ovars):
-                m |= ((c >> (ko - 1 - pos)) & 1) << (n - 1 - i)
-            return m
+        svars, ovars, rows, cols = _bipartition(n, smask)
+        # the first nonzero entry, rows before columns, is the pivot
         pivot = None
-        for r in range(1 << ks):
-            for c in range(1 << ko):
-                if not f.values[idx(r, c)].is_zero():
-                    pivot = (r, c)
+        for rm in rows:
+            for cm in cols:
+                if not vals[rm | cm].is_zero():
+                    pivot = (rm, cm)
                     break
             if pivot:
                 break
         if pivot is None:
             continue
-        r0, c0 = pivot
-        p = f.values[idx(r0, c0)]
-        ok = all((f.values[idx(r, c)] * p ==
-                  f.values[idx(r, c0)] * f.values[idx(r0, c)])
-                 for r in range(1 << ks) for c in range(1 << ko))
+        row0, col0 = pivot
+        p = vals[row0 | col0]
+        ok = all(vals[rm | cm] * p == vals[rm | col0] * vals[row0 | cm]
+                 for rm in rows for cm in cols)
         if not ok:
             continue
-        g = Signature(ks, [f.values[idx(r, c0)] for r in range(1 << ks)])
-        h = Signature(ko, [f.values[idx(r0, c)] / p for c in range(1 << ko)])
+        g = Signature(len(svars), [vals[rm | col0] for rm in rows])
+        h = Signature(len(ovars), [vals[row0 | cm] / p for cm in cols])
         gres = _split_rank1(g, [varlist[i] for i in svars])
         if gres is None:
             continue
@@ -320,7 +331,8 @@ def in_P(f: Signature):
     if res is None:
         return None
     dec = PDecomposition(lam=scalar(1), factors=tuple(res))
-    assert dec.check(f)
+    if not dec.check(f):
+        raise AssertionError
     return dec
 
 
@@ -329,9 +341,9 @@ def in_P(f: Signature):
 def _alpha_weight_twist(f: Signature, pattern: int) -> Signature:
     """Multiply f(x) by alpha^(number of positions where both pattern and
     x are 1)."""
-    a = scalar(ALPHA)
-    return Signature(f.arity, [v * a ** (m & pattern).bit_count()
-                               for m, v in enumerate(f.values)])
+    return Signature(f.arity, [
+        Scalar(v.cyclo.rotate((m & pattern).bit_count()))
+        for m, v in enumerate(f.values)])
 
 
 def in_L(f: Signature) -> bool:

@@ -221,22 +221,38 @@ class Certificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
+        """The certificate of a to_json_dict object.  Input of the wrong
+        shape raises ValueError (KeyError for a missing field)."""
+        _cert_field(data, dict, "a certificate is an object")
         steps = []
-        for enc in data["steps"]:
-            kind = enc["kind"]
+        for enc in _cert_field(data["steps"], list, "steps is a list"):
+            kind = _cert_field(enc, dict, "a step is an object")["kind"]
             if kind == "half_diag":
-                steps.append(("half_diag", parse_scalar(enc["gamma_sq"])))
+                steps.append(("half_diag", _cert_scalar(enc["gamma_sq"])))
             elif kind == "outer_rewrite":
                 steps.append(("outer_rewrite",
-                              parse_scalar(enc["a"]), parse_scalar(enc["x"])))
+                              _cert_scalar(enc["a"]), _cert_scalar(enc["x"])))
             elif kind in STEP_KINDS:
                 steps.append((kind,))
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
-        vals = [parse_scalar(v) for v in data["transformed"]]
+        vals = [_cert_scalar(v) for v in _cert_field(
+            data["transformed"], list, "transformed is a list")]
+        target = _cert_field(data["target"], str, "target is a string")
         arity = (len(vals) - 1).bit_length()
-        return Certificate(tuple(steps), data["target"],
-                           Signature(arity, vals))
+        return Certificate(tuple(steps), target, Signature(arity, vals))
+
+
+def _cert_field(value, kind, rule: str):
+    """value if it is a kind; else ValueError naming the rule."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"bad certificate: {rule}, got {value!r:.40}")
+
+
+def _cert_scalar(value) -> Scalar:
+    """A scalar string of a certificate file, parsed."""
+    return parse_scalar(_cert_field(value, str, "a value is a scalar string"))
 
 
 def make_certificate(f: EightVertexSig, steps, target: str):

@@ -188,7 +188,9 @@ def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
     function (couplings in units of i*pi/4) and classify it; with
     --approx, print its float weights instead."""
     try:
-        params = [Fraction(v) for v in (jh, jv, j, jp, jpp)]
+        params = [_coupling(flag, v) for flag, v in
+                  zip(("--jh", "--jv", "--j", "--jp", "--jpp"),
+                      (jh, jv, j, jp, jpp))]
         if not approx:
             f = ising_signature(*params)
     except _INPUT_ERRORS as e:
@@ -196,8 +198,14 @@ def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
     if approx:
         # the real weights e^{-energy}, written as Python complexes
         energies = ising_energies(*params)
-        payload = {"signature": ";".join(
-            f"{math.exp(-float(energies[k]))}+0.0j" for k in "abcdwzyx")}
+        weights = []
+        for k in "abcdwzyx":
+            try:
+                weights.append(math.exp(-float(energies[k])))
+            except OverflowError:
+                _fail(f"the weight of entry {k} (energy {energies[k]}) "
+                      "overflows a float")
+        payload = {"signature": ";".join(f"{w}+0.0j" for w in weights)}
     else:
         payload = {"signature": str(f),
                    "classification": classify_sig(f).to_json_dict()}
@@ -207,6 +215,14 @@ def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
         click.echo(f"signature: {payload['signature']}")
         if "classification" in payload:
             click.echo(f"verdict: {payload['classification']['verdict']}")
+
+
+def _coupling(flag: str, text: str) -> Fraction:
+    """The rational coupling given to flag; ValueError if it is none."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} {text}: zero denominator") from None
 
 
 @main.command("check-cert")
@@ -220,7 +236,7 @@ def check_cert_cmd(sig, cert_path, as_json):
         f = EightVertexSig.parse(sig)
         with open(cert_path) as fh:
             data = json.load(fh)
-        if "verdict" in data:
+        if isinstance(data, dict) and "verdict" in data:
             if "certificate" not in data:
                 raise ValueError(f"a {data['verdict']} verdict carries no "
                                  "certificate")

@@ -183,11 +183,16 @@ def affine_eval(grid: Grid) -> Scalar:
     class A: the sum collapses to a Gauss sum over a quadratic exponent in
     the edge variables."""
     grid.validate()
+    by_name = {}                   # signature name -> its ACertificate
     certs = []
-    for v in range(len(grid.vertices)):
-        cert = in_A(grid.vertex_sig(v))
+    for v, name in enumerate(grid.vertices):
+        cert = by_name.get(name)
         if cert is None:
-            raise NotAffineSignature(f"vertex {v} signature is not in class A")
+            cert = in_A(grid.signatures[name])
+            if cert is None:
+                raise NotAffineSignature(
+                    f"vertex {v} signature is not in class A")
+            by_name[name] = cert
         certs.append(cert)
     lam = scalar(1)
     for cert in certs:

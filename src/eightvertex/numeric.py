@@ -9,7 +9,9 @@ closed-form sums modulo x^4 + 1; sums of equal denominators skip the
 lcm; the gcd runs only when d != 1.  Inversion multiplies by the product
 of the three other Galois conjugates and divides by the rational norm in
 integers (Cohen, *A Course in Computational Algebraic Number Theory*,
-GTM 138, 4.2-4.3).  ``coeffs`` gives the coefficients as Fractions.
+GTM 138, 4.2-4.3).  Multiplying by a power of zeta is a signed rotation
+of the numerators (``rotate``).  ``coeffs`` gives the coefficients as
+Fractions.
 
 The field houses every constant the rest of the package needs:
 
@@ -192,6 +194,25 @@ class Cyclo8:
             n = (a0, -a1, a2, -a3)
         else:
             n = (a0, -a3, -a2, -a1)
+        return _raw(n, self.d)
+
+    def rotate(self, k: int) -> "Cyclo8":
+        """self * zeta^k: a signed cyclic shift of the numerators, since
+        zeta^4 = -1.  The denominator is unchanged and the fraction stays
+        in lowest terms."""
+        a0, a1, a2, a3 = self.n
+        k %= 8
+        if k & 4:
+            a0, a1, a2, a3 = -a0, -a1, -a2, -a3
+        k &= 3
+        if k == 0:
+            n = (a0, a1, a2, a3)
+        elif k == 1:
+            n = (-a3, a0, a1, a2)
+        elif k == 2:
+            n = (-a2, -a3, a0, a1)
+        else:
+            n = (-a1, -a2, -a3, a0)
         return _raw(n, self.d)
 
     def conjugate(self) -> "Cyclo8":

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import scalar, I, ALPHA
+from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
 from eightvertex.signatures import (
     Signature, equality, disequality2,
     Transform2x2, holographic_transform,
@@ -12,7 +13,9 @@ from eightvertex.classes import (
     in_A, in_P, in_L, in_alphaA, oracle_in_A, oracle_in_P,
 )
 
-from util import ENTRY_POOL, NONZERO_POOL, random_signature
+from util import (
+    ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_signature,
+)
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -109,3 +112,42 @@ def test_A_certificate_is_checkable():
     assert cert.check(f)
     for m in range(16):
         assert cert.value_at(m) == f.values[m]
+
+
+def _twist_by_product(f: Signature, pattern: int) -> Signature:
+    """alpha^(popcount(x & pattern)) f(x), by field multiplication."""
+    return Signature(f.arity, [v * scalar(ALPHA ** (m & pattern).bit_count())
+                               for m, v in enumerate(f.values)])
+
+
+@given(rng_seed)
+@settings(max_examples=120, deadline=None)
+def test_memberships_with_denominators_match_oracle(seed):
+    """Entries c * zeta^k with c a non-integer rational and k often odd:
+    in_A, in_alphaA and in_L agree with the definition-level oracle, and
+    every certificate re-checks."""
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 3, 4])
+    c = (Cyclo8(Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([2, 3, 7])))
+         * ALPHA ** rng.randrange(1, 8, 2))
+    kind = rng.randrange(3)
+    if kind == 0:       # a class-A member, scaled
+        f = random_affine_signature(rng, n).scale(c)
+    elif kind == 1:     # an alphaA member: alpha^(-wt x) times one
+        g = random_affine_signature(rng, n).scale(c)
+        f = Signature(n, [v * scalar(ALPHA ** (7 * m.bit_count()))
+                          for m, v in enumerate(g.values)])
+    else:               # free entries c * zeta^k, some of them zero
+        f = Signature(n, [c * ALPHA ** rng.randrange(8)
+                          if rng.random() < 0.7 else 0
+                          for _ in range(1 << n)])
+    cert = in_A(f)
+    assert (cert is not None) == oracle_in_A(f)
+    assert cert is None or cert.check(f)
+    full = _twist_by_product(f, (1 << n) - 1)
+    acert = in_alphaA(f)
+    assert (acert is not None) == oracle_in_A(full)
+    assert acert is None or acert.check(full)
+    if n <= 3:
+        assert in_L(f) == all(oracle_in_A(_twist_by_product(f, s))
+                              for s in f.support())

@@ -198,6 +198,21 @@ def test_ising_inexact_needs_approx(runner):
     assert r.exit_code == 0
 
 
+def test_ising_zero_denominator_exit_2(runner):
+    r = invoke(runner, "ising", "--jh", "1/0", "--jv", "0", "--j", "0",
+               "--jp", "0", "--jpp", "0")
+    assert r.exit_code == 2
+    assert r.output == "error: --jh 1/0: zero denominator\n"
+
+
+def test_ising_approx_overflow_exit_2(runner):
+    r = invoke(runner, "ising", "--jh=-1000", "--jv", "0", "--j", "0",
+               "--jp", "0", "--jpp", "0", "--approx")
+    assert r.exit_code == 2
+    assert r.output == ("error: the weight of entry w (energy -1000) "
+                        "overflows a float\n")
+
+
 def test_check_cert_round_trip(runner, tmp_path):
     r = invoke(runner, "classify", "--preset", "sample-tractable", "--json")
     verdict = json.loads(r.output)
@@ -224,6 +239,30 @@ def test_check_cert_verdict_without_certificate(runner, tmp_path, sig, kind):
     r = invoke(runner, "check-cert", "--sig", sig, "--cert", str(p))
     assert r.exit_code == 2
     assert r.output == f"error: a {kind} verdict carries no certificate\n"
+
+
+@pytest.mark.parametrize("cert, rule", [
+    ([1, 2], "a certificate is an object"),
+    ({"steps": "identity", "target": "A", "transformed": ["1", "1"]},
+     "steps is a list"),
+    ({"steps": [3], "target": "A", "transformed": ["1", "1"]},
+     "a step is an object"),
+    ({"steps": [], "target": "A", "transformed": "1,1"},
+     "transformed is a list"),
+    ({"steps": [], "target": "A", "transformed": [1, 1]},
+     "a value is a scalar string"),
+    ({"steps": [], "target": 5, "transformed": ["1", "1"]},
+     "target is a string"),
+    ({"verdict": "tractable", "certificate": [1]},
+     "a certificate is an object"),
+])
+def test_check_cert_malformed_exit_2(runner, tmp_path, cert, rule):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    r = invoke(runner, "check-cert", "--sig", "1,1,1,0,0,1,1,0",
+               "--cert", str(p))
+    assert r.exit_code == 2
+    assert r.output.startswith(f"error: bad certificate: {rule}, got ")
 
 
 def test_check_cert_missing_file(runner):

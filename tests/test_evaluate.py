@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from eightvertex.numeric import ALPHA, Cyclo8, scalar
 from eightvertex.signatures import Signature, EightVertexSig, equality
+from eightvertex.classes import in_A
+import eightvertex.evaluate as evaluate
 from eightvertex.evaluate import (
     Grid, Graph, brute_force, affine_eval, eo_signature, eo_count,
     tutte_signature, medial_graph, tutte33, ising_energies, ising_signature,
@@ -103,6 +105,35 @@ def test_affine_eval_rejects_non_affine():
     f = Signature(2, [1, 1, 1, 2])
     grid = two_vertex_grid(f, f)
     with pytest.raises(NotAffineSignature):
+        affine_eval(grid)
+
+
+def test_affine_eval_tests_each_signature_name_once(monkeypatch):
+    calls = []
+
+    def counting_in_A(f):
+        calls.append(f)
+        return in_A(f)
+
+    monkeypatch.setattr(evaluate, "in_A", counting_in_A)
+    rng = random.Random(404)
+    pool = {f"s{k}": random_affine_signature(rng, ar)
+            for k, ar in enumerate((1, 2, 3))}
+    grid = random_grid(rng, pool, 12)
+    assert len(grid.vertices) > len(set(grid.vertices))
+    value = affine_eval(grid)
+    assert len(calls) == len(set(grid.vertices))
+    assert value == brute_force(grid)
+
+
+def test_affine_eval_names_first_non_affine_vertex():
+    # a ring of six binary vertices; "bad" first appears at vertex 3
+    names = ["a", "a", "a", "bad", "a", "bad"]
+    edges = [((v, 2), ((v + 1) % 6, 1)) for v in range(6)]
+    grid = Grid({"a": equality(2), "bad": Signature(2, [1, 1, 1, 2])},
+                names, edges)
+    with pytest.raises(NotAffineSignature,
+                       match=r"^vertex 3 signature is not in class A$"):
         affine_eval(grid)
 
 

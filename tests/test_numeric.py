@@ -108,6 +108,13 @@ def test_sqrt_in_field_hits():
         assert r is not None and r * r == v
 
 
+@given(cyclos, st.integers(min_value=0, max_value=7))
+def test_rotate_is_multiplication_by_zeta_power(x, k):
+    assert x.rotate(k) == x * ALPHA ** k
+    assert x.rotate(-k) == x * ALPHA ** (8 - k)
+    assert x.rotate(k + 8) == x.rotate(k)
+
+
 def test_power_of_i_detection():
     for k in range(4):
         assert as_power_of_i(I ** k) == k
