@@ -117,20 +117,19 @@ class AffineSpace:
 class ACertificate:
     """A witness f(x) = lam * i^Q(x) on the affine space, 0 elsewhere.
 
-    Q(x) = a0 + sum_i lin[i] x_i + 2 sum_{i<j} quad[(i,j)] x_i x_j mod 4,
+    Q(x) = sum_i lin[i] x_i + 2 sum_{i<j} quad[(i,j)] x_i x_j mod 4,
     with variables indexed 1-based, lin values in Z4, quad values in Z2.
     """
 
     lam: Scalar
     space: AffineSpace
-    a0: int = 0
     lin: dict = field(default_factory=dict)
     quad: dict = field(default_factory=dict)
 
     def q_at(self, m: int) -> int:
         n = self.space.n
         bits = [(m >> (n - i)) & 1 for i in range(1, n + 1)]
-        total = self.a0
+        total = 0
         for i, a in self.lin.items():
             total += a * bits[i - 1]
         for (i, j), b in self.quad.items():
@@ -171,20 +170,20 @@ def in_A(f: Signature):
         for j, p in enumerate(piv):
             if (m >> p) & 1:
                 u |= 1 << j
-        if u == 0:
-            m0 = m
         e[u] = x
-    a0 = e[0]
-    lin = [(e[1 << j] - a0) % 4 if k else 0 for j in range(k)]
+    # supp[0], the least point, has no pivot bit (XOR with a basis vector
+    # would clear its leading bit and give a lesser point), so it has u = 0:
+    # e[0] = 0 and lam = f[supp[0]]
+    lin = [e[1 << j] for j in range(k)]
     quad = {}
     for j in range(k):
         for l in range(j + 1, k):
-            c = (e[(1 << j) | (1 << l)] - a0 - lin[j] - lin[l]) % 4
+            c = (e[(1 << j) | (1 << l)] - lin[j] - lin[l]) % 4
             if c % 2:
                 return None
             quad[(j, l)] = c // 2
     for u in range(1 << k):
-        val = a0
+        val = 0
         for j in range(k):
             if (u >> j) & 1:
                 val += lin[j]
@@ -197,8 +196,7 @@ def in_A(f: Signature):
     lin_vars = {n - piv[j]: lin[j] for j in range(k) if lin[j]}
     quad_vars = {tuple(sorted((n - piv[j], n - piv[l]))): b
                  for (j, l), b in quad.items() if b}
-    lam = Scalar(f.values[m0].cyclo.rotate(-2 * a0))
-    cert = ACertificate(lam=lam, space=space, a0=a0,
+    cert = ACertificate(lam=f.values[supp[0]], space=space,
                         lin=lin_vars, quad=quad_vars)
     if not cert.check(f):
         raise AssertionError

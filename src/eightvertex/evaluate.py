@@ -7,6 +7,15 @@ partition function is
     sum over {0,1}-values on half-edges, opposite across each edge,
     of the product of all vertex signature values.
 
+The brute-force sum (:func:`brute_force`) enumerates edge orientations
+depth first and drops a branch as soon as a completed vertex is zero.  It
+runs over integer coefficient tuples: each signature's values are put
+over one common denominator before the search, products are the closed
+form modulo x^4 + 1 on four ints, and the sum is reduced to a field value
+once, at the end.  It keeps an explicit stack, so there is no recursion
+limit: a grid of any depth is evaluated, and only ``max_edges`` (a
+``TooManyEdges`` error, exit 3 in the CLI) bounds its size.
+
 Beyond the pruned brute-force sum this module provides: a polynomial-time
 evaluator for grids whose signatures all lie in class A (Gauss sums over
 quadratic exponents), Eulerian-orientation counting, the Tutte-polynomial
@@ -18,11 +27,12 @@ demonstration built on chain gadgets.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import Scalar, scalar, parse_scalar, ALPHA, I, SQRT2
+from .numeric import Scalar, scalar, parse_scalar, ALPHA, I, SQRT2, _reduced
 from .signatures import Signature, EightVertexSig
 from .gadgets import chain_power, eigen_report, signature_from_matrix
 from .classes import in_A
@@ -131,49 +141,83 @@ def _grid_edge(e) -> tuple:
 
 def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
     """The Holant sum by direct enumeration over edge orientations, with
-    early pruning whenever a completed vertex contributes zero."""
+    early pruning whenever a completed vertex contributes zero.
+
+    Each signature's values are put over the lcm of their denominators,
+    so the sum's denominator is the product of those of the vertices and
+    the search adds and multiplies numerator tuples only.  Raises
+    TooManyEdges past ``max_edges`` edges."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
     grid.validate()
-    nv = len(grid.vertices)
-    arities = [grid.vertex_sig(v).arity for v in range(nv)]
-    remaining = list(arities)
-    partial = [0] * nv   # bits assigned so far, ports packed MSB-first
-    edges = grid.edges
+    # Lists and literal tuples only: a tuple built from a generator is
+    # resized into place and then parked on the interpreter's tuple free
+    # list, which grows the peak RSS of a process that calls this often.
+    tables = {}             # signature name -> (denominator, numerators)
+    for name in set(grid.vertices):
+        vals = [v.cyclo for v in grid.signatures[name].values]
+        d = math.lcm(*[c.d for c in vals])
+        nums = []
+        for c in vals:
+            f = d // c.d
+            n0, n1, n2, n3 = c.n
+            nums.append(None if c.is_zero()
+                        else (n0 * f, n1 * f, n2 * f, n3 * f))
+        tables[name] = (d, nums)
+    den = 1
+    for name in grid.vertices:
+        den *= tables[name][0]
 
-    def assign(u, r, bit):
-        partial[u] |= bit << (arities[u] - r)
-        remaining[u] -= 1
+    # edge k sets one bit of each endpoint's value index (ports packed
+    # MSB-first) and completes the vertices whose last port it assigns
+    last = {}
+    for k, ((v, _), (w, _)) in enumerate(grid.edges):
+        last[v] = last[w] = k
+    schedule = []
+    for k, ((v, p), (w, q)) in enumerate(grid.edges):
+        done = [(u, tables[grid.vertices[u]][1])
+                for u in dict.fromkeys((v, w)) if last[u] == k]
+        schedule.append((v, 1 << (grid.vertex_sig(v).arity - p),
+                         w, 1 << (grid.vertex_sig(w).arity - q), done))
+    if not schedule:
+        return scalar(1)
 
-    def unassign(u, r, bit):
-        partial[u] &= ~(1 << (arities[u] - r))
-        remaining[u] += 1
-
-    def rec(k, acc):
-        if k == len(edges):
-            return acc
-        (v, p), (w, q) = edges[k]
-        total = scalar(0)
-        for s in (0, 1):
-            assign(v, p, s)
-            assign(w, q, 1 - s)
-            sub = acc
-            dead = False
-            for u in ({v, w} if v != w else {v}):
-                if remaining[u] == 0:
-                    val = grid.vertex_sig(u).values[partial[u]]
-                    if val.is_zero():
-                        dead = True
-                        break
-                    sub = sub * val
-            if not dead:
-                total = total + rec(k + 1, sub)
-            unassign(w, q, 1 - s)
-            unassign(v, p, s)
-        return total
-
-    # isolated vertices (arity fully unused) are impossible after validate
-    return rec(0, scalar(1))
+    index = [0] * len(grid.vertices)
+    end = len(schedule) - 1
+    t0 = t1 = t2 = t3 = 0
+    # pending branches (edge k, bit s on its first endpoint, product so far)
+    stack = [(0, 1, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        k, s, a0, a1, a2, a3 = pop()
+        v, mv, w, mw, done = schedule[k]
+        if s:
+            index[v] |= mv
+            index[w] &= ~mw
+        else:
+            index[v] &= ~mv
+            index[w] |= mw
+        for u, table in done:
+            b = table[index[u]]
+            if b is None:
+                break
+            b0, b1, b2, b3 = b
+            # the product modulo x^4 + 1, as in numeric._mul
+            a0, a1, a2, a3 = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                              a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                              a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                              a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+        else:
+            if k == end:
+                t0 += a0
+                t1 += a1
+                t2 += a2
+                t3 += a3
+            else:
+                push((k + 1, 1, a0, a1, a2, a3))
+                push((k + 1, 0, a0, a1, a2, a3))
+    return Scalar(_reduced(t0, t1, t2, t3, den))
 
 
 # -- class-A fast evaluation ----------------------------------------------
@@ -233,7 +277,6 @@ def affine_eval(grid: Grid) -> Scalar:
     for v, cert in enumerate(certs):
         n = grid.vertex_sig(v).arity
         lits = {i: port_lit[(v, i)] for i in range(1, n + 1)}
-        const = (const + cert.a0) % 4
         for i, a in cert.lin.items():
             e, t = lits[i]
             const = (const + a * t) % 4
@@ -250,15 +293,14 @@ def affine_eval(grid: Grid) -> Scalar:
                 add_lin(e2, 2 * b * t1)
         # affine-space checks: non-pivot coordinates are forced
         space = cert.space
-        piv = set(space.pivots)
+        pivots = space.pivots
         for bitpos in range(n):
-            if bitpos in piv:
+            if bitpos in pivots:
                 continue
             vars_ = {n - bitpos}   # 1-based variable index of this position
             rhs = (space.offset >> bitpos) & 1
-            for j, bvec in enumerate(space.basis):
+            for bvec, pj in zip(space.basis, pivots):
                 if (bvec >> bitpos) & 1:
-                    pj = space.pivots[j]
                     vars_.add(n - pj)
                     rhs ^= (space.offset >> pj) & 1
             cvars = set()

@@ -81,3 +81,26 @@ def count_eulerian_orientations(edges):
 
 def complete_graph(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def holant_by_enumeration(grid):
+    """The Holant sum of an ``eightvertex.evaluate.Grid`` by a plain loop
+    over all 2^E edge assignments, with no pruning: edge k gives bit s_k
+    to its first port and 1 - s_k to its second, and each assignment adds
+    the product of every vertex's value at its port bits (port 1 is the
+    most significant)."""
+    total = 0
+    for bits in itertools.product((0, 1), repeat=len(grid.edges)):
+        port_bit = {}
+        for ((v, p), (w, q)), s in zip(grid.edges, bits):
+            port_bit[(v, p)] = s
+            port_bit[(w, q)] = 1 - s
+        term = 1
+        for v in range(len(grid.vertices)):
+            f = grid.vertex_sig(v)
+            m = 0
+            for p in range(1, f.arity + 1):
+                m = 2 * m + port_bit[(v, p)]
+            term = f.values[m] * term
+        total = term + total
+    return total

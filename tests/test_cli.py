@@ -151,6 +151,22 @@ def test_eval_max_edges_exit_3(runner, tmp_path):
     assert r.exit_code == 3
 
 
+def test_eval_deep_ring(runner, tmp_path):
+    # 1500 binary equalities in a ring: the search is 1500 edges deep, and
+    # pruning leaves one live branch per edge; the two consistent
+    # orientations alternate around the (even) ring
+    n = 1500
+    p = tmp_path / "ring.json"
+    p.write_text(json.dumps({
+        "signatures": {"eq": {"arity": 2, "values": [1, 0, 0, 1]}},
+        "vertices": [{"sig": "eq"}] * n,
+        "edges": [[[v, 2], [(v + 1) % n, 1]] for v in range(n)],
+    }))
+    r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "5000")
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("2  ")
+
+
 def test_eval_missing_file_exit_2(runner):
     r = invoke(runner, "eval", "--grid", "/nonexistent/grid.json")
     assert r.exit_code == 2

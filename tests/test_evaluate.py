@@ -57,6 +57,47 @@ def test_brute_force_matches_direct_sum():
     assert brute_force(grid) == total
 
 
+# values with zeros (so pruning runs), Gaussian and zeta parts, and
+# denominators that differ within and across vertices
+MIXED_VALUES = tuple(scalar(v) for v in (
+    0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3),
+    Cyclo8(0, 0, Fraction(1, 5), 0), Cyclo8.i(), Cyclo8(1, 0, -1, 0),
+    ALPHA, Cyclo8(0, Fraction(3, 7), 0, -1),
+    Cyclo8(Fraction(1, 2), 0, 0, Fraction(1, 3)),
+))
+
+
+@st.composite
+def small_grids(draw):
+    """Closed grids of 1 to 12 edges: vertices of arity 1 to 6 whose ports
+    are matched at random, so self-loops ((v, p), (v, q)) occur; a vertex
+    may reuse the signature of an earlier vertex of its arity."""
+    ports_left = 2 * draw(st.integers(1, 12))
+    sigs, names, arities = {}, [], []
+    while ports_left:
+        n = draw(st.integers(1, min(6, ports_left)))
+        ports_left -= n
+        same = [name for name in sigs if sigs[name].arity == n]
+        if same and draw(st.booleans()):
+            names.append(draw(st.sampled_from(same)))
+        else:
+            names.append(f"s{len(sigs)}")
+            sigs[names[-1]] = Signature(n, draw(st.lists(
+                st.sampled_from(MIXED_VALUES),
+                min_size=1 << n, max_size=1 << n)))
+        arities.append(n)
+    ports = [(v, p) for v, n in enumerate(arities) for p in range(1, n + 1)]
+    ports = draw(st.permutations(ports))
+    edges = [(ports[k], ports[k + 1]) for k in range(0, len(ports), 2)]
+    return Grid(sigs, names, edges)
+
+
+@given(small_grids())
+@settings(max_examples=200, deadline=None)
+def test_brute_force_matches_enumeration(grid):
+    assert brute_force(grid) == oracles.holant_by_enumeration(grid)
+
+
 def test_brute_force_edge_limit():
     grid = two_vertex_grid(equality(2), equality(2))
     with pytest.raises(TooManyEdges):

@@ -65,7 +65,9 @@ def random_affine_signature(rng: random.Random, arity: int):
     lin = {i: rng.randrange(4) for i in range(1, n + 1)}
     quad = {(i, j): rng.randrange(2)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    cert = ACertificate(lam, space, rng.randrange(4), lin, quad)
+    a0 = rng.randrange(4)          # a constant term i^a0, folded into lam
+    lam = scalar(lam.cyclo.rotate(2 * a0))
+    cert = ACertificate(lam, space, lin, quad)
     return Signature(n, [cert.value_at(m) for m in range(1 << n)])
 
 
