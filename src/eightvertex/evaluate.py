@@ -18,7 +18,9 @@ limit: a grid of any depth is evaluated, and only ``max_edges`` (a
 
 Beyond the pruned brute-force sum this module provides: a polynomial-time
 evaluator for grids whose signatures all lie in class A (Gauss sums over
-quadratic exponents), Eulerian-orientation counting, the Tutte-polynomial
+quadratic exponents, eliminated over int bit masks of the edge
+variables; Cai and Chen, *Complexity Dichotomies for Counting Problems*,
+CUP 2017), Eulerian-orientation counting, the Tutte-polynomial
 specialization T(G; 3, 3) through the medial graph, eight-vertex
 signatures from Ising-style couplings, and a worked interpolation
 demonstration built on chain gadgets.
@@ -29,10 +31,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import Scalar, scalar, parse_scalar, ALPHA, I, SQRT2, _reduced
+from .numeric import (Scalar, scalar, parse_scalar, ALPHA, ONE, SQRT2, ZERO,
+                      _reduced)
 from .signatures import Signature, EightVertexSig
 from .gadgets import chain_power, eigen_report, signature_from_matrix
 from .classes import in_A
@@ -65,49 +69,78 @@ class Grid:
     def vertex_sig(self, v: int) -> Signature:
         return self.signatures[self.vertices[v]]
 
-    def validate(self):
-        seen = set()
-        for (v, p), (w, q) in self.edges:
-            for u, r in ((v, p), (w, q)):
-                if not 0 <= u < len(self.vertices):
+    def validate(self) -> dict:
+        """Check that the edges join every port of every vertex exactly
+        once, raising DanglingPort otherwise, and return the map from
+        each port (v, p) to (edge index, end): end 0 for the first
+        endpoint of the edge, 1 for the second."""
+        arity = [self.signatures[name].arity for name in self.vertices]
+        nv = len(arity)
+        ends = {}
+        for e, ((v, p), (w, q)) in enumerate(self.edges):
+            for end, (u, r) in enumerate(((v, p), (w, q))):
+                if not 0 <= u < nv:
                     raise DanglingPort(f"vertex {u} out of range")
-                if not 1 <= r <= self.vertex_sig(u).arity:
+                if not 1 <= r <= arity[u]:
                     raise DanglingPort(f"port {r} out of range on vertex {u}")
-                if (u, r) in seen:
+                if (u, r) in ends:
                     raise DanglingPort(f"port {r} of vertex {u} used twice")
-                seen.add((u, r))
-        for v in range(len(self.vertices)):
-            for r in range(1, self.vertex_sig(v).arity + 1):
-                if (v, r) not in seen:
-                    raise DanglingPort(f"port {r} of vertex {v} unused")
+                ends[(u, r)] = (e, end)
+        # every port in the map is a distinct valid one, so equal counts
+        # mean that none is unused
+        if len(ends) != sum(arity):
+            for v in range(nv):
+                for r in range(1, arity[v] + 1):
+                    if (v, r) not in ends:
+                        raise DanglingPort(f"port {r} of vertex {v} unused")
+        return ends
 
     @staticmethod
     def from_json(text: str) -> "Grid":
-        """Parse a grid file.  Input of the wrong shape raises ValueError
-        (KeyError for a missing field)."""
+        """Parse a grid file.  Input of the wrong shape, a missing field
+        and a vertex naming an undefined signature raise ValueError."""
         data = _expect(json.loads(text), dict,
                        "a grid is an object with signatures, vertices and "
                        "edges")
         sigs = {}
-        for name, spec in _expect(data["signatures"], dict,
-                                  "signatures is an object").items():
+        for name, spec in _expect(_field(data, "signatures", "the grid"),
+                                  dict, "signatures is an object").items():
             _expect(spec, dict, f"signature {name!r} is an object")
+            owner = f"signature {name!r}"
             if "eightvertex" in spec:
                 text8 = _expect(spec["eightvertex"], str,
                                 "an eightvertex entry is a string")
                 sigs[name] = EightVertexSig.parse(text8).to_signature()
             else:
                 vals = [_grid_value(v) for v in _expect(
-                    spec["values"], list, "values is a list")]
+                    _field(spec, "values", owner), list, "values is a list")]
                 sigs[name] = Signature(
-                    _expect(spec["arity"], int, "arity is an int"), vals)
+                    _expect(_field(spec, "arity", owner), int,
+                            "arity is an int"), vals)
         vertices = []
-        for v in _expect(data["vertices"], list, "vertices is a list"):
+        for k, v in enumerate(_expect(_field(data, "vertices", "the grid"),
+                                      list, "vertices is a list")):
             v = _expect(v, dict, "a vertex is an object")
-            vertices.append(_expect(v["sig"], str, "a vertex sig is a string"))
+            if "sig" not in v:
+                raise ValueError(f"bad grid: vertex {k} has no 'sig' field")
+            name = _expect(v["sig"], str, "a vertex sig is a string")
+            if name not in sigs:
+                raise ValueError(f"bad grid: vertex {k} names undefined "
+                                 f"signature {name!r}")
+            vertices.append(name)
         edges = [_grid_edge(e)
-                 for e in _expect(data["edges"], list, "edges is a list")]
+                 for e in _expect(_field(data, "edges", "the grid"), list,
+                                  "edges is a list")]
         return Grid(sigs, vertices, edges)
+
+
+def _field(obj: dict, key: str, owner: str):
+    """obj[key]; a missing key raises ValueError naming it and its
+    owner."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"bad grid: {owner} has no {key!r} field") from None
 
 
 def _expect(value, kind, rule: str):
@@ -222,135 +255,118 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
 
 # -- class-A fast evaluation ----------------------------------------------
 
+def _affine_template(cert) -> tuple:
+    """The terms of a class-A certificate over its 1-based ports: the
+    linear terms (i, a), the cross terms (i, j) with coefficient 2, and
+    the parity constraints (ports, rhs) that cut out its affine space, one
+    per non-pivot coordinate in ascending bit order."""
+    space = cert.space
+    n = space.n
+    pivots = space.pivots
+    constraints = []
+    for bitpos in range(n):
+        if bitpos in pivots:
+            continue
+        ports = [n - bitpos]
+        rhs = (space.offset >> bitpos) & 1
+        for bvec, pj in zip(space.basis, pivots):
+            if (bvec >> bitpos) & 1:
+                ports.append(n - pj)
+                rhs ^= (space.offset >> pj) & 1
+        constraints.append((ports, rhs))
+    return (list(cert.lin.items()),
+            [ij for ij, b in cert.quad.items() if b % 2], constraints)
+
+
+# affine_eval returns this one object for every zero sum (16 of the 20
+# eval-affine grids), so a caller that keeps its results holds no 160-byte
+# copy per zero; Scalars are immutable, so sharing one is safe
+_ZERO = Scalar(ZERO)
+
+
 def affine_eval(grid: Grid) -> Scalar:
     """The Holant sum in polynomial time when every vertex signature is in
     class A: the sum collapses to a Gauss sum over a quadratic exponent in
-    the edge variables."""
-    grid.validate()
-    by_name = {}                   # signature name -> its ACertificate
-    certs = []
+    the edge variables.
+
+    The exponent is kept as Z4 linear coefficients, one int neighbour mask
+    per edge variable for the 2xy terms, and parity constraints as masks.
+    Constraints are solved by substitution, then the least live variable
+    is summed out, until none is left; the factors this picks up are
+    counted and applied to the product of the certificates' lams once."""
+    ends = grid.validate()
+    certs = {}                     # signature name -> its ACertificate
     for v, name in enumerate(grid.vertices):
-        cert = by_name.get(name)
-        if cert is None:
+        if name not in certs:
             cert = in_A(grid.signatures[name])
             if cert is None:
                 raise NotAffineSignature(
                     f"vertex {v} signature is not in class A")
-            by_name[name] = cert
-        certs.append(cert)
-    lam = scalar(1)
-    for cert in certs:
-        lam = lam * cert.lam
-    if lam.is_zero():
-        return scalar(0)
+            certs[name] = cert
+    if any(cert.lam.is_zero() for cert in certs.values()):
+        return _ZERO
+    lam = ONE
+    for name, count in Counter(grid.vertices).items():
+        lam = lam * certs[name].lam.cyclo ** count
+    templates = {name: _affine_template(cert) for name, cert in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation
-    port_lit = {}
-    for e, ((v, p), (w, q)) in enumerate(grid.edges):
-        port_lit[(v, p)] = (e, 0)
-        port_lit[(w, q)] = (e, 1)
-
-    const = 0                      # Z4
-    lin = {}                       # var -> Z4
-    quad = {}                      # frozenset({u, v}) -> Z2
-    constraints = []               # (set of vars, rhs bit)
-
-    def add_lin(e, a):
-        a %= 4
-        if a:
-            lin[e] = (lin.get(e, 0) + a) % 4
-            if not lin[e]:
-                del lin[e]
-
-    def add_quad(e1, e2, b):
-        b %= 2
-        if not b:
-            return
-        if e1 == e2:
-            add_lin(e1, 2 * b)
-            return
-        key = frozenset((e1, e2))
-        quad[key] = (quad.get(key, 0) + b) % 2
-        if not quad[key]:
-            del quad[key]
-
-    for v, cert in enumerate(certs):
-        n = grid.vertex_sig(v).arity
-        lits = {i: port_lit[(v, i)] for i in range(1, n + 1)}
-        for i, a in cert.lin.items():
-            e, t = lits[i]
-            const = (const + a * t) % 4
-            add_lin(e, a * (1 - 2 * t))
-        for (i, j), b in cert.quad.items():
-            e1, t1 = lits[i]
-            e2, t2 = lits[j]
-            const = (const + 2 * b * t1 * t2) % 4
-            if e1 == e2:
-                add_lin(e1, 2 * b * (1 + t1 + t2))
+    nvars = len(grid.edges)
+    const = 0                      # Z4, reduced at the end
+    lin = [0] * nvars              # Z4, reduced when read
+    nb = [0] * nvars               # bit y of nb[x]: the term 2 x y
+    constraints = []               # (mask of variables, rhs bit)
+    for v, name in enumerate(grid.vertices):
+        lins, quads, cons = templates[name]
+        for i, a in lins:
+            e, t = ends[(v, i)]
+            if t:
+                const += a
+                lin[e] -= a
             else:
-                add_quad(e1, e2, b)
-                add_lin(e1, 2 * b * t2)
-                add_lin(e2, 2 * b * t1)
-        # affine-space checks: non-pivot coordinates are forced
-        space = cert.space
-        pivots = space.pivots
-        for bitpos in range(n):
-            if bitpos in pivots:
-                continue
-            vars_ = {n - bitpos}   # 1-based variable index of this position
-            rhs = (space.offset >> bitpos) & 1
-            for bvec, pj in zip(space.basis, pivots):
-                if (bvec >> bitpos) & 1:
-                    vars_.add(n - pj)
-                    rhs ^= (space.offset >> pj) & 1
-            cvars = set()
-            for i in vars_:
-                e, t = lits[i]
+                lin[e] += a
+        for i, j in quads:
+            e1, t1 = ends[(v, i)]
+            e2, t2 = ends[(v, j)]
+            if t1 and t2:
+                const += 2
+            if e1 == e2:
+                lin[e1] += 2 * (1 + t1 + t2)
+            else:
+                nb[e1] ^= 1 << e2
+                nb[e2] ^= 1 << e1
+                lin[e1] += 2 * t2
+                lin[e2] += 2 * t1
+        for ports, rhs in cons:
+            mask = 0
+            for i in ports:
+                e, t = ends[(v, i)]
                 rhs ^= t
-                cvars ^= {e}
-            constraints.append((cvars, rhs))
+                mask ^= 1 << e
+            constraints.append((mask, rhs))
 
-    live = set(range(len(grid.edges)))
-    factor = scalar(1)
-    half = scalar(SQRT2) * scalar(ALPHA)                 # sqrt2 * zeta8
-    half_inv = scalar(SQRT2) * scalar(ALPHA) ** 7
+    # nb may keep bits of eliminated variables: every read masks by live
+    live = (1 << nvars) - 1
+    twos = 0                       # factors of 2
+    halves = 0                     # factors of sqrt2 * zeta^(+1 or -1)
+    turn = 0                       # the power of zeta among those
 
-    def substitute(x, others, t):
-        """Replace variable x by XOR(others) + t everywhere."""
-        nonlocal const
-        live.discard(x)
-        a = lin.pop(x, 0)
-        cross = {}
-        for key in [k for k in quad if x in k]:
-            y = next(iter(key - {x}))
-            cross[y] = quad.pop(key)
-        if a:
-            # a * (t + (-1)^t * (sum - 2 * pairsum))
-            const = (const + a * t) % 4
-            sgn = 1 - 2 * t
-            ol = sorted(others)
-            for y in ol:
-                add_lin(y, a * sgn)
-            for ii in range(len(ol)):
-                for jj in range(ii + 1, len(ol)):
-                    add_quad(ol[ii], ol[jj], a)  # -2a == 2a mod 4 on pairs
-        for y, b in cross.items():
-            # 2b * (XOR(others) + t) * y
-            add_lin(y, 2 * b * t)
-            for u in others:
-                if u == y:
-                    add_lin(y, 2 * b)
-                else:
-                    add_quad(u, y, b)
-        for idx in range(len(constraints)):
-            cv, rhs = constraints[idx]
-            if x in cv:
-                constraints[idx] = (cv ^ others if isinstance(cv, set)
-                                    else set(cv) ^ others, rhs ^ t)
-                constraints[idx][0].discard(x)
+    def add_lin(ys, a):
+        """Add a to the linear coefficient of every variable in ys."""
+        while ys:
+            low = ys & -ys
+            lin[low.bit_length() - 1] += a
+            ys ^= low
 
-    # normalize constraint containers to sets
-    constraints = [(set(cv), rhs) for cv, rhs in constraints]
+    def add_cross(ys, zs):
+        """Toggle bit z of nb[y] for every y in ys and z != y in zs.
+        add_cross(ys, ys) adds 2yz once for every pair in ys; the terms
+        2yz for y in ys, z in zs need add_cross(zs, ys) as well."""
+        m = ys
+        while m:
+            low = m & -m
+            nb[low.bit_length() - 1] ^= zs & ~low
+            m ^= low
 
     while True:
         while constraints:
@@ -358,38 +374,56 @@ def affine_eval(grid: Grid) -> Scalar:
             cv &= live
             if not cv:
                 if rhs:
-                    return scalar(0)
+                    return _ZERO
                 continue
-            x = min(cv)
-            substitute(x, cv - {x}, rhs)
+            # replace x, the least variable of cv, by XOR(others) + rhs
+            bx = cv & -cv
+            x = bx.bit_length() - 1
+            others = cv ^ bx
+            live ^= bx
+            a = lin[x] % 4
+            cross = nb[x] & live
+            if a:
+                # a * (rhs + (-1)^rhs * (sum - 2 * pairsum))
+                const += a * rhs
+                add_lin(others, -a if rhs else a)
+                if a % 2:                   # -2a == 2a mod 4 on pairs
+                    add_cross(others, others)
+            if cross:
+                # 2 * (XOR(others) + rhs) * sum(cross): y * y is y
+                if rhs:
+                    add_lin(cross, 2)
+                add_lin(cross & others, 2)
+                add_cross(cross, others)
+                add_cross(others, cross)
+            for idx, (c, r) in enumerate(constraints):
+                if c & bx:
+                    constraints[idx] = (c ^ others ^ bx, r ^ rhs)
         if not live:
             break
-        x = min(live)
-        live.discard(x)
-        a = lin.pop(x, 0)
-        ell = set()
-        for key in [k for k in quad if x in k]:
-            y = next(iter(key - {x}))
-            if quad.pop(key):
-                ell.add(y)
-        if a in (0, 2):
-            factor = factor * 2
-            constraints.append((ell, 0 if a == 0 else 1))
+        # sum out x, the least live variable
+        bx = live & -live
+        x = bx.bit_length() - 1
+        live ^= bx
+        a = lin[x] % 4
+        ell = nb[x] & live
+        if a % 2 == 0:
+            twos += 1
+            constraints.append((ell, a // 2))
         else:
-            if a == 1:
-                factor = factor * half
-                mult = 3
-            else:
-                factor = factor * half_inv
-                mult = 1
-            ol = sorted(ell)
-            for y in ol:
-                add_lin(y, mult)
-            for ii in range(len(ol)):
-                for jj in range(ii + 1, len(ol)):
-                    add_quad(ol[ii], ol[jj], mult)
+            # sqrt2 * zeta for a == 1, sqrt2 * zeta^7 for a == 3, and
+            # i^(3 or 1 times XOR(ell))
+            halves += 1
+            turn += 1 if a == 1 else -1
+            add_lin(ell, 3 if a == 1 else 1)
+            add_cross(ell, ell)
 
-    return lam * factor * scalar(I) ** (const % 4)
+    # lam * 2^twos * sqrt2^halves * zeta^turn * i^const
+    twos += halves // 2
+    val = lam * (1 << twos)
+    if halves % 2:
+        val = val * SQRT2
+    return Scalar(val.rotate(turn + 2 * const))
 
 
 # -- graphs with rotation systems ------------------------------------------

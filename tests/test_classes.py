@@ -151,3 +151,43 @@ def test_memberships_with_denominators_match_oracle(seed):
     if n <= 3:
         assert in_L(f) == all(oracle_in_A(_twist_by_product(f, s))
                               for s in f.support())
+
+
+def _with_value(f: Signature, m: int, v) -> Signature:
+    vals = list(f.values)
+    vals[m] = v
+    return Signature(f.arity, vals)
+
+
+@given(rng_seed)
+@settings(max_examples=150, deadline=None)
+def test_A_certificate_check_rejects_tampering(seed):
+    """ACertificate.check compares every value: each single change to a
+    class-A signature, and a signature of another arity, fails it."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    f = random_affine_signature(rng, n)
+    cert = in_A(f)
+    assert cert is not None and cert.check(f)
+    supp = f.support()
+    m = rng.choice(supp)
+    v = f.values[m]
+    # a support value turned a quarter, doubled, or put over another
+    # denominator with the same numerators
+    c = v.cyclo
+    other_d = scalar(Cyclo8(*(Fraction(k, 1000003 * c.d) for k in c.n)))
+    assert other_d.cyclo.n == c.n and other_d.cyclo.d != c.d
+    for bad in (v * I, v * 2, other_d):
+        assert not cert.check(_with_value(f, m, bad))
+    # a point on the space that is zero
+    assert not cert.check(_with_value(f, m, 0))
+    # a point off the space that is nonzero
+    off = [p for p in range(1 << n) if p not in supp]
+    if off:
+        assert not cert.check(_with_value(f, rng.choice(off), v))
+    # the same values on another arity: each value repeated for a new
+    # last variable, or the half with x1 = 0
+    assert not cert.check(Signature(n + 1, [u for u in f.values
+                                            for _ in range(2)]))
+    if n > 1:
+        assert not cert.check(Signature(n - 1, f.values[:1 << (n - 1)]))

@@ -144,6 +144,39 @@ def test_eval_malformed_grid_exit_2(runner, tmp_path, text):
         assert r.output.startswith("error: bad grid:")
 
 
+def _grid_without(*path):
+    """GRID_JSON with the field at the end of path removed."""
+    data = json.loads(GRID_JSON)
+    data["signatures"]["B"] = {"arity": 2, "values": [1, 0, 0, 1]}
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_grid_without("signatures"), "the grid has no 'signatures' field"),
+    (_grid_without("vertices"), "the grid has no 'vertices' field"),
+    (_grid_without("edges"), "the grid has no 'edges' field"),
+    (_grid_without("signatures", "B", "arity"),
+     "signature 'B' has no 'arity' field"),
+    (_grid_without("signatures", "B", "values"),
+     "signature 'B' has no 'values' field"),
+    (_grid_without("vertices", 1, "sig"), "vertex 1 has no 'sig' field"),
+    (_grid_with(vertices=[{"sig": "F"}, {"sig": "Q"}]),
+     "vertex 1 names undefined signature 'Q'"),
+], ids=["signatures", "vertices", "edges", "arity", "values", "sig",
+        "undefined-name"])
+def test_eval_grid_missing_field_exit_2(runner, tmp_path, text, message):
+    p = tmp_path / "grid.json"
+    p.write_text(text)
+    for cmd in ("eval", "eval-affine"):
+        r = runner.invoke(main, [cmd, "--grid", str(p)])
+        assert r.exit_code == 2, r.output
+        assert r.output == f"error: bad grid: {message}\n"
+
+
 def test_eval_max_edges_exit_3(runner, tmp_path):
     p = tmp_path / "grid.json"
     p.write_text(GRID_JSON)

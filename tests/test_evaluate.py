@@ -115,6 +115,15 @@ def test_validate_rejects_dangling():
         grid.validate()
 
 
+def test_validate_returns_port_map():
+    # a self-loop on vertex 0 and one edge to vertex 1
+    f = equality(3)
+    grid = Grid({"f": f, "u": Signature(1, [1, 1])}, ["f", "u"],
+                [((0, 3), (0, 1)), ((1, 1), (0, 2))])
+    assert grid.validate() == {(0, 3): (0, 0), (0, 1): (0, 1),
+                               (1, 1): (1, 0), (0, 2): (1, 1)}
+
+
 def test_grid_from_json():
     text = json.dumps({
         "signatures": {
@@ -176,6 +185,83 @@ def test_affine_eval_names_first_non_affine_vertex():
     with pytest.raises(NotAffineSignature,
                        match=r"^vertex 3 signature is not in class A$"):
         affine_eval(grid)
+
+
+RING_SIZES = list(range(1, 17)) + [63, 64, 65, 200, 301]
+
+
+@pytest.mark.parametrize("n", RING_SIZES)
+def test_affine_eval_rings(n):
+    """Rings of n binary vertices, port 2 of each joined to port 1 of the
+    next, long enough for the variable masks to span several machine
+    words.  [1,0,0,i] forces alternating edges, so only its affine-space
+    constraints act; [1,1,1,-1] has full support and is summed out."""
+    edges = [((v, 2), ((v + 1) % n, 1)) for v in range(n)]
+    one, i = Cyclo8(1), Cyclo8.i()
+    cases = (
+        (Signature(2, [1, 0, 0, scalar(i)]),
+         scalar(0) if n % 2 else scalar(2 * i ** (n // 2))),
+        (Signature(2, [1, 1, 1, -1]),
+         scalar((one + i) ** n + (one - i) ** n)),
+    )
+    for f, want in cases:
+        grid = Grid({"f": f}, ["f"] * n, edges)
+        assert affine_eval(grid) == want
+        if n <= 16:
+            assert brute_force(grid) == want
+
+
+def _eight_vertex_affine(rng) -> Signature:
+    """A class-A member with support in the even-weight points: a random
+    class-A signature of arity 4 times the even-parity indicator."""
+    g = random_affine_signature(rng, 4)
+    return Signature(4, [v if m.bit_count() % 2 == 0 else 0
+                         for m, v in enumerate(g.values)])
+
+
+ALL_ONES_8V = EightVertexSig.parse("1,1,1,1,1,1,1,1").to_signature()
+
+
+@st.composite
+def affine_grids(draw):
+    """Closed grids of 1 to 14 edges over class-A signatures of arity 1
+    to 4, eight-vertex ones among them: a vertex may reuse the signature
+    of an earlier vertex of its arity, and ports are matched at random,
+    so self-loops occur."""
+    rng = random.Random(draw(rng_seed))
+    ports_left = 2 * draw(st.integers(1, 14))
+    sigs, names, arities = {}, [], []
+    while ports_left:
+        n = draw(st.integers(1, min(4, ports_left)))
+        ports_left -= n
+        same = [name for name in sigs if sigs[name].arity == n]
+        if same and draw(st.booleans()):
+            names.append(draw(st.sampled_from(same)))
+            arities.append(n)
+            continue
+        name = f"s{len(sigs)}"
+        if n == 4:
+            sigs[name] = draw(st.sampled_from(
+                (ALL_ONES_8V, _eight_vertex_affine(rng),
+                 random_affine_signature(rng, 4))))
+        else:
+            sigs[name] = random_affine_signature(rng, n)
+        names.append(name)
+        arities.append(n)
+    ports = [(v, p) for v, n in enumerate(arities) for p in range(1, n + 1)]
+    ports = draw(st.permutations(ports))
+    edges = [(ports[k], ports[k + 1]) for k in range(0, len(ports), 2)]
+    return Grid(sigs, names, edges)
+
+
+@given(affine_grids())
+@settings(max_examples=150, deadline=None)
+def test_affine_eval_arity_4_matches_oracles(grid):
+    value = affine_eval(grid)
+    assert value == brute_force(grid)
+    # the plain enumeration takes about a second at 14 edges
+    if len(grid.edges) <= 10:
+        assert value == oracles.holant_by_enumeration(grid)
 
 
 def test_eo_counts():
