@@ -44,11 +44,10 @@ from .numeric import (
 )
 from .signatures import (
     EightVertexSig,
-    OddSupportWithHalfTransform,
     Signature,
-    Transform2x2,
     disequality2,
     eight_vertex_readoff,
+    half_diagonal,
     holographic_transform,
 )
 from .classes import in_A, in_L, in_P, in_alphaA
@@ -58,43 +57,43 @@ from .classes import in_A, in_L, in_P, in_alphaA
 #
 # A certificate transform is a sequence of steps, each a tuple:
 #
-#   ("identity",)                the identity matrix
-#   ("diag_i",)                  diag(1, i)
-#   ("hadamard",)                [[1, 1], [1, -1]]
-#   ("z",)                       (1/sqrt2) [[1, 1], [i, -i]]
-#   ("half_diag", gamma_sq)      diag(1, gamma) known through gamma^2
+#   ("identity",)                S = [[1, 0], [0, 1]]
+#   ("diag_i",)                  S = diag(1, i)
+#   ("hadamard",)                S = [[1, 1], [1, -1]]
+#   ("z",)                       S = (1/sqrt2) [[1, 1], [i, -i]]
+#   ("half_diag", gamma_sq)      S = diag(1, gamma), known only through
+#                                gamma^2 (nonzero)
 #   ("outer_rewrite", a~, x~)    replace the corner entries (a, x) by
 #                                (a~, x~); valid only when a~ x~ = a x,
 #                                since the partition function depends on
 #                                the corners only through their product
 #
 # Matrix steps act on f as S applied to every tensor slot, and on the
-# binary disequality as the inverse matrix applied to both slots (the
-# contravariant side of a holographic transformation).  Proportional
-# rescalings are dropped throughout; class membership is scale free.
-
-STEP_KINDS = ("identity", "diag_i", "hadamard", "z", "half_diag",
-              "outer_rewrite")
+# binary disequality as the transpose of S^{-1} applied to both slots
+# (the contravariant side of a holographic transformation); for
+# half_diag that is diag(1, 1/gamma).  Proportional rescalings are
+# dropped throughout; class membership is scale free.
 
 
-def step_matrix(step):
-    """The Transform2x2 of a matrix step, or None for outer_rewrite."""
-    kind = step[0]
-    if kind == "identity":
-        return Transform2x2.identity()
-    if kind == "diag_i":
-        return Transform2x2.diag(1, I)
-    if kind == "hadamard":
-        return Transform2x2(rows=((1, 1), (1, -1)))
-    if kind == "z":
-        h = scalar(Cyclo8.sqrt2()) / 2
-        hi = h * scalar(I)
-        return Transform2x2(rows=((h, h), (hi, -hi)))
-    if kind == "half_diag":
-        return Transform2x2.half_diag(step[1])
-    if kind == "outer_rewrite":
-        return None
-    raise ValueError(f"unknown step kind {kind!r}")
+def _matrix(rows):
+    return tuple(tuple(scalar(v) for v in row) for row in rows)
+
+
+_HALF = scalar(1) / 2
+_R = scalar(Cyclo8.sqrt2()) / 2     # 1/sqrt2
+_RI = _R * scalar(I)
+
+# kind -> (S, transpose of S^{-1})
+STEP_MATRICES = {
+    "identity": (_matrix(((1, 0), (0, 1))), _matrix(((1, 0), (0, 1)))),
+    "diag_i": (_matrix(((1, 0), (0, I))), _matrix(((1, 0), (0, -I)))),
+    "hadamard": (_matrix(((1, 1), (1, -1))),
+                 _matrix(((_HALF, _HALF), (_HALF, -_HALF)))),
+    "z": (_matrix(((_R, _R), (_RI, -_RI))),
+          _matrix(((_R, _R), (-_RI, _RI)))),
+}
+
+STEP_KINDS = (*STEP_MATRICES, "half_diag", "outer_rewrite")
 
 
 def apply_steps_signature(f: EightVertexSig, steps) -> Signature:
@@ -118,50 +117,26 @@ def apply_steps_signature(f: EightVertexSig, steps) -> Signature:
                     "outer rewrite must preserve the corner product")
             sig = EightVertexSig(na, ev.b, ev.c, ev.d,
                                  ev.w, ev.z, ev.y, nx).to_signature()
+        elif step[0] == "half_diag":
+            sig = half_diagonal(sig, step[1])
         else:
-            sig = holographic_transform(sig, step_matrix(step))
+            sig = holographic_transform(sig, STEP_MATRICES[step[0]][0])
     return sig
 
 
 def transform_disequality(steps) -> Signature:
     """The image of the binary disequality under the same transform.
 
-    The binary side transforms by the inverse matrix on both slots.
     Half-specified diagonals are applied up to a scalar: the support
     must have uniform weight parity, and a common leftover factor of
     gamma^{+-1} is dropped.
     """
     g = disequality2()
     for step in steps:
-        if step[0] == "outer_rewrite":
-            continue
-        t = step_matrix(step)
-        if t.is_half:
-            inv = scalar(1) / scalar(t.gamma_sq)
-            parities = {m.bit_count() % 2 for m in g.support()}
-            if len(parities) > 1:
-                raise OddSupportWithHalfTransform(
-                    "binary side has mixed-parity support under a "
-                    "half-specified diagonal")
-            p = parities.pop() if parities else 0
-            vals = []
-            for m, v in enumerate(g.values):
-                if v.is_zero():
-                    vals.append(v)
-                else:
-                    vals.append(v * inv ** ((m.bit_count() - p) // 2))
-            g = Signature(2, vals)
-        else:
-            r = t.inverse().full_rows()
-            vals = []
-            for m in range(4):
-                y1, y2 = (m >> 1) & 1, m & 1
-                acc = scalar(0)
-                for n in range(4):
-                    x1, x2 = (n >> 1) & 1, n & 1
-                    acc = acc + g.values[n] * r[x1][y1] * r[x2][y2]
-                vals.append(acc)
-            g = Signature(2, vals)
+        if step[0] == "half_diag":
+            g = half_diagonal(g, scalar(1) / scalar(step[1]), any_parity=True)
+        elif step[0] != "outer_rewrite":
+            g = holographic_transform(g, STEP_MATRICES[step[0]][1])
     return g
 
 
@@ -255,38 +230,46 @@ def _cert_scalar(value) -> Scalar:
     return parse_scalar(_cert_field(value, str, "a value is a scalar string"))
 
 
+def _images(f: EightVertexSig, steps):
+    """The images of f and of the disequality under steps, or None when
+    a step does not apply."""
+    try:
+        return apply_steps_signature(f, steps), transform_disequality(steps)
+    except (ValueError, DivisionByZero):
+        return None
+
+
+def _search(f: EightVertexSig, candidates):
+    """The certificate of the first candidate that carries f and the
+    disequality into its target class, or None."""
+    cache = {}
+    for steps, target in candidates:
+        if steps not in cache:
+            cache[steps] = _images(f, steps)
+        pair = cache[steps]
+        if pair is None:
+            continue
+        g, b = pair
+        if _in_class(g, target) and _in_class(b, target):
+            return Certificate(steps, target, g)
+    return None
+
+
 def make_certificate(f: EightVertexSig, steps, target: str):
     """Build a Certificate if the step sequence carries both f and the
     disequality into the target class; None otherwise."""
-    try:
-        g = apply_steps_signature(f, steps)
-        b = transform_disequality(steps)
-    except (OddSupportWithHalfTransform, ValueError, DivisionByZero):
-        return None
-    if not _in_class(g, target):
-        return None
-    if not _in_class(b, target):
-        return None
-    return Certificate(tuple(steps), target, g)
+    return _search(f, ((tuple(steps), target),))
 
 
 def check_certificate(f: EightVertexSig, cert: Certificate) -> bool:
     """Independently re-apply the transform and re-run membership on
     both sides; compare the transformed signature up to a scalar."""
-    try:
-        g = apply_steps_signature(f, cert.steps)
-        b = transform_disequality(cert.steps)
-    except (OddSupportWithHalfTransform, ValueError, DivisionByZero):
-        return False
     if cert.target not in _TARGETS:
         return False
-    if not _in_class(g, cert.target):
-        return False
-    if not _in_class(b, cert.target):
-        return False
-    if g.proportional_to(cert.transformed) is None:
-        return False
-    return True
+    found = make_certificate(f, cert.steps, cert.target)
+    return (found is not None
+            and found.transformed.proportional_to(cert.transformed)
+            is not None)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -319,10 +302,6 @@ class Verdict:
     def vanishing(branch: str, reason: str) -> "Verdict":
         return Verdict("vanishing", branch, reason=reason)
 
-    @property
-    def is_hard(self) -> bool:
-        return self.kind == "hard"
-
     def to_json_dict(self) -> dict:
         out = {"verdict": self.kind, "branch": self.branch}
         if self.trace:
@@ -336,90 +315,28 @@ class Verdict:
 
 
 # -- candidate transforms ---------------------------------------------------
+#
+# Each branch tries a finite, deterministically ordered list of
+# (steps, target-class) pairs.  Every candidate is verified before use,
+# so listing a transform never makes an intractable signature look
+# tractable; the lists only need to be large enough to contain a witness
+# whenever one exists.
 
 def _i_pow(k: int) -> Scalar:
     return scalar(I) ** (k % 4)
 
 
-def candidate_transforms(context: dict):
-    """The finite, deterministically ordered candidate list of
-    (steps, target-class) pairs for a branch context.
+# the fast path: direct or lightly twisted membership
+FAST_CANDIDATES = (
+    ((), "P"),
+    ((), "A"),
+    *(((("half_diag", _i_pow(k)),), "A") for k in (1, 2, 3)),
+    *(((("half_diag", scalar(ALPHA) * _i_pow(k)),), "A") for k in range(4)),
+    ((), "alphaA"),
+)
 
-    Every candidate is verified before use, so listing a transform here
-    never makes an intractable signature look tractable; the lists only
-    need to be large enough to contain a witness whenever one exists.
-    """
-    branch = context["branch"]
-    out = []
-    if branch in ("fast", "B2"):
-        out.append(((), "P"))
-        out.append(((), "A"))
-        for k in (1, 2, 3):
-            out.append(((("half_diag", _i_pow(k)),), "A"))
-        for k in range(4):
-            out.append(((("half_diag", scalar(ALPHA) * _i_pow(k)),), "A"))
-        out.append(((), "alphaA"))
-        return out
-    if branch == "B1":
-        prefix = context["prefix"]
-        out.append(((), "P"))
-        out.append(((), "A"))
-        if prefix:
-            out.append((prefix, "P"))
-            out.append((prefix, "A"))
-        return out
-    if branch == "B4":
-        f: EightVertexSig = context["f"]
-        mu = context["mu"]
-        ax = f.a * f.x
-        half_i = ("half_diag", scalar(I))
-        for pre, prod, root in (((), ax, mu), ((half_i,), -ax, scalar(I) * mu)):
-            norm = ("outer_rewrite", root, root)
-            out.append((pre + (norm,), "A"))
-            out.append((pre + (norm,), "alphaA"))
-            for k in (1, 2, 3):
-                out.append((pre + (norm, ("half_diag", _i_pow(k))), "A"))
-            flat = ("outer_rewrite", scalar(1), prod)
-            for k in range(4):
-                gam = _i_pow(k) / root
-                sym = pre + (flat, ("half_diag", gam), ("z",))
-                for target in ("A", "P", "alphaA", "L"):
-                    out.append((sym, target))
-        return out
-    if branch == "B5":
-        f = context["f"]
-        ax = f.a * f.x
-        flat = ("outer_rewrite", scalar(1), ax)
-        base = f.b * f.c * f.d / (ax * ax)
-        for k in range(4):
-            sym = (flat, ("half_diag", base * _i_pow(k)), ("z",))
-            for target in ("A", "P", "alphaA", "L"):
-                out.append((sym, target))
-        return out
-    if branch == "B6":
-        c = context["c"]
-        for t in range(4):
-            out.append(((("half_diag", _i_pow(t) / c),), "A"))
-        return out
-    raise ValueError(f"unknown branch context {branch!r}")
-
-
-def _search(f: EightVertexSig, candidates):
-    cache = {}
-    for steps, target in candidates:
-        if steps not in cache:
-            try:
-                cache[steps] = (apply_steps_signature(f, steps),
-                                transform_disequality(steps))
-            except (OddSupportWithHalfTransform, ValueError, DivisionByZero):
-                cache[steps] = None
-        pair = cache[steps]
-        if pair is None:
-            continue
-        g, b = pair
-        if _in_class(g, target) and _in_class(b, target):
-            return Certificate(tuple(steps), target, g)
-    return None
+# the targets tried, in order, after the symmetrizing z step of B4 and B5
+_SYMMETRIC_TARGETS = ("A", "P", "alphaA", "L")
 
 
 # -- branch deciders -------------------------------------------------------
@@ -432,11 +349,11 @@ def six_vertex_classify(f: EightVertexSig) -> Verdict:
     """
     if not (f.a * f.x).is_zero():
         raise ValueError("six_vertex_classify requires ax = 0")
-    if f.a.is_zero() and f.x.is_zero():
-        prefix = ()
-    else:
-        prefix = (("outer_rewrite", scalar(0), scalar(0)),)
-    cert = _search(f, candidate_transforms({"branch": "B1", "prefix": prefix}))
+    candidates = [((), "P"), ((), "A")]
+    if not (f.a.is_zero() and f.x.is_zero()):
+        clear = (("outer_rewrite", scalar(0), scalar(0)),)
+        candidates += [(clear, "P"), (clear, "A")]
+    cert = _search(f, candidates)
     if cert is not None:
         return Verdict.tractable("B1-six-vertex", cert)
     if all(p.is_zero() or q.is_zero() for p, q in f.pairs()):
@@ -454,7 +371,11 @@ def six_vertex_classify(f: EightVertexSig) -> Verdict:
 
 def _spin_classify(f: EightVertexSig) -> Verdict:
     """At least two (0,0) inner pairs: the problem collapses onto a
-    binary signature on the corner entries and the surviving pair."""
+    binary signature on the corner entries and the surviving pair.
+
+    Reached only after the fast path failed; its candidates certify every
+    tractable core, so a core in P, A or alphaA means a certificate is
+    missing."""
     pair = next(((p, q) for p, q in f.pairs()
                  if not (p.is_zero() and q.is_zero())), None)
     if pair is None:
@@ -463,11 +384,8 @@ def _spin_classify(f: EightVertexSig) -> Verdict:
     member = (in_P(g) is not None or in_A(g) is not None
               or in_alphaA(g) is not None)
     if member:
-        cert = _search(f, candidate_transforms({"branch": "B2"}))
-        if cert is None:
-            raise AssertionError(
-                "binary core is tractable but no certificate was found")
-        return Verdict.tractable("B2", cert)
+        raise AssertionError(
+            "binary core is tractable but no certificate was found")
     return Verdict.hard(
         "B2",
         ("spin core",
@@ -500,8 +418,20 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
             ("corner normalization",
              "the corner product has no square root in Q(zeta_8), which "
              "every symmetric membership route requires"))
-    cert = _search(f, candidate_transforms(
-        {"branch": "B4", "f": f, "mu": scalar(mu), "eps": eps}))
+    mu = scalar(mu)
+    candidates = []
+    half_i = ("half_diag", scalar(I))
+    for pre, prod, root in (((), s, mu), ((half_i,), -s, scalar(I) * mu)):
+        norm = ("outer_rewrite", root, root)
+        candidates.append((pre + (norm,), "A"))
+        candidates.append((pre + (norm,), "alphaA"))
+        for k in (1, 2, 3):
+            candidates.append((pre + (norm, ("half_diag", _i_pow(k))), "A"))
+        flat = ("outer_rewrite", scalar(1), prod)
+        for k in range(4):
+            sym = pre + (flat, ("half_diag", _i_pow(k) / root), ("z",))
+            candidates += [(sym, t) for t in _SYMMETRIC_TARGETS]
+    cert = _search(f, candidates)
     if cert is not None:
         return Verdict.tractable("B4", cert)
     return Verdict.hard(
@@ -512,13 +442,20 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
 
 def _b5_classify(f: EightVertexSig) -> Verdict:
     """No zero entries, equal pair products by = cz = dw."""
-    if not (f.b * f.y == f.a * f.x):
+    ax = f.a * f.x
+    if not (f.b * f.y == ax):
         return Verdict.hard(
             "B5",
             ("pair products",
              "by = cz = dw differs from the corner product, enabling the "
              "interpolation gadget"))
-    cert = _search(f, candidate_transforms({"branch": "B5", "f": f}))
+    flat = ("outer_rewrite", scalar(1), ax)
+    base = f.b * f.c * f.d / (ax * ax)
+    candidates = []
+    for k in range(4):
+        sym = (flat, ("half_diag", base * _i_pow(k)), ("z",))
+        candidates += [(sym, t) for t in _SYMMETRIC_TARGETS]
+    cert = _search(f, candidates)
     if cert is not None:
         return Verdict.tractable("B5", cert)
     return Verdict.hard(
@@ -557,7 +494,8 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
             "B6",
             ("corner relation",
              f"the corner product differs from -i^{(j + k) % 4} c^2"))
-    cert = _search(f, candidate_transforms({"branch": "B6", "c": f.c}))
+    cert = _search(f, [((("half_diag", _i_pow(t) / f.c),), "A")
+                       for t in range(4)])
     if cert is None:
         raise AssertionError(
             "generic-branch conditions hold but no certificate was found")
@@ -582,7 +520,7 @@ def classify(f: EightVertexSig) -> Verdict:
     if (f.a * f.x).is_zero():
         return six_vertex_classify(f)
     # fast path: direct or lightly twisted membership
-    cert = _search(f, candidate_transforms({"branch": "fast"}))
+    cert = _search(f, FAST_CANDIDATES)
     if cert is not None:
         return Verdict.tractable("fast-path", cert)
     zero_pairs = sum(1 for pv, qv in f.pairs()

@@ -34,10 +34,6 @@ class BinarySig:
     def make(g00, g01, g10, g11) -> "BinarySig":
         return BinarySig(*(scalar(v) for v in (g00, g01, g10, g11)))
 
-    @staticmethod
-    def diseq() -> "BinarySig":
-        return BinarySig.make(0, 1, 1, 0)
-
     def at(self, s: int, t: int) -> Scalar:
         return (self.g00, self.g01, self.g10, self.g11)[2 * s + t]
 

@@ -169,14 +169,20 @@ class Cyclo8:
     def __pow__(self, n: int) -> "Cyclo8":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
+        if n == 0:
+            return ONE
+        # start from the lowest set bit, so x ** 1 costs no product
         base = self
+        while not n & 1:
+            base = _mul(base, base)
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = _mul(base, base)
             if n & 1:
                 result = _mul(result, base)
             n >>= 1
-            if n:
-                base = _mul(base, base)
         return result
 
     # -- structure maps -----------------------------------------------

@@ -24,8 +24,8 @@ from .numeric import Scalar, scalar, parse_scalar
 
 class OddSupportWithHalfTransform(ValueError):
     """A diag(1, gamma) transform known only through gamma^2 was applied to
-    a signature with odd-weight support, where the result would need gamma
-    itself."""
+    a signature whose support needs gamma itself: odd-weight support on
+    the signature side, mixed-parity support on the binary side."""
 
 
 class Signature:
@@ -159,9 +159,6 @@ class EightVertexSig:
     def outer(self):
         return (self.a, self.x)
 
-    def is_six_vertex(self) -> bool:
-        return self.a.is_zero() and self.x.is_zero()
-
     def __str__(self):
         return ";".join(str(v) for v in self.entries())
 
@@ -258,100 +255,11 @@ def pair_orbit(ev: EightVertexSig):
 
 # -- holographic transforms --------------------------------------------
 
-class Transform2x2:
-    """An invertible 2x2 matrix acting on signatures by T^{tensor n}.
-
-    Either a full matrix of scalars, or a half-specified diagonal
-    diag(1, gamma) known only through gamma^2 (``gamma_sq``).  The half
-    form can act on even-weight-support signatures without ever naming
-    gamma itself.
-    """
-
-    __slots__ = ("rows", "gamma_sq")
-
-    def __init__(self, rows=None, gamma_sq=None):
-        if (rows is None) == (gamma_sq is None):
-            raise ValueError("exactly one of rows/gamma_sq required")
-        if rows is not None:
-            rows = tuple(tuple(scalar(v) for v in r) for r in rows)
-            if len(rows) != 2 or any(len(r) != 2 for r in rows):
-                raise ValueError("rows must be 2x2")
-            det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-            if det.is_zero():
-                raise ValueError("transform must be invertible")
-        else:
-            gamma_sq = scalar(gamma_sq)
-            if gamma_sq.is_zero():
-                raise ValueError("gamma_sq must be nonzero")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "gamma_sq", gamma_sq)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Transform2x2 is immutable")
-
-    @staticmethod
-    def identity() -> "Transform2x2":
-        return Transform2x2(rows=((1, 0), (0, 1)))
-
-    @staticmethod
-    def diag(u, v) -> "Transform2x2":
-        return Transform2x2(rows=((u, 0), (0, v)))
-
-    @staticmethod
-    def half_diag(gamma_sq) -> "Transform2x2":
-        return Transform2x2(gamma_sq=gamma_sq)
-
-    @property
-    def is_half(self) -> bool:
-        return self.rows is None
-
-    def full_rows(self):
-        if self.is_half:
-            raise ValueError("half-specified transform has no full matrix")
-        return self.rows
-
-    def inverse(self) -> "Transform2x2":
-        if self.is_half:
-            return Transform2x2(gamma_sq=scalar(1) / self.gamma_sq)
-        (a, b), (c, d) = self.rows
-        det = a * d - b * c
-        return Transform2x2(rows=((d / det, -b / det), (-c / det, a / det)))
-
-    def compose(self, other: "Transform2x2") -> "Transform2x2":
-        """Matrix product self @ other; both must be full or both diagonal."""
-        if self.is_half or other.is_half:
-            if self.is_half and other.is_half:
-                return Transform2x2(gamma_sq=self.gamma_sq * other.gamma_sq)
-            raise ValueError("cannot compose half and full transforms")
-        (a, b), (c, d) = self.rows
-        (e, f), (g, h) = other.rows
-        return Transform2x2(rows=((a * e + b * g, a * f + b * h),
-                                  (c * e + d * g, c * f + d * h)))
-
-    def __repr__(self):
-        if self.is_half:
-            return f"Transform2x2(gamma_sq={self.gamma_sq})"
-        return f"Transform2x2({self.rows!r})"
-
-
-def holographic_transform(f: Signature, t: Transform2x2) -> Signature:
-    """T^{tensor n} f with f read as a column vector in lex order."""
+def holographic_transform(f: Signature, rows) -> Signature:
+    """T^{tensor n} f with f read as a column vector in lex order, for the
+    2x2 matrix T of scalars given by its rows."""
     n = f.arity
-    if t.is_half:
-        out = []
-        gsq = t.gamma_sq
-        for m, v in enumerate(f.values):
-            w = m.bit_count()
-            if w % 2:
-                if not v.is_zero():
-                    raise OddSupportWithHalfTransform(
-                        "support point of odd weight under a half-specified "
-                        "diagonal transform")
-                out.append(v)
-            else:
-                out.append(v * gsq ** (w // 2))
-        return Signature(n, out)
-    rows = t.rows
+    (t00, t01), (t10, t11) = rows
     vals = list(f.values)
     # apply T to one tensor slot at a time
     for k in range(n):
@@ -361,10 +269,35 @@ def holographic_transform(f: Signature, t: Transform2x2) -> Signature:
             if m & step:
                 continue
             lo, hi = vals[m], vals[m | step]
-            new[m] = rows[0][0] * lo + rows[0][1] * hi
-            new[m | step] = rows[1][0] * lo + rows[1][1] * hi
+            new[m] = t00 * lo + t01 * hi
+            new[m | step] = t10 * lo + t11 * hi
         vals = new
     return Signature(n, vals)
+
+
+def half_diagonal(f: Signature, gamma_sq,
+                  any_parity: bool = False) -> Signature:
+    """diag(1, gamma)^{tensor n} f for a gamma known only through gamma^2,
+    up to the factor gamma^p: entry m is scaled by
+    gamma_sq^((wt(m) - p) / 2), where p is the weight parity of f's
+    support.  The support must have one parity, and p must be 0 unless
+    any_parity is set; otherwise OddSupportWithHalfTransform is raised."""
+    gamma_sq = scalar(gamma_sq)
+    if gamma_sq.is_zero():   # certificate files come from outside
+        raise ValueError("gamma_sq must be nonzero")
+    support = f.support()
+    parities = {m.bit_count() % 2 for m in support}
+    if len(parities) > 1 or (1 in parities and not any_parity):
+        raise OddSupportWithHalfTransform(
+            "support point of odd weight under a half-specified diagonal "
+            "transform")
+    p = max(parities, default=0)
+    vals = list(f.values)
+    for m in support:
+        k = (m.bit_count() - p) // 2
+        if k:
+            vals[m] = vals[m] * gamma_sq ** k
+    return Signature(f.arity, vals)
 
 
 # -- standard signatures ------------------------------------------------

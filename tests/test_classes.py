@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
 from eightvertex.signatures import (
-    Signature, equality, disequality2,
-    Transform2x2, holographic_transform,
+    Signature, equality, disequality2, holographic_transform,
 )
 from eightvertex.classes import (
     in_A, in_P, in_L, in_alphaA, oracle_in_A, oracle_in_P,
@@ -100,7 +99,8 @@ def test_L_with_full_zero_point_implies_A(seed):
 def test_alphaA_is_A_after_alpha_twist(seed):
     rng = random.Random(seed)
     f = random_signature(rng, rng.choice([2, 4]))
-    g = holographic_transform(f, Transform2x2.diag(1, ALPHA))
+    g = holographic_transform(
+        f, ((scalar(1), scalar(0)), (scalar(0), scalar(ALPHA))))
     assert (in_alphaA(f) is not None) == (in_A(g) is not None)
 
 

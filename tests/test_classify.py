@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,7 +9,10 @@ from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
 from eightvertex.signatures import EightVertexSig, pair_orbit
 from eightvertex.classify import (
     classify, Certificate, Verdict, make_certificate, check_certificate,
-    apply_steps_signature, transform_disequality,
+    apply_steps_signature, transform_disequality, STEP_MATRICES,
+)
+from eightvertex.signatures import (
+    OddSupportWithHalfTransform, Signature, disequality2,
 )
 
 from util import NONZERO_POOL, random_ev
@@ -220,3 +224,77 @@ def test_apply_steps_hadamard_squares_to_scalar():
     f = parse("1,1,1,0,0,1,1,0")
     twice = apply_steps_signature(f, (("hadamard",), ("hadamard",)))
     assert twice.proportional_to(f.to_signature()) is not None
+
+
+# -- step matrices ----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(STEP_MATRICES))
+def test_step_dual_is_inverse_transpose(kind):
+    # dual^T . S = I exactly, so a mistyped constant fails here
+    s, dual = STEP_MATRICES[kind]
+    for r in range(2):
+        for c in range(2):
+            entry = dual[0][r] * s[0][c] + dual[1][r] * s[1][c]
+            assert entry == scalar(1 if r == c else 0)
+
+
+def reference_disequality(steps) -> Signature:
+    """The binary side of a step chain, written out independently: the
+    inverse of each matrix by the adjugate formula, summed over both
+    slots; a half diagonal scales by (1/gamma_sq)^((wt - p) / 2) for the
+    common weight parity p of the support."""
+    g = list(disequality2().values)
+    for step in steps:
+        if step[0] == "outer_rewrite":
+            continue
+        if step[0] == "half_diag":
+            inv = scalar(1) / step[1]
+            parities = {m.bit_count() % 2 for m in range(4)
+                        if not g[m].is_zero()}
+            if len(parities) > 1:
+                raise OddSupportWithHalfTransform("mixed parity")
+            p = parities.pop() if parities else 0
+            g = [v if v.is_zero() else v * inv ** ((m.bit_count() - p) // 2)
+                 for m, v in enumerate(g)]
+            continue
+        (a, b), (c, d) = STEP_MATRICES[step[0]][0]
+        det = a * d - b * c
+        r = ((d / det, -b / det), (-c / det, a / det))
+        out = []
+        for m in range(4):
+            y1, y2 = (m >> 1) & 1, m & 1
+            acc = scalar(0)
+            for n in range(4):
+                x1, x2 = (n >> 1) & 1, n & 1
+                acc = acc + g[n] * r[x1][y1] * r[x2][y2]
+            out.append(acc)
+        g = out
+    return Signature(2, g)
+
+
+STEP_POOL = (
+    *((kind,) for kind in sorted(STEP_MATRICES)),
+    ("half_diag", scalar(I)),
+    ("half_diag", scalar(2)),
+    ("half_diag", scalar(ALPHA)),
+    ("outer_rewrite", scalar(1), scalar(2)),
+)
+
+
+def test_transform_disequality_matches_reference():
+    chains = [steps for n in (1, 2, 3)
+              for steps in itertools.product(STEP_POOL, repeat=n)
+              if n == 1 or any(s[0] == "half_diag" for s in steps)]
+    for steps in chains:
+        assert transform_disequality(steps) == reference_disequality(steps), \
+            steps
+
+
+def test_zero_gamma_sq_certificate_rejected():
+    f = parse("1,1,1,0,0,1,1,0")
+    cert = Certificate.from_json_dict({
+        "steps": [{"kind": "half_diag", "gamma_sq": "0"}],
+        "target": "A",
+        "transformed": [str(v) for v in f.to_signature().values],
+    })
+    assert check_certificate(f, cert) is False

@@ -314,6 +314,20 @@ def test_check_cert_malformed_exit_2(runner, tmp_path, cert, rule):
     assert r.output.startswith(f"error: bad certificate: {rule}, got ")
 
 
+def test_check_cert_zero_gamma_sq_is_false(runner, tmp_path):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps({
+        "steps": [{"kind": "half_diag", "gamma_sq": "0"}],
+        "target": "A",
+        "transformed": ["1", "0", "0", "1", "0", "1", "0", "0",
+                        "0", "0", "1", "0", "0", "0", "0", "0"],
+    }))
+    r = invoke(runner, "check-cert", "--sig", "1,1,1,0,0,1,1,0",
+               "--cert", str(p))
+    assert r.exit_code == 0
+    assert r.output == "false\n"
+
+
 def test_check_cert_missing_file(runner):
     r = invoke(runner, "check-cert", "--sig", "1,1,1,0,0,1,1,0",
                "--cert", "/nonexistent/cert.json")

@@ -8,15 +8,24 @@ exception it raises) for every signature of
 * 300 signatures with Gaussian-rational entries p/q + (r/s)i, a quarter
   of them zero, so that denominators other than 1 reach every layer.
 
+A second digest covers the 500 signatures of ``benchmark/gen.py``'s
+``planted_pool()``, planted in the tractable zones.  Their certificates
+use the ``half_diag``, ``z`` and ``outer_rewrite`` steps that the two
+corpora above barely reach, so a change to how steps are applied shows
+there.  ``PLANTED`` was recorded before the step matrices became
+constants.
+
 ``GOLDEN`` was recorded with the Fraction-backed ``Cyclo8`` that the
 integer representation replaced.  A refactor that changes any verdict,
 branch, certificate or reason changes the digest.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from eightvertex.classify import classify
 from eightvertex.numeric import Cyclo8
@@ -25,6 +34,7 @@ from eightvertex.signatures import EightVertexSig
 from util import NONZERO_POOL, random_ev
 
 GOLDEN = "5432e06ea835abbd1a0604d8ce78e6f4bf52bdd64d4979f04eb97ca524aeaffa"
+PLANTED = "af8400dfc46e929635ff47ecb0ba43f6d18e332a716e82437418314608de65a0"
 
 
 def sweep_corpus():
@@ -55,9 +65,18 @@ def outcome(f) -> str:
         return type(exc).__name__
 
 
-def corpus_digest() -> str:
+def planted_corpus():
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for item in gen.planted_pool():
+        yield EightVertexSig.parse(item["sig"])
+
+
+def corpus_digest(*corpora) -> str:
     h = hashlib.sha256()
-    for corpus in (sweep_corpus(), gaussian_corpus()):
+    for corpus in corpora:
         for f in corpus:
             h.update(outcome(f).encode())
             h.update(b"\n")
@@ -65,4 +84,8 @@ def corpus_digest() -> str:
 
 
 def test_classify_golden_digest():
-    assert corpus_digest() == GOLDEN
+    assert corpus_digest(sweep_corpus(), gaussian_corpus()) == GOLDEN
+
+
+def test_planted_certificate_digest():
+    assert corpus_digest(planted_corpus()) == PLANTED

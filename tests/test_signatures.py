@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from eightvertex.numeric import Cyclo8, scalar
 from eightvertex.signatures import (
     Signature, EightVertexSig, eight_vertex_readoff, is_eight_vertex,
-    apply_perm, pair_orbit, Transform2x2, holographic_transform,
+    apply_perm, pair_orbit, holographic_transform, half_diagonal,
     equality, disequality2, is_redundant, compressed_matrix,
     OddSupportWithHalfTransform,
 )
@@ -123,23 +124,28 @@ def test_proportional_to():
     assert z.proportional_to(z) == scalar(0)
 
 
+def matrix(rows):
+    return tuple(tuple(scalar(v) for v in row) for row in rows)
+
+
 def test_holographic_identity_and_composition():
     rng = random.Random(11)
     f = random_signature(rng, 3)
-    ident = Transform2x2.identity()
-    assert holographic_transform(f, ident) == f
-    t1 = Transform2x2(rows=((1, 1), (0, 1)))
-    t2 = Transform2x2(rows=((2, 0), (1, 1)))
+    assert holographic_transform(f, matrix(((1, 0), (0, 1)))) == f
+    t1 = matrix(((1, 1), (0, 1)))
+    t2 = matrix(((2, 0), (1, 1)))
     lhs = holographic_transform(holographic_transform(f, t1), t2)
-    rhs = holographic_transform(f, t2.compose(t1))
+    rhs = holographic_transform(f, matrix(((2, 2), (1, 2))))   # t2 @ t1
     assert lhs == rhs
 
 
 def test_holographic_inverse_round_trip():
     rng = random.Random(13)
     f = random_signature(rng, 4)
-    t = Transform2x2(rows=((1, 2), (1, -1)))
-    back = holographic_transform(holographic_transform(f, t), t.inverse())
+    t = matrix(((1, 2), (1, -1)))
+    t_inv = matrix(((Fraction(1, 3), Fraction(2, 3)),
+                    (Fraction(1, 3), Fraction(-1, 3))))
+    back = holographic_transform(holographic_transform(f, t), t_inv)
     assert back == f
 
 
@@ -148,8 +154,8 @@ def test_half_diag_matches_full_diag_on_even_support():
     ev = random_ev(rng)
     f = ev.to_signature()
     gamma = scalar(3)
-    full = holographic_transform(f, Transform2x2.diag(1, gamma))
-    half = holographic_transform(f, Transform2x2.half_diag(gamma * gamma))
+    full = holographic_transform(f, matrix(((1, 0), (0, gamma))))
+    half = half_diagonal(f, gamma * gamma)
     assert full == half
 
 
@@ -157,26 +163,32 @@ def test_half_diag_square_root_free():
     # gamma^2 = i has gamma = alpha outside the rationals; the half form
     # still acts because every support point has even weight.
     f = equality(2)
-    out = holographic_transform(f, Transform2x2.half_diag(Cyclo8.i()))
+    out = half_diagonal(f, Cyclo8.i())
     assert [str(v) for v in out.values] == ["1", "0", "0", "i"]
 
 
 def test_half_diag_rejects_odd_support():
     f = disequality2()
     with pytest.raises(OddSupportWithHalfTransform):
-        holographic_transform(f, Transform2x2.half_diag(2))
+        half_diagonal(f, 2)
 
 
-def test_transform_compose_and_inverse():
-    t = Transform2x2(rows=((1, 2), (3, 4)))
-    prod = t.compose(t.inverse())
-    assert prod.full_rows() == Transform2x2.identity().full_rows()
-    h = Transform2x2.half_diag(scalar(Cyclo8.i()))
-    assert h.compose(h.inverse()).gamma_sq == scalar(1)
+def test_half_diag_any_parity_drops_common_factor():
+    # diag(1, gamma) on the disequality gives gamma * [0, 1, 1, 0]; the
+    # common factor gamma is dropped
+    f = disequality2()
+    assert half_diagonal(f, 2, any_parity=True) == f
+    g = Signature(3, [0, 1, 0, 0, 0, 0, 0, 5])   # weights 1 and 3
+    out = half_diagonal(g, 2, any_parity=True)
+    assert [str(v) for v in out.values] == ["0", "1", "0", "0",
+                                            "0", "0", "0", "10"]
+    with pytest.raises(OddSupportWithHalfTransform):
+        half_diagonal(Signature(2, [1, 1, 0, 0]), 2, any_parity=True)
+
+
+def test_half_diag_rejects_zero_gamma_sq():
     with pytest.raises(ValueError):
-        t.compose(h)
-    with pytest.raises(ValueError):
-        Transform2x2(rows=((1, 1), (1, 1)))
+        half_diagonal(equality(2), 0)
 
 
 def test_redundant_and_compressed():
