@@ -7,16 +7,22 @@ partition function is
     sum over {0,1}-values on half-edges, opposite across each edge,
     of the product of all vertex signature values.
 
-The brute-force sum (:func:`brute_force`) enumerates edge orientations
-depth first and drops a branch as soon as a completed vertex is zero.  It
+The exact sum (:func:`brute_force`) is a frontier sum.  Vertices are
+placed in a greedy order, the next being the unplaced vertex with the
+most edges to placed ones, and each edge is assigned when its second
+endpoint is placed.  One dict maps the port bits of the open vertices
+(placed, with ports still unset) to a partial sum; entries that agree
+are merged, a vertex's value is multiplied in once its last port is set,
+and an entry is dropped as soon as an open vertex's partial index has no
+nonzero completion.  Memory grows as about 2^(frontier width), the port
+bits the open vertices hold, instead of with the edge count.  The sum
 runs over integer coefficient tuples: each signature's values are put
-over one common denominator before the search, products are the closed
-form modulo x^4 + 1 on four ints, and the sum is reduced to a field value
-once, at the end.  It keeps an explicit stack, so there is no recursion
-limit: a grid of any depth is evaluated, and only ``max_edges`` (a
-``TooManyEdges`` error, exit 3 in the CLI) bounds its size.
+over one common denominator first, products are the closed form modulo
+x^4 + 1 on four ints, and the sum is reduced to a field value once, at
+the end.  Only ``max_edges`` (a ``TooManyEdges`` error, exit 3 in the
+CLI) bounds the size of a grid.
 
-Beyond the pruned brute-force sum this module provides: a polynomial-time
+Beyond the frontier sum this module provides: a polynomial-time
 evaluator for grids whose signatures all lie in class A (Gauss sums over
 quadratic exponents, eliminated over int bit masks of the edge
 variables; Cai and Chen, *Complexity Dichotomies for Counting Problems*,
@@ -28,6 +34,7 @@ demonstration built on chain gadgets.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
@@ -172,17 +179,58 @@ def _grid_edge(e) -> tuple:
     return ((v, p), (w, q))
 
 
+def _placement_order(grid: Grid) -> list:
+    """The vertices in greedy order: the next one is the unplaced vertex
+    with the most edges to placed vertices, the lowest index on ties."""
+    nv = len(grid.vertices)
+    nbrs = [[] for _ in range(nv)]
+    for (v, _), (w, _) in grid.edges:
+        if v != w:
+            nbrs[v].append(w)
+            nbrs[w].append(v)
+    links = [0] * nv            # edges to placed vertices
+    placed = [False] * nv
+    heap = [(0, v) for v in range(nv)]
+    order = []
+    while heap:
+        neg, v = heapq.heappop(heap)
+        if placed[v] or -neg != links[v]:
+            continue            # a stale entry: v was placed or relinked
+        placed[v] = True
+        order.append(v)
+        for u in nbrs[v]:
+            if not placed[u]:
+                links[u] += 1
+                heapq.heappush(heap, (-links[u], u))
+    return order
+
+
+# the key bits of one open vertex's partial index: arity is at most 6
+_FIELD = 6
+_FULL = (1 << _FIELD) - 1
+
+
 def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
-    """The Holant sum by direct enumeration over edge orientations, with
-    early pruning whenever a completed vertex contributes zero.
+    """The Holant sum over all edge orientations, as a frontier sum.
+
+    Vertices are placed in :func:`_placement_order`, and each edge is
+    assigned when its second endpoint is placed.  A vertex is open from
+    its placement until its last port is set.  One dict maps the partial
+    indexes of the open vertices (port bits set so far, one 6-bit field
+    of the key each) to the sum of the products of the completed
+    vertices' values; entries that agree are merged.  A vertex's value is
+    multiplied in once its last port is set, and an entry is dropped as
+    soon as an open vertex's partial index has no nonzero completion.
+    Memory grows as 2^(frontier width), the port bits held by the open
+    vertices, not with the edge count; only ``max_edges`` bounds the
+    input (TooManyEdges, exit 3 in the CLI).
 
     Each signature's values are put over the lcm of their denominators,
     so the sum's denominator is the product of those of the vertices and
-    the search adds and multiplies numerator tuples only.  Raises
-    TooManyEdges past ``max_edges`` edges."""
+    the sum adds and multiplies numerator tuples only."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
-    grid.validate()
+    ends = grid.validate()
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
@@ -201,55 +249,93 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
     for name in grid.vertices:
         den *= tables[name][0]
 
-    # edge k sets one bit of each endpoint's value index (ports packed
-    # MSB-first) and completes the vertices whose last port it assigns
-    last = {}
-    for k, ((v, _), (w, _)) in enumerate(grid.edges):
-        last[v] = last[w] = k
-    schedule = []
-    for k, ((v, p), (w, q)) in enumerate(grid.edges):
-        done = [(u, tables[grid.vertices[u]][1])
-                for u in dict.fromkeys((v, w)) if last[u] == k]
-        schedule.append((v, 1 << (grid.vertex_sig(v).arity - p),
-                         w, 1 << (grid.vertex_sig(w).arity - q), done))
-    if not schedule:
-        return scalar(1)
+    names = grid.vertices
+    arity = [grid.signatures[name].arity for name in names]
+    placed = [False] * len(names)
+    assigned = [0] * len(names)     # index bits of the ports set so far
+    offset = [0] * len(names)       # where an open vertex's field starts
+    free = []                       # offsets of closed vertices' fields
+    width = 0                       # the next unused offset
+    viable = {}             # (name, assigned) -> partial indexes kept
+    sums = {0: (1, 0, 0, 0)}
+    for v in _placement_order(grid):
+        placed[v] = True
+        if free:
+            offset[v] = free.pop()
+        else:
+            offset[v] = width
+            width += _FIELD
+        # the key bits each assignment of v's new edges adds: the first
+        # port of an edge gets s, the second 1 - s
+        adds = [0]
+        touched = [v]
+        for p in range(1, arity[v] + 1):
+            e, end = ends[(v, p)]
+            (a, pa), (b, pb) = grid.edges[e]
+            if not placed[b if end == 0 else a] or (a == b and end):
+                continue        # set later, or a loop already set
+            ma = 1 << (arity[a] - pa)
+            mb = 1 << (arity[b] - pb)
+            assigned[a] |= ma
+            assigned[b] |= mb
+            first = ma << offset[a]
+            second = mb << offset[b]
+            adds = [k | first for k in adds] + [k | second for k in adds]
+            for u in (a, b):
+                if u not in touched:
+                    touched.append(u)
+        done = []           # (field offset, numerators) of closing vertices
+        checks = []         # (field offset, viable partial indexes)
+        keep = -1           # clears the fields of closing vertices
+        for u in touched:
+            name = names[u]
+            if assigned[u] == (1 << arity[u]) - 1:
+                done.append((offset[u], tables[name][1]))
+                keep &= ~(_FULL << offset[u])
+                free.append(offset[u])
+                continue
+            mask = assigned[u]
+            ok = viable.get((name, mask))
+            if ok is None:
+                ok = viable[(name, mask)] = {
+                    m & mask for m, b in enumerate(tables[name][1])
+                    if b is not None}
+            # a check that every partial index passes is left out
+            if len(ok) < 1 << bin(mask).count("1"):
+                checks.append((offset[u], ok))
+        free.sort(reverse=True)
 
-    index = [0] * len(grid.vertices)
-    end = len(schedule) - 1
-    t0 = t1 = t2 = t3 = 0
-    # pending branches (edge k, bit s on its first endpoint, product so far)
-    stack = [(0, 1, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        k, s, a0, a1, a2, a3 = pop()
-        v, mv, w, mw, done = schedule[k]
-        if s:
-            index[v] |= mv
-            index[w] &= ~mw
-        else:
-            index[v] &= ~mv
-            index[w] |= mw
-        for u, table in done:
-            b = table[index[u]]
-            if b is None:
-                break
-            b0, b1, b2, b3 = b
-            # the product modulo x^4 + 1, as in numeric._mul
-            a0, a1, a2, a3 = (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-                              a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-                              a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-                              a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
-        else:
-            if k == end:
-                t0 += a0
-                t1 += a1
-                t2 += a2
-                t3 += a3
-            else:
-                push((k + 1, 1, a0, a1, a2, a3))
-                push((k + 1, 0, a0, a1, a2, a3))
+        out = {}
+        get = out.get
+        for key, (a0, a1, a2, a3) in sums.items():
+            for add in adds:
+                k = key | add
+                for off, ok in checks:
+                    if (k >> off) & _FULL not in ok:
+                        break
+                else:
+                    p0, p1, p2, p3 = a0, a1, a2, a3
+                    for off, nums in done:
+                        b = nums[(k >> off) & _FULL]
+                        if b is None:
+                            break
+                        b0, b1, b2, b3 = b
+                        # the product modulo x^4 + 1, as in numeric._mul
+                        p0, p1, p2, p3 = (
+                            p0 * b0 - p1 * b3 - p2 * b2 - p3 * b1,
+                            p0 * b1 + p1 * b0 - p2 * b3 - p3 * b2,
+                            p0 * b2 + p1 * b1 + p2 * b0 - p3 * b3,
+                            p0 * b3 + p1 * b2 + p2 * b1 + p3 * b0)
+                    else:
+                        k &= keep
+                        s = get(k)
+                        if s is None:
+                            out[k] = (p0, p1, p2, p3)
+                        else:
+                            out[k] = (s[0] + p0, s[1] + p1, s[2] + p2,
+                                      s[3] + p3)
+        sums = out
+    t0, t1, t2, t3 = sums.get(0, (0, 0, 0, 0))
     return Scalar(_reduced(t0, t1, t2, t3, den))
 
 
@@ -523,9 +609,10 @@ def tutte_signature() -> Signature:
 
 
 def medial_graph(graph: Graph) -> Grid:
-    """The medial grid of a connected plane graph given by its rotation
-    system: one arity-4 vertex per edge of the graph, joined along the
-    corners of the faces.
+    """The medial grid of a plane graph given by its rotation system: one
+    arity-4 vertex per edge of the graph, joined along the corners of the
+    faces.  A rotation that is not a permutation of its vertex's edges
+    raises ValueError.
 
     The four ports of the medial vertex sitting on edge e = (u, v) are
 
@@ -545,6 +632,9 @@ def medial_graph(graph: Graph) -> Grid:
     ends = []
     for v in graph.vertices:
         rot = graph.rotation_at(v)
+        if sorted(rot) != graph.incident(v):
+            raise ValueError(f"rotation at vertex {v} is not a permutation "
+                             f"of its edges {graph.incident(v)}")
         d = len(rot)
         for k in range(d):
             e = rot[k]
@@ -558,12 +648,29 @@ def medial_graph(graph: Graph) -> Grid:
 
 
 def tutte33(graph: Graph) -> Fraction:
-    """T(G; 3, 3) for a connected plane multigraph with rotations."""
+    """T(G; 3, 3) for a plane multigraph with rotations.  The medial
+    Holant is 2^c T(G; 3, 3), where c counts the components that have an
+    edge: T is multiplicative over components, and each contributes a
+    factor 2."""
     grid = medial_graph(graph)
     val = brute_force(grid)
     c = val.cyclo
     assert c.is_rational()
-    return c.coeffs[0] / 2
+    return c.coeffs[0] / 2 ** _edge_components(graph.edges)
+
+
+def _edge_components(edges) -> int:
+    """The number of connected components that have an edge."""
+    root = {}
+
+    def find(u):
+        while root.setdefault(u, u) != u:
+            u = root[u]
+        return u
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    return sum(1 for u in root if root[u] == u)
 
 
 # -- Ising couplings ----------------------------------------------------------
@@ -629,11 +736,15 @@ def slot_signature(lam) -> Signature:
 
 
 def _solve_linear(a, b):
-    """Solve a x = b over exact scalars by Gaussian elimination."""
+    """Solve a x = b over exact scalars by Gaussian elimination; None if
+    a is singular."""
     n = len(b)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if not m[r][col].is_zero())
+        piv = next((r for r in range(col, n) if not m[r][col].is_zero()),
+                   None)
+        if piv is None:
+            return None
         m[col], m[piv] = m[piv], m[col]
         inv = scalar(1) / m[col][col]
         m[col] = [v * inv for v in m[col]]
@@ -654,7 +765,8 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
 
     Returns a dict with the slot count, the recovered channel sums, the
     interpolated values, and (when check is set) the directly evaluated
-    values for comparison.
+    values for comparison.  A t for which the system is singular raises
+    ValueError.
     """
     t = scalar(t)
     m = sum(1 for name in grid.vertices if name == slot_name)
@@ -677,6 +789,10 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
         rows.append([a_s ** (m - j) * b_s ** j for j in range(m + 1)])
         rhs.append(brute_force(with_slot(d)))
     coeffs = _solve_linear(rows, rhs)
+    if coeffs is None:
+        # the chain eigenvalues (1+t)^4s and (1-t)^4s do not separate the
+        # channels, e.g. for t in {0, 1, -1, i}
+        raise ValueError(f"t = {t} gives a singular interpolation system")
 
     values = {}
     direct = {}

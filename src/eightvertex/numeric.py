@@ -430,7 +430,16 @@ _RE_COMPLEX = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
 
 
 def parse_cyclo8(text: str) -> Cyclo8:
-    """Parse the text syntax: "c0,c1,c2,c3", "i", "a", "p+qi", or a rational."""
+    """Parse the text syntax: "c0,c1,c2,c3", "i", "a", "p+qi", or a rational.
+    Text that is none of these, or has a zero denominator, raises
+    ValueError."""
+    try:
+        return _parse_cyclo8(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar: {text!r}") from None
+
+
+def _parse_cyclo8(text: str) -> Cyclo8:
     t = text.strip().replace(" ", "")
     if t in ("i", "+i"):
         return I

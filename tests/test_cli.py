@@ -334,6 +334,51 @@ def test_check_cert_missing_file(runner):
     assert r.exit_code == 2
 
 
+def _grid_value_file(tmp_path, value):
+    p = tmp_path / "grid.json"
+    p.write_text(_values_grid(value))
+    return str(p)
+
+
+@pytest.mark.parametrize("args, text", [
+    (["classify", "--sig", "1,1,1,1,1,1,1,1/0"], "1/0"),
+    (["classify", "--sig", "1,1,1,1,1,1,1,0/0"], "0/0"),
+    (["classify", "--sig", "1;1;1;1;1;1;1;0,1/0,0,0"], "0,1/0,0,0"),
+    (["eval", "--grid", "GRID"], "1/0"),
+    (["eval-affine", "--grid", "GRID"], "1/0"),
+    (["demo-interp", "--t", "1/0"], "1/0"),
+    (["demo-interp", "--lambdas", "1/0"], "1/0"),
+], ids=["sig", "sig-0/0", "sig-coefficients", "eval-grid",
+        "eval-affine-grid", "demo-t", "demo-lambdas"])
+def test_zero_denominator_exit_2(runner, tmp_path, args, text):
+    args = [_grid_value_file(tmp_path, "1/0") if a == "GRID" else a
+            for a in args]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2, r.output
+    assert r.output == f"error: zero denominator in scalar: {text!r}\n"
+
+
+@pytest.mark.parametrize("text, vertex, edges", [
+    ("0 1\n0 1\nrot 0: 5\n", 0, [0, 1]),
+    ("0 1\n1 2\n0 2\nrot 0: 0 1\n", 0, [0, 2]),
+], ids=["unknown-edge", "edge-not-at-vertex"])
+def test_tutte33_bad_rotation_exit_2(runner, tmp_path, text, vertex, edges):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    r = invoke(runner, "tutte33", "--graph", str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output == (f"error: rotation at vertex {vertex} is not a "
+                        f"permutation of its edges {edges}\n")
+
+
+@pytest.mark.parametrize("t", ["0", "1", "-1", "i"])
+def test_demo_interp_singular_t_exit_2(runner, t):
+    r = invoke(runner, "demo-interp", "--t", t)
+    assert r.exit_code == 2, r.output
+    assert r.output == (f"error: t = {t} gives a singular interpolation "
+                        "system\n")
+
+
 def test_demo_interp_default(runner):
     r = invoke(runner, "demo-interp", "--json")
     assert r.exit_code == 0

@@ -98,6 +98,86 @@ def test_brute_force_matches_enumeration(grid):
     assert brute_force(grid) == oracles.holant_by_enumeration(grid)
 
 
+def torus(rows: int, cols: int) -> Graph:
+    """The rows x cols torus; each vertex lists its right edge and then
+    its down edge, so ports follow incidence order."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            edges.append((r * cols + c, r * cols + (c + 1) % cols))
+            edges.append((r * cols + c, ((r + 1) % rows) * cols + c))
+    return Graph(edges)
+
+
+# values past the default 28-edge limit, from the depth-first sum that
+# brute_force used before the frontier sum
+@pytest.mark.parametrize("rows, cols, sig, value", [
+    (3, 5, "0,1,1,1,1,1,1,0", "2116"),
+    (4, 4, "0,1,1,1,1,1,1,0", "2970"),
+    (4, 5, "0,1,1,1,1,1,1,0", "16892"),
+    (5, 5, "0,1,1,1,1,1,1,0", "143224"),
+    (4, 4, "1,2,1,-1,1,i,2,3", "-393252+205136i"),
+])
+def test_brute_force_large_tori(rows, cols, sig, value):
+    f = EightVertexSig.parse(sig).to_signature()
+    grid = grid_from_graph(torus(rows, cols), f, "f")
+    assert len(grid.edges) > 28
+    with pytest.raises(TooManyEdges):
+        brute_force(grid)
+    assert str(brute_force(grid, max_edges=50)) == value
+
+
+def test_eulerian_orientations_per_vertex_fall_toward_lieb():
+    """The n-th root of the number of Eulerian orientations of an n-vertex
+    square torus falls toward Lieb's square-ice constant (4/3)^(3/2)."""
+    roots = [brute_force(grid_from_graph(torus(k, k), eo_signature(), "eo"),
+                         max_edges=50).cyclo.coeffs[0] ** (1 / k ** 2)
+             for k in (3, 4, 5)]
+    assert roots[0] > roots[1] > roots[2] > (4 / 3) ** 1.5
+
+
+def _quadratic_signature(rng, n: int) -> Signature:
+    """i^(linear + 2 * quadratic form) on every point of {0,1}^n: class A
+    with full support, so no entry is ever pruned."""
+    lin = [rng.randrange(4) for _ in range(n)]
+    quad = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.randrange(2)]
+    vals = []
+    for m in range(1 << n):
+        x = [(m >> (n - 1 - i)) & 1 for i in range(n)]
+        e = sum(a * b for a, b in zip(lin, x))
+        e += 2 * sum(x[i] * x[j] for i, j in quad)
+        vals.append(Cyclo8.i() ** (e % 4))
+    return Signature(n, vals)
+
+
+def _prism(rng, rungs: int, pool: dict) -> Grid:
+    """Two rings of arity-3 vertices joined by rungs: 3 * rungs edges, a
+    narrow frontier, and a signature drawn from pool at each vertex."""
+    edges = []
+    for k in range(rungs):
+        for r in (0, 1):
+            edges.append(((2 * k + r, 1), (2 * ((k + 1) % rungs) + r, 2)))
+        edges.append(((2 * k, 3), (2 * k + 1, 3)))
+    names = [rng.choice(sorted(pool)) for _ in range(2 * rungs)]
+    return Grid(pool, names, edges)
+
+
+def test_brute_force_matches_affine_eval_past_28_edges():
+    nonzero = 0
+    for rungs in (10, 13, 16, 20):
+        for seed in range(3):
+            rng = random.Random(100 * rungs + seed)
+            pool = {"q0": _quadratic_signature(rng, 3),
+                    "q1": _quadratic_signature(rng, 3),
+                    "r": random_affine_signature(rng, 3)}
+            grid = _prism(rng, rungs, pool)
+            value = affine_eval(grid)
+            assert brute_force(grid, max_edges=60) == value
+            nonzero += not value.is_zero()
+    assert nonzero >= 2
+
+
 def test_brute_force_edge_limit():
     grid = two_vertex_grid(equality(2), equality(2))
     with pytest.raises(TooManyEdges):
@@ -282,6 +362,17 @@ def test_tutte33_values():
     assert oracles.tutte_polynomial(K3.edges, 3, 3) == 15
     assert tutte33(K4) == 156
     assert tutte33(K4) == oracles.tutte_polynomial(K4.edges, 3, 3)
+
+
+@pytest.mark.parametrize("graph", [
+    Graph([(0, 1), (2, 3)]),
+    Graph([(0, 1), (0, 2), (1, 2), (3, 4)]),
+    Graph([(0, 1), (0, 1), (2, 3), (2, 3)]),
+    Graph(K3.edges, {**K3.rotations, 3: []}),
+], ids=["two-edges", "k3-and-edge", "two-double-edges", "edgeless-rot"])
+def test_tutte33_counts_components(graph):
+    # the medial Holant is 2^c T(G; 3, 3) over the c components with an edge
+    assert tutte33(graph) == oracles.tutte_polynomial(graph.edges, 3, 3)
 
 
 def test_medial_graph_shape():
