@@ -23,8 +23,14 @@ of the four quarter turns of v, which are signed shifts of v's
 numerators, before the affine hull of the support is built (the hull is
 memoized per support).  ``ACertificate.check`` compares values the same
 way, with the exponent Q(x) summed from bit masks of its terms.  The
-alphaA and L tests twist f by powers of alpha, each a signed rotation of
-the coefficients (``Cyclo8.rotate``), and run the class-A test.
+class-P test splits f across bipartitions of its variables, recursively.
+Two exact screens on the nonzero pattern of f, held as one int, come
+before any arithmetic: the support must have 2^k points, and the nonzero
+rows of a bipartition's matrix must share one nonzero pattern.  Only a
+bipartition that passes both compares cross products, as products of
+numerator tuples over one denominator, with no gcd and no field element.
+The alphaA and L tests twist f by powers of alpha, each a signed rotation
+of the coefficients (``Cyclo8.rotate``), and run the class-A test.
 Brute-force oracles (exhaustive Q enumeration, definition level factor
 search) are provided for cross-validation at small arity.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .numeric import Cyclo8, Scalar, scalar, as_power_of_i
@@ -324,7 +331,10 @@ def _bipartition(n: int, smask: int):
     smask and the rest, with index tables: the entry at row r (bits of r
     on the smask positions, first position most significant) and column
     c (bits of c on the rest, likewise) is at index rows[r] | cols[c].
-    Arity is at most 6, so the cache holds at most 63 entries."""
+    Row and column bits are disjoint, so that index is also
+    rows[r] + cols[c], and ``cells``, the mask with bit cols[c] set for
+    every c, shifted left by rows[r] is the cell mask of row r.  Arity is
+    at most 6, so the cache holds at most 63 entries."""
     svars = tuple(i for i in range(n) if (smask >> i) & 1)
     ovars = tuple(i for i in range(n) if not (smask >> i) & 1)
 
@@ -337,37 +347,69 @@ def _bipartition(n: int, smask: int):
 
     rows = tuple(scatter(svars, r) for r in range(1 << len(svars)))
     cols = tuple(scatter(ovars, c) for c in range(1 << len(ovars)))
-    return svars, ovars, rows, cols
+    cells = 0
+    for cm in cols:
+        cells |= 1 << cm
+    return svars, ovars, rows, cols, cells
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two numerator tuples modulo x^4 + 1, as in
+    ``numeric._mul`` but with no denominator and no gcd."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
 def _split_rank1(f: Signature, varlist):
     """Try to factor f (over the given 1-based variable labels) across a
-    bipartition; return (factors list) or None."""
+    bipartition; return (factors list) or None.
+
+    Two exact screens on the nonzero pattern, one int with bit m set iff
+    f[m] != 0, run before any arithmetic: f is rejected unless its
+    support has 2^k points (a tensor product of factors with one or two
+    support points each has that many), and a bipartition is skipped
+    unless every nonzero row of its matrix has the same nonzero columns
+    (a rank-one matrix is zero outside R x C, R its nonzero rows and C
+    its nonzero columns).  A survivor is rank one iff f[r, c] * pivot =
+    f[r, c0] * f[r0, c] on the cells of R x C off the pivot's row and
+    column, compared as products of numerator tuples over the lcm of
+    f's denominators."""
     n = f.arity
+    vals = f.values
+    cs = [v.cyclo for v in vals]
+    nz = 0
+    for m, c in enumerate(cs):
+        if any(c.n):
+            nz |= 1 << m
+    count = nz.bit_count()
+    if count & (count - 1):
+        return None
     if _small_antipodal(f):
         return [(tuple(varlist), f)]
-    vals = f.values
+    d = math.lcm(*[c.d for c in cs])
+    nums = [c.n if c.d == d else tuple(k * (d // c.d) for k in c.n)
+            for c in cs]
     for smask in range(1, 1 << (n - 1)):
-        svars, ovars, rows, cols = _bipartition(n, smask)
+        svars, ovars, rows, cols, cells = _bipartition(n, smask)
+        live = [rm for rm in rows if (nz >> rm) & cells]
+        pattern = (nz >> live[0]) & cells
+        if any((nz >> rm) & cells != pattern for rm in live):
+            continue
+        on = [cm for cm in cols if (pattern >> cm) & 1]
         # the first nonzero entry, rows before columns, is the pivot
-        pivot = None
-        for rm in rows:
-            for cm in cols:
-                if not vals[rm | cm].is_zero():
-                    pivot = (rm, cm)
-                    break
-            if pivot:
-                break
-        if pivot is None:
+        row0, col0 = live[0], on[0]
+        p = nums[row0 | col0]
+        if not all(_times(nums[rm | cm], p)
+                   == _times(nums[rm | col0], nums[row0 | cm])
+                   for rm in live[1:] for cm in on[1:]):
             continue
-        row0, col0 = pivot
-        p = vals[row0 | col0]
-        ok = all(vals[rm | cm] * p == vals[rm | col0] * vals[row0 | cm]
-                 for rm in rows for cm in cols)
-        if not ok:
-            continue
+        pivot = vals[row0 | col0]
         g = Signature(len(svars), [vals[rm | col0] for rm in rows])
-        h = Signature(len(ovars), [vals[row0 | cm] / p for cm in cols])
+        h = Signature(len(ovars), [vals[row0 | cm] / pivot for cm in cols])
         gres = _split_rank1(g, [varlist[i] for i in svars])
         if gres is None:
             continue
@@ -379,7 +421,9 @@ def _split_rank1(f: Signature, varlist):
 
 
 def in_P(f: Signature):
-    """A PDecomposition if f is in class P, else None."""
+    """A PDecomposition if f is in class P, else None.  The factors come
+    from ``_split_rank1`` (bit-mask screens, then integer cross products)
+    and the decomposition is re-checked before it is returned."""
     n = f.arity
     if f.is_zero():
         return PDecomposition(lam=scalar(0), factors=(
@@ -466,12 +510,12 @@ def oracle_in_A(f: Signature) -> bool:
 
 
 def oracle_in_P(f: Signature) -> bool:
-    """Definition-level class-P test for arity <= 3: search over all set
-    partitions of the variables, building each candidate factor by
-    restriction."""
+    """Definition-level class-P test for arity <= 4: search over all set
+    partitions of the variables (15 at arity 4), building each candidate
+    factor by restriction."""
     n = f.arity
-    if n > 3:
-        raise ValueError("oracle limited to arity 3")
+    if n > 4:
+        raise ValueError("oracle limited to arity 4")
     if f.is_zero():
         return True
     supp = f.support()

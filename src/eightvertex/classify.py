@@ -22,7 +22,8 @@ The decision runs branch by branch on the shape of the eight entries
 
 Hardness conditions are decided exactly in Q(zeta_8); tractability is
 established constructively, by exhibiting a certificate from a finite
-branch-specific candidate list and verifying it.  A verified
+branch-specific candidate list (B6 computes its one candidate from the
+entries' exponents) and verifying it.  A verified
 certificate is sound by construction, so trying extra candidates never
 produces a wrong Tractable verdict.
 """
@@ -465,7 +466,9 @@ def _b5_classify(f: EightVertexSig) -> Verdict:
 
 
 def _b6_classify(f: EightVertexSig) -> Verdict:
-    """No zero entries, generic inner matrix."""
+    """No zero entries, generic inner matrix: hard unless the inner
+    ratios to c are powers of i that meet three relations, and then
+    tractable through one diagonal computed from them."""
     powers = {}
     for name in ("b", "y", "d", "w", "z"):
         k = as_power_of_i((getattr(f, name) / f.c).cyclo)
@@ -494,11 +497,17 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
             "B6",
             ("corner relation",
              f"the corner product differs from -i^{(j + k) % 4} c^2"))
-    cert = _search(f, [((("half_diag", _i_pow(t) / f.c),), "A")
-                       for t in range(4)])
+    # half_diag(gamma_sq) keeps a and scales the inner entries by gamma_sq
+    # and x by gamma_sq^2.  With gamma_sq = (a/c) i^s every image entry is
+    # a times a power of i, and the class-A cross terms on the even-weight
+    # points are even exactly when s = m - j (mod 2), given the three
+    # relations above.  When a = i^r, s is the one that makes gamma_sq
+    # i^t / c with the least such t, in {0, 1}.
+    r = as_power_of_i(f.a.cyclo)
+    s = (m - j) % 2 if r is None else ((r + m - j) % 2 - r) % 4
+    cert = make_certificate(f, (("half_diag", f.a / f.c * _i_pow(s)),), "A")
     if cert is None:
-        raise AssertionError(
-            "generic-branch conditions hold but no certificate was found")
+        raise AssertionError("the closed-form B6 certificate must check")
     return Verdict.tractable("B6", cert)
 
 

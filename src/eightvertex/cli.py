@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import click
 
+from .classes import in_A
 from .numeric import DivisionByZero, parse_scalar
 from .signatures import EightVertexSig, Signature
 from .classify import Certificate, check_certificate, classify as classify_sig
@@ -112,7 +113,8 @@ def classify_cmd(sig, preset, as_json):
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--max-edges", default=28, show_default=True)
 def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
-    """Evaluate a Holant partition function by brute force."""
+    """Evaluate a Holant partition function exactly: as a Gauss sum when
+    every vertex signature is in class A, by brute force otherwise."""
     try:
         if grid_path is not None:
             grid = _load_grid(grid_path)
@@ -122,7 +124,13 @@ def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
                                    f.to_signature(), "f")
         else:
             _fail("one of --grid or --graph is required")
-        val = brute_force(grid, max_edges=max_edges)
+        # max_edges bounds both paths; brute_force raises TooManyEdges
+        if len(grid.edges) <= max_edges and all(
+                in_A(grid.signatures[name]) is not None
+                for name in set(grid.vertices)):
+            val = affine_eval(grid)
+        else:
+            val = brute_force(grid, max_edges=max_edges)
     except TooManyEdges as e:
         _fail(str(e), code=3)
     except _INPUT_ERRORS as e:

@@ -35,6 +35,7 @@ demonstration built on chain gadgets.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import re
@@ -611,8 +612,9 @@ def tutte_signature() -> Signature:
 def medial_graph(graph: Graph) -> Grid:
     """The medial grid of a plane graph given by its rotation system: one
     arity-4 vertex per edge of the graph, joined along the corners of the
-    faces.  A rotation that is not a permutation of its vertex's edges
-    raises ValueError.
+    faces.  A rotation that is not a permutation of its vertex's edges,
+    and rotations that do not embed the graph in the plane, raise
+    ValueError.
 
     The four ports of the medial vertex sitting on edge e = (u, v) are
 
@@ -644,7 +646,41 @@ def medial_graph(graph: Graph) -> Grid:
             pe = 1 if graph.edges[e][0] == v else 4
             pf = 2 if graph.edges[f][0] == v else 3
             ends.append(((e, pe), (f, pf)))
+    _check_planar(graph)    # after the loop has checked each rotation
     return Grid({"tutte": sig}, ["tutte"] * len(graph.edges), ends)
+
+
+def _check_planar(graph: Graph):
+    """Raise ValueError unless the rotations embed every component with
+    an edge in the plane, i.e. V - E + F = 2 for each.  Each component
+    has V - E + F = 2 - 2g for the genus g of its embedding, so the sum
+    over components is 2c exactly when all are planar.  The faces are
+    traced as orbits of darts: edge e = (u, v) gives the dart (e, 0) from
+    u to v and (e, 1) back, and the dart after one entering w leaves w
+    along the next edge of w's rotation."""
+    rot = {v: graph.rotation_at(v) for v in graph.vertices}
+    seen = set()
+    faces = 0
+    for start in itertools.product(range(len(graph.edges)), (0, 1)):
+        if start in seen:
+            continue
+        faces += 1
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            e, end = dart
+            w = graph.edges[e][1 - end]
+            around = rot[w]
+            f = around[(around.index(e) + 1) % len(around)]
+            dart = (f, 0 if graph.edges[f][0] == w else 1)
+    verts = len({v for edge in graph.edges for v in edge})
+    chi = verts - len(graph.edges) + faces
+    comps = _edge_components(graph.edges)
+    if chi != 2 * comps:
+        raise ValueError(
+            f"the rotations are not a plane embedding: V - E + F = "
+            f"{verts} - {len(graph.edges)} + {faces} = {chi}, but a plane "
+            f"graph with {comps} component(s) with edges has {2 * comps}")
 
 
 def tutte33(graph: Graph) -> Fraction:

@@ -8,12 +8,14 @@ from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
 from eightvertex.signatures import (
     Signature, equality, disequality2, holographic_transform,
 )
+import eightvertex.classes as classes
 from eightvertex.classes import (
     in_A, in_P, in_L, in_alphaA, oracle_in_A, oracle_in_P,
 )
 
 from util import (
-    ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_signature,
+    ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_ev,
+    random_product_signature, random_signature,
 )
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
@@ -69,6 +71,60 @@ def test_in_P_matches_oracle(seed):
     rng = random.Random(seed)
     f = random_signature(rng, rng.choice([1, 2, 3]))
     assert (in_P(f) is not None) == oracle_in_P(f)
+
+
+def _one_entry_mutant(rng, f: Signature, m: int) -> Signature:
+    """f with entry m flipped between zero and nonzero, or changed to
+    another nonzero value."""
+    vals = list(f.values)
+    if vals[m].is_zero():
+        vals[m] = rng.choice(NONZERO_POOL)
+    elif rng.randrange(2):
+        vals[m] = scalar(0)
+    else:
+        vals[m] = rng.choice([v for v in NONZERO_POOL if v != vals[m]])
+    return Signature(f.arity, vals)
+
+
+def test_in_P_matches_oracle_at_arity_4():
+    rng = random.Random(4444)
+    planted = [random_product_signature(rng, 4) for _ in range(60)]
+    mutants = [_one_entry_mutant(rng, f, m) for f in planted
+               for m in range(16)]
+    # test_09's 1000 sweep signatures, in its draw order
+    sweep = random.Random(90909)
+    swept = []
+    for _ in range(1000):
+        swept.append(random_ev(sweep).to_signature())
+        sweep.choice(NONZERO_POOL)
+    for f in planted:
+        assert in_P(f) is not None and oracle_in_P(f), f
+    members = 0
+    for f in mutants + swept:
+        member = oracle_in_P(f)
+        assert (in_P(f) is not None) == member, f
+        members += member
+    # both answers occur among the mutants and the sweep
+    assert 0 < members < len(mutants) + len(swept)
+
+
+def test_in_P_screens_run_before_field_arithmetic(monkeypatch):
+    seen = []
+    bipartition, times = classes._bipartition, classes._times
+    monkeypatch.setattr(classes, "_bipartition",
+                        lambda *a: seen.append("split") or bipartition(*a))
+    monkeypatch.setattr(classes, "_times",
+                        lambda *a: seen.append("cross") or times(*a))
+    # 3 support points: no product of one- and two-point factors has 3
+    assert in_P(Signature(2, [1, 1, 1, 0])) is None
+    assert seen == []
+    # the even-weight points of 3 variables: no bipartition's rows share
+    # one nonzero pattern
+    assert in_P(Signature(3, [1, 0, 0, 1, 0, 1, 1, 0])) is None
+    assert "split" in seen and "cross" not in seen
+    # full support passes both screens and fails a cross product
+    assert in_P(Signature(2, [1, 1, 1, 2])) is None
+    assert "cross" in seen
 
 
 @given(rng_seed)

@@ -101,6 +101,30 @@ def test_generic_single_violations_are_hard():
         assert v.kind == "hard", entries
 
 
+def test_generic_relations_always_certify():
+    # b, y, d, w = c i^(j, k, m, n) with j + k + m + n even, z = -c i^(m+n)
+    # and x = -i^(j+k) c^2 / a meet every B6 relation, for any nonzero a
+    # and c: each such f is tractable with a certificate that checks,
+    # including those where a is not a power of i
+    pool = NONZERO_POOL + (scalar(3), scalar(Cyclo8(1, 0, 1, 0)),
+                           scalar(1) / 2)
+    ipow = lambda e: scalar(I) ** (e % 4)
+    rng = random.Random(606)
+    b6 = 0
+    for _ in range(120):
+        a, c = rng.choice(pool), rng.choice(pool)
+        j, k, m = (rng.randrange(4) for _ in range(3))
+        n = (2 * rng.randrange(2) + j + k + m) % 4
+        f = EightVertexSig(a, c * ipow(j), c, c * ipow(m), c * ipow(n),
+                           -c * ipow(m + n), c * ipow(k),
+                           -ipow(j + k) * c * c / a)
+        v = classify(f)
+        assert v.kind == "tractable", f
+        assert check_certificate(f, v.certificate), f
+        b6 += v.branch == "B6"
+    assert b6 >= 40
+
+
 def test_odd_powers_parity_violation_is_hard():
     # b/c = i, y/c = 1 makes j + k odd
     f = EightVertexSig.make(1, Cyclo8.i(), 1, 1, -1, -1, 1, -Cyclo8.i())

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import eightvertex
+import eightvertex.cli as cli
 from eightvertex.cli import main
+from eightvertex.evaluate import brute_force
+
+from util import prism_grid, quadratic_signature
 
 
 DIPOLE_TEXT = """\
@@ -184,10 +189,41 @@ def test_eval_max_edges_exit_3(runner, tmp_path):
     assert r.exit_code == 3
 
 
+def test_eval_class_a_grid_takes_affine_path(runner, tmp_path, monkeypatch):
+    # a 48-edge prism of full-support class-A signatures: eval gives
+    # brute_force's value without running the exponential sum
+    rng = random.Random(5)
+    pool = {"q0": quadratic_signature(rng, 3),
+            "q1": quadratic_signature(rng, 3)}
+    grid = prism_grid(rng, 16, pool)
+    value = str(brute_force(grid, max_edges=60))
+    p = tmp_path / "prism.json"
+    p.write_text(json.dumps({
+        "signatures": {name: {"arity": f.arity,
+                              "values": [str(v) for v in f.values]}
+                       for name, f in pool.items()},
+        "vertices": [{"sig": name} for name in grid.vertices],
+        "edges": [[list(a), list(b)] for a, b in grid.edges],
+    }))
+    # the edge limit still comes first
+    r = invoke(runner, "eval", "--grid", str(p), "--json")
+    assert r.exit_code == 3
+
+    def no_brute_force(grid, max_edges=28):
+        raise AssertionError("brute_force called on a class-A grid")
+
+    monkeypatch.setattr(cli, "brute_force", no_brute_force)
+    r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "60",
+               "--json")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["exact"] == value == "-268435456-268435456i"
+
+
 def test_eval_deep_ring(runner, tmp_path):
-    # 1500 binary equalities in a ring: the search is 1500 edges deep, and
-    # pruning leaves one live branch per edge; the two consistent
-    # orientations alternate around the (even) ring
+    # 1500 binary equalities in a ring: the two consistent orientations
+    # alternate around the (even) ring.  Every signature is in class A, so
+    # eval sums it through affine_eval; test_evaluate.py runs brute_force
+    # on the same ring
     n = 1500
     p = tmp_path / "ring.json"
     p.write_text(json.dumps({
@@ -277,6 +313,25 @@ def test_check_cert_round_trip(runner, tmp_path):
                "--cert", str(p))
     assert r.exit_code == 0
     assert "false" in r.output
+
+
+def test_classify_generic_branch_certificate(runner, tmp_path):
+    # branch B6 with a = 2, not a power of i: no half_diag(i^t / c) fits,
+    # and the diagonal is (a / c) i^s = -2i
+    sig = "2,1,-1,-i,-1,i,i,-1/2i"
+    r = invoke(runner, "classify", "--sig", sig, "--json")
+    assert r.exit_code == 0, r.output
+    data = json.loads(r.output)
+    assert (data["verdict"], data["branch"], data["class"]) == (
+        "tractable", "B6", "A")
+    assert data["certificate"]["steps"] == [
+        {"kind": "half_diag", "gamma_sq": "-2i"}]
+    p = tmp_path / "b6.json"
+    p.write_text(r.output)
+    r = invoke(runner, "check-cert", "--sig", sig, "--cert", str(p),
+               "--json")
+    assert r.exit_code == 0
+    assert r.output == '{"valid": true}\n'
 
 
 @pytest.mark.parametrize("sig, kind", [("0,1,1,1,1,1,1,0", "hard"),
@@ -369,6 +424,24 @@ def test_tutte33_bad_rotation_exit_2(runner, tmp_path, text, vertex, edges):
     assert r.exit_code == 2, r.output
     assert r.output == (f"error: rotation at vertex {vertex} is not a "
                         f"permutation of its edges {edges}\n")
+
+
+def test_tutte33_dipole_rotations(runner, tmp_path):
+    # four parallel edges listed in the same order around both ends wrap
+    # the dipole around a torus (2 faces); reversed at one end, it is
+    # plane (4 faces) and T(G; 3, 3) = 42
+    p = tmp_path / "dipole.txt"
+    p.write_text(DIPOLE_TEXT)
+    r = invoke(runner, "tutte33", "--graph", str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output == (
+        "error: the rotations are not a plane embedding: V - E + F = "
+        "2 - 4 + 2 = 0, but a plane graph with 1 component(s) with edges "
+        "has 2\n")
+    p.write_text(DIPOLE_TEXT.replace("rot 1: 0 1 2 3", "rot 1: 3 2 1 0"))
+    r = invoke(runner, "tutte33", "--graph", str(p), "--json")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["value"] == "42"
 
 
 @pytest.mark.parametrize("t", ["0", "1", "-1", "i"])

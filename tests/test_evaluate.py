@@ -17,7 +17,10 @@ from eightvertex.evaluate import (
 )
 
 import oracles
-from util import random_affine_signature, random_grid, random_ev
+from util import (
+    prism_grid, quadratic_signature, random_affine_signature, random_grid,
+    random_ev,
+)
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -136,46 +139,29 @@ def test_eulerian_orientations_per_vertex_fall_toward_lieb():
     assert roots[0] > roots[1] > roots[2] > (4 / 3) ** 1.5
 
 
-def _quadratic_signature(rng, n: int) -> Signature:
-    """i^(linear + 2 * quadratic form) on every point of {0,1}^n: class A
-    with full support, so no entry is ever pruned."""
-    lin = [rng.randrange(4) for _ in range(n)]
-    quad = [(i, j) for i in range(n) for j in range(i + 1, n)
-            if rng.randrange(2)]
-    vals = []
-    for m in range(1 << n):
-        x = [(m >> (n - 1 - i)) & 1 for i in range(n)]
-        e = sum(a * b for a, b in zip(lin, x))
-        e += 2 * sum(x[i] * x[j] for i, j in quad)
-        vals.append(Cyclo8.i() ** (e % 4))
-    return Signature(n, vals)
-
-
-def _prism(rng, rungs: int, pool: dict) -> Grid:
-    """Two rings of arity-3 vertices joined by rungs: 3 * rungs edges, a
-    narrow frontier, and a signature drawn from pool at each vertex."""
-    edges = []
-    for k in range(rungs):
-        for r in (0, 1):
-            edges.append(((2 * k + r, 1), (2 * ((k + 1) % rungs) + r, 2)))
-        edges.append(((2 * k, 3), (2 * k + 1, 3)))
-    names = [rng.choice(sorted(pool)) for _ in range(2 * rungs)]
-    return Grid(pool, names, edges)
-
-
 def test_brute_force_matches_affine_eval_past_28_edges():
     nonzero = 0
     for rungs in (10, 13, 16, 20):
         for seed in range(3):
             rng = random.Random(100 * rungs + seed)
-            pool = {"q0": _quadratic_signature(rng, 3),
-                    "q1": _quadratic_signature(rng, 3),
+            pool = {"q0": quadratic_signature(rng, 3),
+                    "q1": quadratic_signature(rng, 3),
                     "r": random_affine_signature(rng, 3)}
-            grid = _prism(rng, rungs, pool)
+            grid = prism_grid(rng, rungs, pool)
             value = affine_eval(grid)
             assert brute_force(grid, max_edges=60) == value
             nonzero += not value.is_zero()
     assert nonzero >= 2
+
+
+def test_brute_force_deep_ring():
+    # 1500 binary equalities in a ring: pruning leaves one live partial
+    # index per open vertex, and the two consistent orientations alternate
+    # around the (even) ring
+    n = 1500
+    grid = Grid({"eq": equality(2)}, ["eq"] * n,
+                [((v, 2), ((v + 1) % n, 1)) for v in range(n)])
+    assert brute_force(grid, max_edges=n) == 2
 
 
 def test_brute_force_edge_limit():
@@ -373,6 +359,16 @@ def test_tutte33_values():
 def test_tutte33_counts_components(graph):
     # the medial Holant is 2^c T(G; 3, 3) over the c components with an edge
     assert tutte33(graph) == oracles.tutte_polynomial(graph.edges, 3, 3)
+
+
+@pytest.mark.parametrize("v", range(4))
+def test_tutte33_rejects_non_plane_rotations(v):
+    # reversing the rotation at one vertex of the plane K4 leaves 2 faces,
+    # so V - E + F = 0: an embedding on the torus
+    rot = dict(K4_ROT)
+    rot[v] = rot[v][::-1]
+    with pytest.raises(ValueError, match="not a plane embedding"):
+        tutte33(Graph(K4.edges, rot))
 
 
 def test_medial_graph_shape():

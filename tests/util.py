@@ -71,6 +71,34 @@ def random_affine_signature(rng: random.Random, arity: int):
     return Signature(n, [cert.value_at(m) for m in range(1 << n)])
 
 
+def random_product_signature(rng: random.Random, arity: int) -> Signature:
+    """A random member of class P, built straight from the definition: a
+    tensor product over a random set partition of the variables of
+    factors supported on one point or on two complementary points, with
+    values from NONZERO_POOL."""
+    order = list(range(arity))
+    rng.shuffle(order)
+    factors = []
+    while order:
+        k = rng.randint(1, len(order))
+        block, order = order[:k], order[k:]
+        p = rng.randrange(1 << k)
+        table = {p: rng.choice(NONZERO_POOL)}
+        if rng.randrange(2):
+            table[p ^ ((1 << k) - 1)] = rng.choice(NONZERO_POOL)
+        factors.append((block, table))
+    values = []
+    for m in range(1 << arity):
+        v = scalar(1)
+        for block, table in factors:
+            sub = 0
+            for i in block:
+                sub = (sub << 1) | ((m >> (arity - 1 - i)) & 1)
+            v = v * table.get(sub, 0)
+        values.append(v)
+    return Signature(arity, values)
+
+
 def random_grid(rng: random.Random, sig_pool, target_edges: int):
     """A random closed grid: vertices drawn from sig_pool (a dict
     name -> Signature) until the port count reaches about 2*target_edges
@@ -89,3 +117,32 @@ def random_grid(rng: random.Random, sig_pool, target_edges: int):
     rng.shuffle(ports)
     edges = [(ports[2 * k], ports[2 * k + 1]) for k in range(len(ports) // 2)]
     return Grid(dict(sig_pool), vertices, edges)
+
+
+def quadratic_signature(rng, n: int) -> Signature:
+    """i^(linear + 2 * quadratic form) on every point of {0,1}^n: class A
+    with full support, so no entry is ever pruned."""
+    lin = [rng.randrange(4) for _ in range(n)]
+    quad = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.randrange(2)]
+    vals = []
+    for m in range(1 << n):
+        x = [(m >> (n - 1 - i)) & 1 for i in range(n)]
+        e = sum(a * b for a, b in zip(lin, x))
+        e += 2 * sum(x[i] * x[j] for i, j in quad)
+        vals.append(Cyclo8.i() ** (e % 4))
+    return Signature(n, vals)
+
+
+def prism_grid(rng, rungs: int, pool: dict):
+    """Two rings of arity-3 vertices joined by rungs: 3 * rungs edges, a
+    narrow frontier, and a signature drawn from pool at each vertex."""
+    from eightvertex.evaluate import Grid
+
+    edges = []
+    for k in range(rungs):
+        for r in (0, 1):
+            edges.append(((2 * k + r, 1), (2 * ((k + 1) % rungs) + r, 2)))
+        edges.append(((2 * k, 3), (2 * k + 1, 3)))
+    names = [rng.choice(sorted(pool)) for _ in range(2 * rungs)]
+    return Grid(pool, names, edges)
