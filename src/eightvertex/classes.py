@@ -21,8 +21,13 @@ never divides in the field and builds no field element: f(x) = v * i^k
 is found by comparing the (numerators, denominator) of f(x) with those
 of the four quarter turns of v, which are signed shifts of v's
 numerators, before the affine hull of the support is built (the hull is
-memoized per support).  ``ACertificate.check`` compares values the same
-way, with the exponent Q(x) summed from bit masks of its terms.  The
+memoized per support).  The hull carries its walk tables as cached
+properties: the points one and two basis vectors off the offset, which
+give the linear and cross terms of Q, the order in which Q is extended
+to every point from one with a free bit fewer, and the variable of each
+pivot.  So a support that recurs costs only the exponent reads and the
+compares.  ``ACertificate.check`` compares values the same way, with the
+exponent Q(x) summed from bit masks of its terms.  The
 class-P test splits f across bipartitions of its variables, recursively.
 Two exact screens on the nonzero pattern of f, held as one int, come
 before any arithmetic: the support must have 2^k points, and the nonzero
@@ -121,6 +126,40 @@ class AffineSpace:
             out |= 1 << m
         return out
 
+    @functools.cached_property
+    def variables(self) -> tuple:
+        """The 1-based variable of each basis vector's pivot bit."""
+        return tuple(self.n - p for p in self.pivots)
+
+    @functools.cached_property
+    def singles(self) -> tuple:
+        """offset ^ basis[j] for each j: the point whose free coordinates
+        are j alone."""
+        return tuple(self.offset ^ b for b in self.basis)
+
+    @functools.cached_property
+    def pairs(self) -> tuple:
+        """(j, l, offset ^ basis[j] ^ basis[l]) for each j < l."""
+        off, basis = self.offset, self.basis
+        return tuple((j, l, off ^ basis[j] ^ basis[l])
+                     for j in range(len(basis))
+                     for l in range(j + 1, len(basis)))
+
+    @functools.cached_property
+    def walk(self) -> tuple:
+        """(u, j, rest, point) for u = 1 .. 2^dim - 1: the point with free
+        coordinates u, reached from rest, u with its lowest bit j
+        cleared, so that rest always comes before u."""
+        pt = [self.offset] * (1 << self.dim)
+        out = []
+        for u in range(1, 1 << self.dim):
+            low = u & -u
+            j = low.bit_length() - 1
+            rest = u ^ low
+            pt[u] = pt[rest] ^ self.basis[j]
+            out.append((u, j, rest, pt[u]))
+        return tuple(out)
+
     def points(self):
         for bits in range(1 << self.dim):
             m = self.offset
@@ -204,7 +243,10 @@ class ACertificate:
 # distinct supports recur: in 5 s benchmark runs the hit rate was 99.96%
 # on eval-affine (26 supports, 69300 calls), 99.7% on classify-planted
 # (25, 8512) and 98.6% on classify-sweep (3, 209); without the cache
-# eval-affine ran 0.78x the ops/s and classify-planted 0.96x
+# eval-affine ran 0.78x the ops/s and classify-planted 0.96x.  The space
+# objects are shared, so the walk tables that ``in_A`` reads from them
+# (``singles``, ``pairs``, ``walk``, ``variables``) are built once per
+# support as well
 _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 
 
@@ -234,36 +276,25 @@ def in_A(f: Signature):
     # with a basis vector would clear its leading bit and give a lesser
     # point), so e[offset] = 0, lam = f[offset], and offset ^ basis[j]
     # has the pivot bit of basis vector j alone
-    off = space.offset
-    basis = space.basis
-    k = len(basis)
-    lin = [e[off ^ b] for b in basis]
-    rows = [0] * k          # bit l of rows[j]: the cross term x_j x_l
-    for j in range(k):
-        for l in range(j + 1, k):
-            c = (e[off ^ basis[j] ^ basis[l]] - lin[j] - lin[l]) % 4
-            if c % 2:
-                return None
-            if c:
-                rows[j] |= 1 << l
-    # Q at every point, from the point with its lowest free bit cleared
-    q = [0] * (1 << k)
-    pt = [off] * (1 << k)
-    for u in range(1, 1 << k):
-        low = u & -u
-        j = low.bit_length() - 1
-        rest = u ^ low
-        q[u] = q[rest] + lin[j] + 2 * (rows[j] & rest).bit_count()
-        pt[u] = pt[rest] ^ basis[j]
-        if q[u] % 4 != e[pt[u]]:
+    lin = [e[m] for m in space.singles]
+    rows = [0] * len(lin)   # bit l of rows[j]: the cross term x_j x_l
+    for j, l, m in space.pairs:
+        c = (e[m] - lin[j] - lin[l]) % 4
+        if c % 2:
             return None
-    # translate free-coordinate indices to 1-based variable indices
-    var = [n - p for p in space.pivots]
-    lin_vars = {var[j]: lin[j] for j in range(k) if lin[j]}
+        if c:
+            rows[j] |= 1 << l
+    # Q at every point, from the point with its lowest free bit cleared
+    q = [0] * (1 << space.dim)
+    for u, j, rest, m in space.walk:
+        q[u] = q[rest] + lin[j] + 2 * (rows[j] & rest).bit_count()
+        if q[u] % 4 != e[m]:
+            return None
+    var = space.variables
+    lin_vars = {var[j]: a for j, a in enumerate(lin) if a}
     quad_vars = {tuple(sorted((var[j], var[l]))): 1
-                 for j in range(k) for l in range(j + 1, k)
-                 if (rows[j] >> l) & 1}
-    cert = ACertificate(lam=vals[off], space=space,
+                 for j, l, _ in space.pairs if (rows[j] >> l) & 1}
+    cert = ACertificate(lam=vals[space.offset], space=space,
                         lin=lin_vars, quad=quad_vars)
     if not cert.check(f):
         raise AssertionError
@@ -409,7 +440,8 @@ def _split_rank1(f: Signature, varlist):
             continue
         pivot = vals[row0 | col0]
         g = Signature(len(svars), [vals[rm | col0] for rm in rows])
-        h = Signature(len(ovars), [vals[row0 | cm] / pivot for cm in cols])
+        inv = 1 / pivot
+        h = Signature(len(ovars), [vals[row0 | cm] * inv for cm in cols])
         gres = _split_rank1(g, [varlist[i] for i in svars])
         if gres is None:
             continue

@@ -376,11 +376,18 @@ def affine_eval(grid: Grid) -> Scalar:
     class A: the sum collapses to a Gauss sum over a quadratic exponent in
     the edge variables.
 
-    The exponent is kept as Z4 linear coefficients, one int neighbour mask
-    per edge variable for the 2xy terms, and parity constraints as masks.
-    Constraints are solved by substitution, then the least live variable
-    is summed out, until none is left; the factors this picks up are
-    counted and applied to the product of the certificates' lams once."""
+    The parity constraints of the certificates' affine spaces come first,
+    as (mask, rhs) rows over the edge variables: each row is XORed with
+    the stored row of its top bit until its top bit is new (it is stored)
+    or it is empty.  An empty row with rhs 1 is a contradiction, and the
+    sum is 0 before the exponent is built.  The exponent is kept as Z4
+    linear coefficients and one int neighbour mask per edge variable for
+    the 2xy terms.  The stored rows are solved by substitution from the
+    highest pivot down, each for its pivot: every bit of a row lies below
+    its pivot, so no pending row holds a variable already replaced.  Then
+    the least live variable is summed out, which leaves at most one new
+    row, until none is left; the factors this picks up are counted and
+    applied to the product of the certificates' lams once."""
     ends = grid.validate()
     certs = {}                     # signature name -> its ACertificate
     for v, name in enumerate(grid.vertices):
@@ -397,14 +404,34 @@ def affine_eval(grid: Grid) -> Scalar:
         lam = lam * certs[name].lam.cyclo ** count
     templates = {name: _affine_template(cert) for name, cert in certs.items()}
 
-    # one GF(2) variable per edge; the second endpoint sees its negation
+    # one GF(2) variable per edge; the second endpoint sees its negation.
+    # echelon[top]: (row, rhs) with top bit `top`, its pivot
+    echelon = {}
+    for v, name in enumerate(grid.vertices):
+        for ports, rhs in templates[name][2]:
+            mask = 0
+            for i in ports:
+                e, t = ends[(v, i)]
+                rhs ^= t
+                mask ^= 1 << e
+            while mask:
+                top = mask.bit_length() - 1
+                row = echelon.get(top)
+                if row is None:
+                    echelon[top] = (mask, rhs)
+                    break
+                mask ^= row[0]
+                rhs ^= row[1]
+            else:
+                if rhs:
+                    return _ZERO
+
     nvars = len(grid.edges)
     const = 0                      # Z4, reduced at the end
     lin = [0] * nvars              # Z4, reduced when read
     nb = [0] * nvars               # bit y of nb[x]: the term 2 x y
-    constraints = []               # (mask of variables, rhs bit)
     for v, name in enumerate(grid.vertices):
-        lins, quads, cons = templates[name]
+        lins, quads, _ = templates[name]
         for i, a in lins:
             e, t = ends[(v, i)]
             if t:
@@ -424,14 +451,9 @@ def affine_eval(grid: Grid) -> Scalar:
                 nb[e2] ^= 1 << e1
                 lin[e1] += 2 * t2
                 lin[e2] += 2 * t1
-        for ports, rhs in cons:
-            mask = 0
-            for i in ports:
-                e, t = ends[(v, i)]
-                rhs ^= t
-                mask ^= 1 << e
-            constraints.append((mask, rhs))
 
+    # pending (mask, rhs) rows; pop() takes the highest pivot first
+    constraints = [echelon[top] for top in sorted(echelon)]
     # nb may keep bits of eliminated variables: every read masks by live
     live = (1 << nvars) - 1
     twos = 0                       # factors of 2
@@ -458,14 +480,13 @@ def affine_eval(grid: Grid) -> Scalar:
     while True:
         while constraints:
             cv, rhs = constraints.pop()
-            cv &= live
             if not cv:
                 if rhs:
                     return _ZERO
                 continue
-            # replace x, the least variable of cv, by XOR(others) + rhs
-            bx = cv & -cv
-            x = bx.bit_length() - 1
+            # replace x, the top variable of cv, by XOR(others) + rhs
+            x = cv.bit_length() - 1
+            bx = 1 << x
             others = cv ^ bx
             live ^= bx
             a = lin[x] % 4
@@ -483,9 +504,6 @@ def affine_eval(grid: Grid) -> Scalar:
                 add_lin(cross & others, 2)
                 add_cross(cross, others)
                 add_cross(others, cross)
-            for idx, (c, r) in enumerate(constraints):
-                if c & bx:
-                    constraints[idx] = (c ^ others ^ bx, r ^ rhs)
         if not live:
             break
         # sum out x, the least live variable

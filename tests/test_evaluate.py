@@ -18,8 +18,8 @@ from eightvertex.evaluate import (
 
 import oracles
 from util import (
-    prism_grid, quadratic_signature, random_affine_signature, random_grid,
-    random_ev,
+    nonzero_affine_grid, prism_grid, quadratic_signature,
+    random_affine_signature, random_grid, random_ev,
 )
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
@@ -275,6 +275,56 @@ def test_affine_eval_rings(n):
         assert affine_eval(grid) == want
         if n <= 16:
             assert brute_force(grid) == want
+
+
+@pytest.mark.parametrize("n, want", [(4000, 2), (4001, 0)])
+def test_affine_eval_long_equality_ring(n, want):
+    """Rings of binary equalities, numbered so that the last vertex's row
+    reduces through every other row: the parity rows decide the value
+    (2 on an even ring, an inconsistent system on an odd one)."""
+    edges = [((v, 2), ((v + 1) % n, 1)) for v in range(n)]
+    grid = Grid({"f": Signature(2, [1, 0, 0, 1])}, ["f"] * n, edges)
+    assert affine_eval(grid) == scalar(want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_affine_eval_nonzero_grids(seed):
+    """Grids in which every vertex has its own full-support class-A
+    signature and the value is nonzero by construction, so the
+    elimination runs to the end."""
+    rng = random.Random(seed)
+    grid = nonzero_affine_grid(rng, rng.randint(3, 14))
+    assert len(grid.edges) <= 16
+    value = affine_eval(grid)
+    assert not value.is_zero()
+    assert value == brute_force(grid)
+
+
+@pytest.mark.parametrize("k, offset", [(4, 0b0101), (6, 0b010011),
+                                       (6, 0b000000), (5, 0b10110)])
+def test_affine_eval_reduced_rows_then_quadratic_form(k, offset):
+    """Two arity-k vertices supported on {offset, its complement} joined
+    by k paths, each through a binary full-support class-A vertex.  The
+    edges of port 1 of both ends are numbered last, so all k - 1 parity
+    rows of each end share that top bit and k - 2 of them are reduced
+    before they are stored (rhs bits included, from the odd offsets);
+    what is left is a nontrivial quadratic form on the paths."""
+    rng = random.Random(k * 1000 + offset)
+    full = (1 << k) - 1
+    ends = Signature(k, [1 if m in (offset, offset ^ full) else 0
+                         for m in range(1 << k)])
+    sigs = {"A": ends, "B": ends, "h": Signature(2, [1, 1, 1, -1])}
+    names = ["A", "B"]
+    edges = []
+    for p in range(k, 0, -1):
+        names.append("h" if p % 2 else f"q{p}")
+        if p % 2 == 0:
+            sigs[f"q{p}"] = quadratic_signature(rng, 2)
+        v = len(names) - 1
+        edges.append(((v, 2), (1, p)))
+        edges.append(((0, p), (v, 1)))
+    grid = Grid(sigs, names, edges)
+    assert affine_eval(grid) == brute_force(grid)
 
 
 def _eight_vertex_affine(rng) -> Signature:

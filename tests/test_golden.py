@@ -1,4 +1,4 @@
-"""Differential gate: classify output on two fixed corpora.
+"""Differential gates: classify and in_A output on fixed corpora.
 
 The digest covers ``classify(f).to_json_dict()`` (or the name of the
 exception it raises) for every signature of
@@ -8,7 +8,7 @@ exception it raises) for every signature of
 * 300 signatures with Gaussian-rational entries p/q + (r/s)i, a quarter
   of them zero, so that denominators other than 1 reach every layer.
 
-A second digest covers the 500 signatures of ``benchmark/gen.py``'s
+A further digest covers the 500 signatures of ``benchmark/gen.py``'s
 ``planted_pool()``, planted in the tractable zones.  Their certificates
 use the ``half_diag``, ``z`` and ``outer_rewrite`` steps that the two
 corpora above barely reach, so a change to how steps are applied shows
@@ -16,6 +16,12 @@ there.  ``PLANTED`` was recorded when B6 began computing its
 certificate in closed form: the 46 B6 signatures whose search used to
 raise AssertionError now get tractable verdicts, and the other 454
 outcomes are those recorded before the step matrices became constants.
+
+``A_CERTS`` covers ``in_A`` alone: the certificate's lam, offset, basis,
+linear and cross terms (or None) for 1000 ``random_affine_signature``
+draws of arity 1-5, each times an entry of ``NONZERO_POOL``, a one-entry
+mutant of each, and the test_09 sweep as arity-4 signatures.  It was
+recorded before ``in_A`` read its walk tables from ``AffineSpace``.
 
 ``GOLDEN`` was recorded with the Fraction-backed ``Cyclo8`` that the
 integer representation replaced.  A refactor that changes any verdict,
@@ -29,14 +35,16 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+from eightvertex.classes import in_A
 from eightvertex.classify import classify
 from eightvertex.numeric import Cyclo8
-from eightvertex.signatures import EightVertexSig
+from eightvertex.signatures import EightVertexSig, Signature
 
-from util import NONZERO_POOL, random_ev
+from util import ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_ev
 
 GOLDEN = "5432e06ea835abbd1a0604d8ce78e6f4bf52bdd64d4979f04eb97ca524aeaffa"
 PLANTED = "eda3605efe77ad9692053f7082238fd0901eebe36e3e0d83532eaf0e4b632f74"
+A_CERTS = "f2a0c10621e9d2699f75162f286cb43fffd79be2e4f360f019dcc77e64011210"
 
 
 def sweep_corpus():
@@ -91,3 +99,34 @@ def test_classify_golden_digest():
 
 def test_planted_certificate_digest():
     assert corpus_digest(planted_corpus()) == PLANTED
+
+
+def affine_corpus():
+    rng = random.Random(5151)
+    for _ in range(1000):
+        f = random_affine_signature(rng, rng.randint(1, 5))
+        c = rng.choice(NONZERO_POOL)
+        f = Signature(f.arity, [v * c for v in f.values])
+        yield f
+        vals = list(f.values)
+        vals[rng.randrange(len(vals))] = rng.choice(ENTRY_POOL)
+        yield Signature(f.arity, vals)
+    for f in sweep_corpus():
+        yield f.to_signature()
+
+
+def a_outcome(f) -> str:
+    cert = in_A(f)
+    if cert is None:
+        return "None"
+    space = cert.space
+    return repr((str(cert.lam), space.offset, space.basis,
+                 sorted(cert.lin.items()), sorted(cert.quad.items())))
+
+
+def test_in_A_certificate_digest():
+    h = hashlib.sha256()
+    for f in affine_corpus():
+        h.update(a_outcome(f).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == A_CERTS

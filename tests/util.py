@@ -146,3 +146,88 @@ def prism_grid(rng, rungs: int, pool: dict):
         edges.append(((2 * k, 3), (2 * k + 1, 3)))
     names = [rng.choice(sorted(pool)) for _ in range(2 * rungs)]
     return Grid(pool, names, edges)
+
+
+def _full_affine_signature(n, lam, lin, quad) -> Signature:
+    """lam * i^Q on every point of {0,1}^n, Q given by its 1-based
+    linear and cross terms."""
+    from eightvertex.classes import AffineSpace, ACertificate
+
+    cert = ACertificate(lam, AffineSpace.full(n), lin, quad)
+    return Signature(n, [cert.value_at(m) for m in range(1 << n)])
+
+
+def nonzero_affine_grid(rng: random.Random, target_edges: int):
+    """A closed grid whose Holant value is nonzero by construction, built
+    like ``benchmark/gen.py``'s grids of that name: vertices of arity 1-3
+    whose ports are matched uniformly, each vertex with its own
+    full-support class-A signature.
+
+    In the edge variables the value is a nonzero constant times the sum
+    of i^Q(x), Q(x) = sum lin_e x_e + 2 sum_quad x_e x_f (mod 4), the
+    first end of edge e reading x_e and the second 1 - x_e.  That sum is
+    nonzero exactly when Q vanishes on the radical of the GF(2) form
+    with diagonal lin mod 2 and off-diagonal quad.  Q is additive there,
+    with values 0 and 2, and adding 2 to lin_e flips it on the radical
+    vectors that contain e, so one such step per radical basis vector,
+    at its top bit, makes it vanish."""
+    from eightvertex.evaluate import Grid
+
+    arities, ports = [], []
+    while len(ports) // 2 < target_edges or len(ports) % 2:
+        n = rng.choice((1, 2, 2, 3))
+        ports.extend((len(arities), p) for p in range(1, n + 1))
+        arities.append(n)
+    rng.shuffle(ports)
+    edges = [(ports[2 * k], ports[2 * k + 1]) for k in range(len(ports) // 2)]
+    lins = [{i: rng.randrange(4) for i in range(1, n + 1)} for n in arities]
+    quads = [{(i, j): rng.randrange(2) for i in range(1, n + 1)
+              for j in range(i + 1, n + 1)} for n in arities]
+    lit = {}
+    for e, (end0, end1) in enumerate(edges):
+        lit[end0] = (e, 0)
+        lit[end1] = (e, 1)
+    lin, quad = [0] * len(edges), set()
+    for v, n in enumerate(arities):
+        for i, a in lins[v].items():
+            e, t = lit[(v, i)]
+            lin[e] += a * (1 - 2 * t)
+        for (i, j), b in quads[v].items():
+            (e1, t1), (e2, t2) = lit[(v, i)], lit[(v, j)]
+            if not b:
+                continue
+            if e1 == e2:
+                lin[e1] += 2 * (1 + t1 + t2)
+                continue
+            lin[e1] += 2 * t2
+            lin[e2] += 2 * t1
+            quad ^= {(min(e1, e2), max(e1, e2))}
+    # the radical: the left kernel of the symmetric GF(2) matrix
+    rows = [(lin[e] & 1) << e for e in range(len(edges))]
+    for e, f in quad:
+        rows[e] ^= 1 << f
+        rows[f] ^= 1 << e
+    pivots, radical = {}, []
+    for e, row in enumerate(rows):
+        combo = 1 << e
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (row, combo)
+                break
+            row ^= pivots[top][0]
+            combo ^= pivots[top][1]
+        if not row:
+            radical.append(combo)
+    for r in radical:
+        q = sum(a for e, a in enumerate(lin) if r >> e & 1)
+        q += 2 * sum(1 for e, f in quad if r >> e & 1 and r >> f & 1)
+        if q % 4:
+            e = r.bit_length() - 1
+            lin[e] += 2
+            v, p = edges[e][0]
+            lins[v][p] = (lins[v][p] + 2) % 4
+    sigs = {f"v{v}": _full_affine_signature(n, rng.choice(NONZERO_POOL),
+                                            lins[v], quads[v])
+            for v, n in enumerate(arities)}
+    return Grid(sigs, [f"v{v}" for v in range(len(arities))], edges)
