@@ -480,7 +480,7 @@ def affine_eval(grid: Grid) -> Scalar:
     while True:
         while constraints:
             cv, rhs = constraints.pop()
-            if not cv:
+            if not cv:                      # only a sum-out row
                 if rhs:
                     return _ZERO
                 continue
