@@ -13,7 +13,7 @@ import time
 
 from eightvertex.signatures import EightVertexSig
 from eightvertex.classify import classify, check_certificate
-from eightvertex.numeric import Cyclo8, scalar
+from eightvertex.numeric import ALPHA, I, scalar
 
 NAMED = [
     ("eulerian orientations", "0,1,1,1,1,1,1,0"),
@@ -26,10 +26,7 @@ NAMED = [
     ("six-vertex pair zeros", "0,1,0,0,1,1,0,0"),
 ]
 
-POOL = [scalar(v) for v in (0, 1, -1, 2, -2)] + [
-    scalar(Cyclo8.i()), scalar(-Cyclo8.i()),
-    scalar(Cyclo8.alpha()), scalar(-Cyclo8.alpha()),
-]
+POOL = [scalar(v) for v in (0, 1, -1, 2, -2, I, -I, ALPHA, -ALPHA)]
 
 
 def main():

@@ -47,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .numeric import Cyclo8, Scalar, scalar, as_power_of_i
+from .numeric import Cyclo8, ONE, ZERO, as_power_of_i
 from .signatures import Signature
 
 
@@ -188,7 +188,7 @@ class ACertificate:
     with variables indexed 1-based, lin values in Z4, quad values in Z2.
     """
 
-    lam: Scalar
+    lam: Cyclo8
     space: AffineSpace
     lin: dict = field(default_factory=dict)
     quad: dict = field(default_factory=dict)
@@ -203,10 +203,10 @@ class ACertificate:
             total += 2 * b * bits[i - 1] * bits[j - 1]
         return total % 4
 
-    def value_at(self, m: int) -> Scalar:
+    def value_at(self, m: int) -> Cyclo8:
         if not self.space.contains(m):
-            return scalar(0)
-        return Scalar(self.lam.cyclo.rotate(2 * self.q_at(m)))
+            return ZERO
+        return self.lam.rotate(2 * self.q_at(m))
 
     def check(self, f: Signature) -> bool:
         """True iff f is this certificate's function.  Each value is
@@ -215,15 +215,14 @@ class ACertificate:
         n = self.space.n
         if f.arity != n:
             return False
-        lam = self.lam.cyclo
+        lam = self.lam
         d = lam.d
         turns = _quarter_turns(lam)
         lin = [(1 << (n - i), a) for i, a in self.lin.items()]
         quad = [((1 << (n - i)) | (1 << (n - j)), 2 * b)
                 for (i, j), b in self.quad.items()]
         on = self.space.mask
-        for m, v in enumerate(f.values):
-            c = v.cyclo
+        for m, c in enumerate(f.values):
             if on >> m & 1:
                 q = 0
                 for bit, a in lin:
@@ -254,17 +253,17 @@ def in_A(f: Signature):
     """An ACertificate if f is in class A, else None."""
     n = f.arity
     vals = f.values
-    supp = [m for m, v in enumerate(vals) if any(v.cyclo.n)]
+    supp = [m for m, v in enumerate(vals) if any(v.n)]
     if not supp:
-        return ACertificate(lam=scalar(0), space=AffineSpace.full(n))
+        return ACertificate(lam=ZERO, space=AffineSpace.full(n))
     # f[m] = v0 * i^k exactly when f[m] has v0's denominator and the
     # numerators of the k-th quarter turn of v0
-    v0 = vals[supp[0]].cyclo
+    v0 = vals[supp[0]]
     d = v0.d
     turns = {t: k for k, t in enumerate(_quarter_turns(v0))}
     e = {}
     for m in supp:
-        c = vals[m].cyclo
+        c = vals[m]
         x = turns.get(c.n)
         if x is None or c.d != d:
             return None
@@ -309,7 +308,7 @@ class PDecomposition:
     1-based variables and has support in at most two complementary
     points."""
 
-    lam: Scalar
+    lam: Cyclo8
     factors: tuple  # of (vars tuple, Signature)
 
     def check(self, f: Signature) -> bool:
@@ -411,9 +410,8 @@ def _split_rank1(f: Signature, varlist):
     f's denominators."""
     n = f.arity
     vals = f.values
-    cs = [v.cyclo for v in vals]
     nz = 0
-    for m, c in enumerate(cs):
+    for m, c in enumerate(vals):
         if any(c.n):
             nz |= 1 << m
     count = nz.bit_count()
@@ -421,9 +419,9 @@ def _split_rank1(f: Signature, varlist):
         return None
     if _small_antipodal(f):
         return [(tuple(varlist), f)]
-    d = math.lcm(*[c.d for c in cs])
+    d = math.lcm(*[c.d for c in vals])
     nums = [c.n if c.d == d else tuple(k * (d // c.d) for k in c.n)
-            for c in cs]
+            for c in vals]
     for smask in range(1, 1 << (n - 1)):
         svars, ovars, rows, cols, cells = _bipartition(n, smask)
         live = [rm for rm in rows if (nz >> rm) & cells]
@@ -458,13 +456,13 @@ def in_P(f: Signature):
     and the decomposition is re-checked before it is returned."""
     n = f.arity
     if f.is_zero():
-        return PDecomposition(lam=scalar(0), factors=(
+        return PDecomposition(lam=ZERO, factors=(
             ((tuple(range(1, n + 1)),
               Signature(n, [1] + [0] * ((1 << n) - 1))),)))
     res = _split_rank1(f, list(range(1, n + 1)))
     if res is None:
         return None
-    dec = PDecomposition(lam=scalar(1), factors=tuple(res))
+    dec = PDecomposition(lam=ONE, factors=tuple(res))
     if not dec.check(f):
         raise AssertionError
     return dec
@@ -476,7 +474,7 @@ def _alpha_weight_twist(f: Signature, pattern: int) -> Signature:
     """Multiply f(x) by alpha^(number of positions where both pattern and
     x are 1)."""
     return Signature(f.arity, [
-        Scalar(v.cyclo.rotate((m & pattern).bit_count()))
+        v.rotate((m & pattern).bit_count())
         for m, v in enumerate(f.values)])
 
 
@@ -516,7 +514,7 @@ def oracle_in_A(f: Signature) -> bool:
     v0 = f.values[supp[0]]
     exps = {}
     for m in supp:
-        k = as_power_of_i((f.values[m] / v0).cyclo)
+        k = as_power_of_i(f.values[m] / v0)
         if k is None:
             return False
         exps[m] = k
@@ -559,7 +557,7 @@ def oracle_in_P(f: Signature) -> bool:
             continue
         ok = True
         for m in range(1 << n):
-            prod = scalar(1)
+            prod = ONE
             for block, g in factors:
                 sub = 0
                 for v in block:

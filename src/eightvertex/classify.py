@@ -34,12 +34,14 @@ from dataclasses import dataclass
 
 from .numeric import (
     ALPHA,
+    ONE,
+    SQRT2,
+    ZERO,
     Cyclo8,
     DivisionByZero,
     I,
-    Scalar,
     as_power_of_i,
-    parse_scalar,
+    parse_cyclo8,
     scalar,
     sqrt_in_field,
 )
@@ -80,9 +82,9 @@ def _matrix(rows):
     return tuple(tuple(scalar(v) for v in row) for row in rows)
 
 
-_HALF = scalar(1) / 2
-_R = scalar(Cyclo8.sqrt2()) / 2     # 1/sqrt2
-_RI = _R * scalar(I)
+_HALF = ONE / 2
+_R = SQRT2 / 2     # 1/sqrt2
+_RI = _R * I
 
 # kind -> (S, transpose of S^{-1})
 STEP_MATRICES = {
@@ -135,7 +137,7 @@ def transform_disequality(steps) -> Signature:
     g = disequality2()
     for step in steps:
         if step[0] == "half_diag":
-            g = half_diagonal(g, scalar(1) / scalar(step[1]), any_parity=True)
+            g = half_diagonal(g, ONE / step[1], any_parity=True)
         elif step[0] != "outer_rewrite":
             g = holographic_transform(g, STEP_MATRICES[step[0]][1])
     return g
@@ -226,9 +228,9 @@ def _cert_field(value, kind, rule: str):
     raise ValueError(f"bad certificate: {rule}, got {value!r:.40}")
 
 
-def _cert_scalar(value) -> Scalar:
+def _cert_scalar(value) -> Cyclo8:
     """A scalar string of a certificate file, parsed."""
-    return parse_scalar(_cert_field(value, str, "a value is a scalar string"))
+    return parse_cyclo8(_cert_field(value, str, "a value is a scalar string"))
 
 
 def _images(f: EightVertexSig, steps):
@@ -323,8 +325,8 @@ class Verdict:
 # tractable; the lists only need to be large enough to contain a witness
 # whenever one exists.
 
-def _i_pow(k: int) -> Scalar:
-    return scalar(I) ** (k % 4)
+def _i_pow(k: int) -> Cyclo8:
+    return I ** (k % 4)
 
 
 # the fast path: direct or lightly twisted membership
@@ -332,7 +334,7 @@ FAST_CANDIDATES = (
     ((), "P"),
     ((), "A"),
     *(((("half_diag", _i_pow(k)),), "A") for k in (1, 2, 3)),
-    *(((("half_diag", scalar(ALPHA) * _i_pow(k)),), "A") for k in range(4)),
+    *(((("half_diag", ALPHA * _i_pow(k)),), "A") for k in range(4)),
     ((), "alphaA"),
 )
 
@@ -352,7 +354,7 @@ def six_vertex_classify(f: EightVertexSig) -> Verdict:
         raise ValueError("six_vertex_classify requires ax = 0")
     candidates = [((), "P"), ((), "A")]
     if not (f.a.is_zero() and f.x.is_zero()):
-        clear = (("outer_rewrite", scalar(0), scalar(0)),)
+        clear = (("outer_rewrite", ZERO, ZERO),)
         candidates += [(clear, "P"), (clear, "A")]
     cert = _search(f, candidates)
     if cert is not None:
@@ -398,7 +400,7 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
     if eps == 1:
         bp, cp, dp = f.b, f.c, f.d
     else:
-        bp, cp, dp = scalar(I) * f.b, scalar(I) * f.c, scalar(I) * f.d
+        bp, cp, dp = I * f.b, I * f.c, I * f.d
     s = f.a * f.x
     p, q, r = bp * bp, cp * cp, dp * dp
     rotations = ((p, q, r, "(b,c,d)"), (r, q, p, "(d,c,b)"),
@@ -412,23 +414,22 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
                 ("rotational gadget",
                  f"rotation {label} yields a redundant gadget whose "
                  "compressed matrix has full rank"))
-    mu = sqrt_in_field(s.cyclo)
+    mu = sqrt_in_field(s)
     if mu is None:
         return Verdict.hard(
             "B4",
             ("corner normalization",
              "the corner product has no square root in Q(zeta_8), which "
              "every symmetric membership route requires"))
-    mu = scalar(mu)
     candidates = []
-    half_i = ("half_diag", scalar(I))
-    for pre, prod, root in (((), s, mu), ((half_i,), -s, scalar(I) * mu)):
+    half_i = ("half_diag", I)
+    for pre, prod, root in (((), s, mu), ((half_i,), -s, I * mu)):
         norm = ("outer_rewrite", root, root)
         candidates.append((pre + (norm,), "A"))
         candidates.append((pre + (norm,), "alphaA"))
         for k in (1, 2, 3):
             candidates.append((pre + (norm, ("half_diag", _i_pow(k))), "A"))
-        flat = ("outer_rewrite", scalar(1), prod)
+        flat = ("outer_rewrite", ONE, prod)
         for k in range(4):
             sym = pre + (flat, ("half_diag", _i_pow(k) / root), ("z",))
             candidates += [(sym, t) for t in _SYMMETRIC_TARGETS]
@@ -450,7 +451,7 @@ def _b5_classify(f: EightVertexSig) -> Verdict:
             ("pair products",
              "by = cz = dw differs from the corner product, enabling the "
              "interpolation gadget"))
-    flat = ("outer_rewrite", scalar(1), ax)
+    flat = ("outer_rewrite", ONE, ax)
     base = f.b * f.c * f.d / (ax * ax)
     candidates = []
     for k in range(4):
@@ -471,7 +472,7 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
     tractable through one diagonal computed from them."""
     powers = {}
     for name in ("b", "y", "d", "w", "z"):
-        k = as_power_of_i((getattr(f, name) / f.c).cyclo)
+        k = as_power_of_i(getattr(f, name) / f.c)
         if k is None:
             return Verdict.hard(
                 "B6",
@@ -503,7 +504,7 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
     # points are even exactly when s = m - j (mod 2), given the three
     # relations above.  When a = i^r, s is the one that makes gamma_sq
     # i^t / c with the least such t, in {0, 1}.
-    r = as_power_of_i(f.a.cyclo)
+    r = as_power_of_i(f.a)
     s = (m - j) % 2 if r is None else ((r + m - j) % 2 - r) % 4
     cert = make_certificate(f, (("half_diag", f.a / f.c * _i_pow(s)),), "A")
     if cert is None:
@@ -547,8 +548,7 @@ def classify(f: EightVertexSig) -> Verdict:
              "fewer than two (0,0) pairs"))
     # B4: three equal or three opposite pairs
     for eps in (1, -1):
-        sgn = scalar(eps)
-        if (f.y == sgn * f.b and f.z == sgn * f.c and f.w == sgn * f.d):
+        if f.y == eps * f.b and f.z == eps * f.c and f.w == eps * f.d:
             return _b4_classify(f, eps)
     # B5: equal pair products
     if f.b * f.y == f.c * f.z and f.c * f.z == f.d * f.w:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from .classes import in_A
-from .numeric import DivisionByZero, parse_scalar
+from .numeric import DivisionByZero, parse_cyclo8
 from .signatures import EightVertexSig, Signature
 from .classify import Certificate, check_certificate, classify as classify_sig
 from .evaluate import (
@@ -272,8 +272,8 @@ def demo_interp_cmd(grid_path, t, lambdas, as_json):
     chain-gadget evaluations and compare with direct evaluation."""
     try:
         grid = _load_grid(grid_path) if grid_path else _demo_grid()
-        tval = parse_scalar(t)
-        lams = [parse_scalar(p.strip()) for p in lambdas.split(",")]
+        tval = parse_cyclo8(t)
+        lams = [parse_cyclo8(p.strip()) for p in lambdas.split(",")]
         report = interpolation_demo(grid, tval, lams)
     except TooManyEdges as e:
         _fail(str(e), code=3)

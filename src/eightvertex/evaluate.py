@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import (Scalar, scalar, parse_scalar, ALPHA, ONE, SQRT2, ZERO,
+from .numeric import (Cyclo8, scalar, parse_cyclo8, ALPHA, ONE, SQRT2, ZERO,
                       _reduced)
 from .signatures import Signature, EightVertexSig
 from .gadgets import chain_power, eigen_report, signature_from_matrix
@@ -158,12 +158,12 @@ def _expect(value, kind, rule: str):
     raise ValueError(f"bad grid: {rule}, got {json.dumps(value)[:40]}")
 
 
-def _grid_value(v) -> Scalar:
+def _grid_value(v) -> Cyclo8:
     """A signature value of a grid file: an int, or a string in the scalar
     syntax.  Floats are refused, since every value must be exact."""
     if isinstance(v, str):
-        return parse_scalar(v)
-    return scalar(_expect(v, int, "a value is an int or a scalar string"))
+        return parse_cyclo8(v)
+    return Cyclo8(_expect(v, int, "a value is an int or a scalar string"))
 
 
 def _grid_edge(e) -> tuple:
@@ -211,7 +211,7 @@ _FIELD = 6
 _FULL = (1 << _FIELD) - 1
 
 
-def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
+def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     """The Holant sum over all edge orientations, as a frontier sum.
 
     Vertices are placed in :func:`_placement_order`, and each edge is
@@ -237,7 +237,7 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
     # list, which grows the peak RSS of a process that calls this often.
     tables = {}             # signature name -> (denominator, numerators)
     for name in set(grid.vertices):
-        vals = [v.cyclo for v in grid.signatures[name].values]
+        vals = grid.signatures[name].values
         d = math.lcm(*[c.d for c in vals])
         nums = []
         for c in vals:
@@ -337,7 +337,7 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Scalar:
                                       s[3] + p3)
         sums = out
     t0, t1, t2, t3 = sums.get(0, (0, 0, 0, 0))
-    return Scalar(_reduced(t0, t1, t2, t3, den))
+    return _reduced(t0, t1, t2, t3, den)
 
 
 # -- class-A fast evaluation ----------------------------------------------
@@ -365,13 +365,7 @@ def _affine_template(cert) -> tuple:
             [ij for ij, b in cert.quad.items() if b % 2], constraints)
 
 
-# affine_eval returns this one object for every zero sum (16 of the 20
-# eval-affine grids), so a caller that keeps its results holds no 160-byte
-# copy per zero; Scalars are immutable, so sharing one is safe
-_ZERO = Scalar(ZERO)
-
-
-def affine_eval(grid: Grid) -> Scalar:
+def affine_eval(grid: Grid) -> Cyclo8:
     """The Holant sum in polynomial time when every vertex signature is in
     class A: the sum collapses to a Gauss sum over a quadratic exponent in
     the edge variables.
@@ -398,10 +392,10 @@ def affine_eval(grid: Grid) -> Scalar:
                     f"vertex {v} signature is not in class A")
             certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
-        return _ZERO
+        return ZERO
     lam = ONE
     for name, count in Counter(grid.vertices).items():
-        lam = lam * certs[name].lam.cyclo ** count
+        lam = lam * certs[name].lam ** count
     templates = {name: _affine_template(cert) for name, cert in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation.
@@ -424,7 +418,7 @@ def affine_eval(grid: Grid) -> Scalar:
                 rhs ^= row[1]
             else:
                 if rhs:
-                    return _ZERO
+                    return ZERO
 
     nvars = len(grid.edges)
     const = 0                      # Z4, reduced at the end
@@ -482,7 +476,7 @@ def affine_eval(grid: Grid) -> Scalar:
             cv, rhs = constraints.pop()
             if not cv:                      # only a sum-out row
                 if rhs:
-                    return _ZERO
+                    return ZERO
                 continue
             # replace x, the top variable of cv, by XOR(others) + rhs
             x = cv.bit_length() - 1
@@ -528,7 +522,7 @@ def affine_eval(grid: Grid) -> Scalar:
     val = lam * (1 << twos)
     if halves % 2:
         val = val * SQRT2
-    return Scalar(val.rotate(turn + 2 * const))
+    return val.rotate(turn + 2 * const)
 
 
 # -- graphs with rotation systems ------------------------------------------
@@ -614,9 +608,8 @@ def eo_count(graph: Graph) -> int:
             raise ValueError(f"vertex {v} is not 4-regular")
     grid = grid_from_graph(graph, eo_signature(), "eo")
     val = brute_force(grid)
-    c = val.cyclo
-    assert c.is_rational() and c.coeffs[0].denominator == 1
-    return int(c.coeffs[0])
+    assert val.is_rational() and val.d == 1
+    return val.n[0]
 
 
 # -- medial graph and T(G; 3, 3) ---------------------------------------------
@@ -708,9 +701,8 @@ def tutte33(graph: Graph) -> Fraction:
     factor 2."""
     grid = medial_graph(graph)
     val = brute_force(grid)
-    c = val.cyclo
-    assert c.is_rational()
-    return c.coeffs[0] / 2 ** _edge_components(graph.edges)
+    assert val.is_rational()
+    return val.coeffs[0] / 2 ** _edge_components(graph.edges)
 
 
 def _edge_components(edges) -> int:
@@ -757,7 +749,7 @@ def ising_signature(jh, jv, j, jp, jpp) -> EightVertexSig:
         if e.denominator != 1:
             raise NotRepresentable(
                 f"energy {e} is not an integer multiple of i*pi/4")
-        weights[k] = scalar(ALPHA ** ((-int(e)) % 8))
+        weights[k] = ALPHA ** ((-int(e)) % 8)
     return EightVertexSig(**weights)
 
 
@@ -768,25 +760,22 @@ def chain_block(t) -> Signature:
     [[1,0,0,t],[0,1,t,0],[0,t,1,0],[t,0,0,1]], diagonalized by the chain
     basis with eigenvalue pairs (1+t, 1+t, 1-t, 1-t)."""
     t = scalar(t)
-    one = scalar(1)
-    z = scalar(0)
-    return signature_from_matrix([[one, z, z, t],
-                                  [z, one, t, z],
-                                  [z, t, one, z],
-                                  [t, z, z, one]])
+    return signature_from_matrix([[ONE, ZERO, ZERO, t],
+                                  [ZERO, ONE, t, ZERO],
+                                  [ZERO, t, ONE, ZERO],
+                                  [t, ZERO, ZERO, ONE]])
 
 
 def slot_signature(lam) -> Signature:
     """The target signature g_lambda with chain-basis eigenvalues
     (2, 2, 2*lambda, 2*lambda)."""
     lam = scalar(lam)
-    p = scalar(1) + lam
-    m = scalar(1) - lam
-    z = scalar(0)
-    return signature_from_matrix([[p, z, z, m],
-                                  [z, p, m, z],
-                                  [z, m, p, z],
-                                  [m, z, z, p]])
+    p = ONE + lam
+    m = ONE - lam
+    return signature_from_matrix([[p, ZERO, ZERO, m],
+                                  [ZERO, p, m, ZERO],
+                                  [ZERO, m, p, ZERO],
+                                  [m, ZERO, ZERO, p]])
 
 
 def _solve_linear(a, b):
@@ -800,7 +789,7 @@ def _solve_linear(a, b):
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = scalar(1) / m[col][col]
+        inv = ONE / m[col][col]
         m[col] = [v * inv for v in m[col]]
         for r in range(n):
             if r != col and not m[r][col].is_zero():
@@ -852,10 +841,10 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
     direct = {}
     for lam in lambdas:
         lam_s = scalar(lam)
-        total = scalar(0)
+        total = ZERO
         for j in range(m + 1):
-            total = total + (scalar(2) ** (m - j)
-                             * (scalar(2) * lam_s) ** j * coeffs[j])
+            total = total + (Cyclo8(2) ** (m - j)
+                             * (2 * lam_s) ** j * coeffs[j])
         values[str(lam)] = total
         if check:
             direct[str(lam)] = brute_force(with_slot(slot_signature(lam)))

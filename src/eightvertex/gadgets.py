@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numeric import Scalar, scalar, SQRT2, Cyclo8
+from .numeric import Cyclo8, ONE, SQRT2, ZERO, scalar
 from .signatures import Signature
 
 
@@ -25,16 +25,16 @@ class ChainFormUnsupported(ValueError):
 class BinarySig:
     """A binary signature (g00, g01, g10, g11)."""
 
-    g00: Scalar
-    g01: Scalar
-    g10: Scalar
-    g11: Scalar
+    g00: Cyclo8
+    g01: Cyclo8
+    g10: Cyclo8
+    g11: Cyclo8
 
     @staticmethod
     def make(g00, g01, g10, g11) -> "BinarySig":
         return BinarySig(*(scalar(v) for v in (g00, g01, g10, g11)))
 
-    def at(self, s: int, t: int) -> Scalar:
+    def at(self, s: int, t: int) -> Cyclo8:
         return (self.g00, self.g01, self.g10, self.g11)[2 * s + t]
 
     def to_signature(self) -> Signature:
@@ -58,13 +58,13 @@ def signature_from_matrix(m) -> Signature:
 
 def _mat_mul(a, b):
     n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), scalar(0))
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
              for j in range(n)] for i in range(n)]
 
 
 def _mat_pow(m, e: int):
     n = len(m)
-    result = [[scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     base = m
     while e:
         if e & 1:
@@ -74,7 +74,7 @@ def _mat_pow(m, e: int):
     return result
 
 
-_N4 = [[scalar(1 if i + j == 3 else 0) for j in range(4)] for i in range(4)]
+_N4 = [[ONE if i + j == 3 else ZERO for j in range(4)] for i in range(4)]
 
 
 def connect_via_n(f: Signature, g: Signature) -> Signature:
@@ -110,7 +110,7 @@ def loop_binary(f: Signature, i: int, j: int, g: BinarySig) -> Signature:
         for pos, k in enumerate(rest):
             if (m >> (n - 3 - pos)) & 1:
                 base |= 1 << k
-        acc = scalar(0)
+        acc = ZERO
         for s in (0, 1):
             for t in (0, 1):
                 idx = base | (s << bi) | (t << bj)
@@ -140,7 +140,7 @@ def binary_modify(f: Signature, i: int, g: BinarySig) -> Signature:
     out = []
     for m in range(1 << n):
         v = (m >> bi) & 1
-        acc = scalar(0)
+        acc = ZERO
         for s in (0, 1):
             idx = (m & ~(1 << bi)) | (s << bi)
             acc = acc + g.at(v, 1 - s) * f.values[idx]
@@ -151,12 +151,11 @@ def binary_modify(f: Signature, i: int, g: BinarySig) -> Signature:
 # -- eigenstructure of chain gadgets -------------------------------------
 
 def _standard_p():
-    h = scalar(Cyclo8(1) / SQRT2)
-    z = scalar(0)
-    return [[h, z, z, h],
-            [z, h, h, z],
-            [z, h, -h, z],
-            [h, z, z, -h]]
+    h = ONE / SQRT2
+    return [[h, ZERO, ZERO, h],
+            [ZERO, h, h, ZERO],
+            [ZERO, h, -h, ZERO],
+            [h, ZERO, ZERO, -h]]
 
 
 def eigen_report(f: Signature):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numeric import (Cyclo8, ONE, SQRT2, sqrt_in_field, unit_modulus,
-                      DivisionByZero)
+from .numeric import (Cyclo8, ONE, SQRT2, scalar, sqrt_in_field,
+                      unit_modulus, DivisionByZero)
 
 
 class NotInField(ValueError):
@@ -36,9 +36,7 @@ class ExtComplex:
 
     @staticmethod
     def finite(v) -> "ExtComplex":
-        if not isinstance(v, Cyclo8):
-            v = Cyclo8(v)
-        return ExtComplex(v)
+        return ExtComplex(scalar(v))
 
     def __str__(self):
         return "inf" if self.is_infinity else str(self.value)
@@ -50,12 +48,7 @@ class Mobius:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        vals = []
-        for v in (a, b, c, d):
-            if not isinstance(v, Cyclo8):
-                v = Cyclo8(v)
-            vals.append(v)
-        a, b, c, d = vals
+        a, b, c, d = map(scalar, (a, b, c, d))
         if (a * d - b * c).is_zero():
             raise ValueError("Moebius matrix must have nonzero determinant")
         object.__setattr__(self, "a", a)

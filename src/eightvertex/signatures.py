@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .numeric import Scalar, scalar, parse_scalar
+from .numeric import Cyclo8, ZERO, parse_cyclo8, scalar
 
 
 class OddSupportWithHalfTransform(ValueError):
@@ -46,10 +46,10 @@ class Signature:
     def __setattr__(self, name, value):
         raise AttributeError("Signature is immutable")
 
-    def __getitem__(self, m: int) -> Scalar:
+    def __getitem__(self, m: int) -> Cyclo8:
         return self.values[m]
 
-    def at(self, *bits) -> Scalar:
+    def at(self, *bits) -> Cyclo8:
         m = 0
         for b in bits:
             m = (m << 1) | (b & 1)
@@ -92,7 +92,7 @@ class Signature:
             elif s != r:
                 return None
         if s is None:
-            s = scalar(0) if self.is_zero() else None
+            s = ZERO if self.is_zero() else None
         return s
 
 
@@ -110,14 +110,14 @@ class EightVertexSig:
     """The eight entries (a, b, c, d, w, z, y, x) of an eight-vertex
     signature, in the layout of the matrix docstring above."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-    w: Scalar
-    z: Scalar
-    y: Scalar
-    x: Scalar
+    a: Cyclo8
+    b: Cyclo8
+    c: Cyclo8
+    d: Cyclo8
+    w: Cyclo8
+    z: Cyclo8
+    y: Cyclo8
+    x: Cyclo8
 
     @staticmethod
     def make(a, b, c, d, w, z, y, x) -> "EightVertexSig":
@@ -137,13 +137,13 @@ class EightVertexSig:
             raise ValueError(
                 "expected 8 entries a,b,c,d,w,z,y,x "
                 "(use ';' separators if entries contain commas)")
-        return EightVertexSig(*(parse_scalar(p) for p in parts))
+        return EightVertexSig(*(parse_cyclo8(p) for p in parts))
 
     def entries(self):
         return (self.a, self.b, self.c, self.d, self.w, self.z, self.y, self.x)
 
     def to_signature(self) -> Signature:
-        vals = [scalar(0)] * 16
+        vals = [ZERO] * 16
         for name, pos in _EV_POSITIONS.items():
             vals[pos] = getattr(self, name)
         return Signature(4, vals)

@@ -127,7 +127,7 @@ def test_generic_relations_always_certify():
 
 def test_odd_powers_parity_violation_is_hard():
     # b/c = i, y/c = 1 makes j + k odd
-    f = EightVertexSig.make(1, Cyclo8.i(), 1, 1, -1, -1, 1, -Cyclo8.i())
+    f = EightVertexSig.make(1, I, 1, 1, -1, -1, 1, -I)
     v = classify(f)
     assert v.kind in ("hard", "tractable")
     if v.kind == "tractable":

@@ -23,6 +23,12 @@ draws of arity 1-5, each times an entry of ``NONZERO_POOL``, a one-entry
 mutant of each, and the test_09 sweep as arity-4 signatures.  It was
 recorded before ``in_A`` read its walk tables from ``AffineSpace``.
 
+``EVAL`` covers Holant values: ``str()`` of ``brute_force`` on random
+grids over signatures with non-unit denominators, of ``affine_eval`` and
+``brute_force`` on class-A grids, of the channel sums and values of
+``interpolation_demo`` for several t, and of ``tutte33`` on K4.  It was
+recorded before ``Scalar`` became a name for ``Cyclo8``.
+
 ``GOLDEN`` was recorded with the Fraction-backed ``Cyclo8`` that the
 integer representation replaced.  A refactor that changes any verdict,
 branch, certificate or reason changes the digest.
@@ -37,14 +43,22 @@ from pathlib import Path
 
 from eightvertex.classes import in_A
 from eightvertex.classify import classify
-from eightvertex.numeric import Cyclo8
+from eightvertex.evaluate import (
+    Graph, Grid, affine_eval, brute_force, interpolation_demo,
+    slot_signature, tutte33,
+)
+from eightvertex.numeric import Cyclo8, I
 from eightvertex.signatures import EightVertexSig, Signature
 
-from util import ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_ev
+from util import (
+    ENTRY_POOL, NONZERO_POOL, quadratic_signature, random_affine_signature,
+    random_ev, random_grid,
+)
 
 GOLDEN = "5432e06ea835abbd1a0604d8ce78e6f4bf52bdd64d4979f04eb97ca524aeaffa"
 PLANTED = "eda3605efe77ad9692053f7082238fd0901eebe36e3e0d83532eaf0e4b632f74"
 A_CERTS = "f2a0c10621e9d2699f75162f286cb43fffd79be2e4f360f019dcc77e64011210"
+EVAL = "cb736bed61197cd3c9fb7bddbd1a64f48dc4dfc58bc18acaf1561cc509db6dd6"
 
 
 def sweep_corpus():
@@ -130,3 +144,42 @@ def test_in_A_certificate_digest():
         h.update(a_outcome(f).encode())
         h.update(b"\n")
     assert h.hexdigest() == A_CERTS
+
+
+def eval_corpus():
+    rng = random.Random(7171)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Cyclo8(0)
+        return Cyclo8(*(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                        for _ in range(4)))
+
+    for _ in range(60):
+        pool = {f"s{k}": Signature(ar, [entry() for _ in range(1 << ar)])
+                for k, ar in enumerate((1, 2, 3, 4))}
+        yield brute_force(random_grid(rng, pool, rng.randint(3, 9)))
+    for _ in range(60):
+        pool = {"q0": quadratic_signature(rng, 3),
+                "q1": quadratic_signature(rng, 2),
+                "r": random_affine_signature(rng, rng.randint(1, 3))}
+        grid = random_grid(rng, pool, rng.randint(3, 12))
+        yield affine_eval(grid)
+        yield brute_force(grid)
+    slots = Grid({"SLOT": slot_signature(0)}, ["SLOT", "SLOT"],
+                 [((0, p), (1, p)) for p in range(1, 5)])
+    for t in (2, Fraction(1, 3), Cyclo8(1, 0, 1, 0), Cyclo8(0, 1, 0, 2)):
+        out = interpolation_demo(slots, t, [0, 3, Fraction(-1, 2), I])
+        yield from out["channel_sums"]
+        yield from out["values"].values()
+    yield tutte33(Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+                        {0: [0, 1, 2], 1: [0, 4, 3], 2: [1, 3, 5],
+                         3: [2, 5, 4]}))
+
+
+def test_eval_value_digest():
+    h = hashlib.sha256()
+    for value in eval_corpus():
+        h.update(str(value).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == EVAL

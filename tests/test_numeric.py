@@ -1,11 +1,13 @@
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eightvertex.numeric import (
-    Cyclo8, Scalar, scalar, parse_scalar, parse_cyclo8, format_cyclo8,
+    Cyclo8, scalar, parse_scalar, parse_cyclo8, format_cyclo8,
     sqrt_in_field, as_power_of_i, unit_modulus,
     DivisionByZero, ZERO, ONE, I, ALPHA, SQRT2,
 )
@@ -138,18 +140,19 @@ def test_format_parse_round_trip(x):
 
 
 def test_parse_scalar_forms():
-    assert parse_scalar("3/2").cyclo == Cyclo8(Fraction(3, 2))
-    assert parse_scalar("-2i").cyclo == Cyclo8(-2) * I
-    assert parse_scalar("1+1i").cyclo == ONE + I
-    assert parse_scalar("a").cyclo == ALPHA
+    assert parse_scalar is parse_cyclo8
+    assert parse_cyclo8("3/2") == Cyclo8(Fraction(3, 2))
+    assert parse_cyclo8("-2i") == Cyclo8(-2) * I
+    assert parse_cyclo8("1+1i") == ONE + I
+    assert parse_cyclo8("a") == ALPHA
     with pytest.raises(ValueError):
-        parse_scalar("one")
+        parse_cyclo8("one")
 
 
 @given(cyclos)
 def test_scalar_str_round_trip(x):
-    s = scalar(x)
-    assert parse_scalar(str(s)) == s
+    assert scalar(x) is x
+    assert parse_cyclo8(str(x)) == x
 
 
 def test_scalar_demotion():
@@ -159,16 +162,47 @@ def test_scalar_demotion():
         with pytest.raises(TypeError):
             scalar(inexact)
         with pytest.raises(TypeError):
+            Cyclo8(inexact)
+        with pytest.raises(TypeError):
             scalar(1) + inexact
         with pytest.raises(TypeError):
             inexact * scalar(2)
     assert scalar(1) != 1.0
-    assert Scalar.of(Fraction(1, 2)).cyclo == Cyclo8(Fraction(1, 2))
+    assert scalar(Fraction(1, 2)) == Cyclo8(Fraction(1, 2))
 
 
 def test_scalar_division_by_zero():
     with pytest.raises(DivisionByZero):
         scalar(1) / scalar(0)
+
+
+def test_benchmark_tracer_wraps_field():
+    """benchmark/tracing.py wraps Cyclo8's operations, numeric.Scalar's
+    _binop, __neg__, __pow__ and __eq__, and numeric.parse_cyclo8 by
+    name.  A missing name fails here in about a second, not only in the
+    traced benchmark passes."""
+    import eightvertex
+    import eightvertex.classify
+    import eightvertex.evaluate  # noqa: F401  (the tracer wraps it too)
+    from eightvertex import numeric
+    from eightvertex.signatures import EightVertexSig
+
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mul, eq = Cyclo8.__dict__["__mul__"], Cyclo8.__dict__["__eq__"]
+    parse = numeric.parse_cyclo8
+    tracer = tracing.Tracer()
+    tracer.install(eightvertex)
+    try:
+        eightvertex.classify.classify(EightVertexSig.parse("1,1,1,0,0,1,1,0"))
+        assert tracer.counts["cyclo_mul"] > 0
+    finally:
+        tracer.uninstall()
+    assert Cyclo8.__dict__["__mul__"] is mul
+    assert Cyclo8.__dict__["__eq__"] is eq
+    assert numeric.parse_cyclo8 is parse
 
 
 # -- differential test against sympy: Q[x] / (x^4 + 1) ----------------------

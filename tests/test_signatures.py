@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar
+from eightvertex.numeric import Cyclo8, I, scalar
 from eightvertex.signatures import (
     Signature, EightVertexSig, eight_vertex_readoff, is_eight_vertex,
     apply_perm, pair_orbit, holographic_transform, half_diagonal,
@@ -118,7 +118,7 @@ def test_equality_disequality():
 
 def test_proportional_to():
     f = Signature(2, [0, 1, 2, 0])
-    assert f.scale(scalar(Cyclo8.i())).proportional_to(f) == scalar(Cyclo8.i())
+    assert f.scale(I).proportional_to(f) == I
     assert f.proportional_to(Signature(2, [1, 1, 2, 0])) is None
     z = Signature(2, [0, 0, 0, 0])
     assert z.proportional_to(z) == scalar(0)
@@ -163,7 +163,7 @@ def test_half_diag_square_root_free():
     # gamma^2 = i has gamma = alpha outside the rationals; the half form
     # still acts because every support point has even weight.
     f = equality(2)
-    out = half_diagonal(f, Cyclo8.i())
+    out = half_diagonal(f, I)
     assert [str(v) for v in out.values] == ["1", "0", "0", "i"]
 
 

@@ -3,16 +3,12 @@
 import random
 from fractions import Fraction
 
-from eightvertex.numeric import Cyclo8, scalar
+from eightvertex.numeric import ALPHA, I, scalar
 from eightvertex.signatures import Signature, EightVertexSig, apply_perm
 
 # The entry pool used by fuzz tests: small exact values covering the
 # rationals, the imaginary units and the eighth roots.
-ENTRY_POOL = (
-    scalar(0), scalar(1), scalar(-1), scalar(2), scalar(-2),
-    scalar(Cyclo8.i()), scalar(-Cyclo8.i()),
-    scalar(Cyclo8.alpha()), scalar(-Cyclo8.alpha()),
-)
+ENTRY_POOL = tuple(scalar(v) for v in (0, 1, -1, 2, -2, I, -I, ALPHA, -ALPHA))
 
 NONZERO_POOL = ENTRY_POOL[1:]
 
@@ -66,7 +62,7 @@ def random_affine_signature(rng: random.Random, arity: int):
     quad = {(i, j): rng.randrange(2)
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     a0 = rng.randrange(4)          # a constant term i^a0, folded into lam
-    lam = scalar(lam.cyclo.rotate(2 * a0))
+    lam = lam.rotate(2 * a0)
     cert = ACertificate(lam, space, lin, quad)
     return Signature(n, [cert.value_at(m) for m in range(1 << n)])
 
@@ -130,7 +126,7 @@ def quadratic_signature(rng, n: int) -> Signature:
         x = [(m >> (n - 1 - i)) & 1 for i in range(n)]
         e = sum(a * b for a, b in zip(lin, x))
         e += 2 * sum(x[i] * x[j] for i, j in quad)
-        vals.append(Cyclo8.i() ** (e % 4))
+        vals.append(I ** (e % 4))
     return Signature(n, vals)
 
 
