@@ -160,6 +160,25 @@ class AffineSpace:
             out.append((u, j, rest, pt[u]))
         return tuple(out)
 
+    @functools.cached_property
+    def parity(self) -> tuple:
+        """(ports, rhs) for each non-pivot coordinate, in ascending bit
+        order: the 1-based variables whose XOR is rhs on every point.
+        Together these rows cut out the space."""
+        n, offset, pivots = self.n, self.offset, self.pivots
+        rows = []
+        for bitpos in range(n):
+            if bitpos in pivots:
+                continue
+            ports = [n - bitpos]
+            rhs = (offset >> bitpos) & 1
+            for bvec, pj in zip(self.basis, pivots):
+                if (bvec >> bitpos) & 1:
+                    ports.append(n - pj)
+                    rhs ^= (offset >> pj) & 1
+            rows.append((tuple(ports), rhs))
+        return tuple(rows)
+
     def points(self):
         for bits in range(1 << self.dim):
             m = self.offset
@@ -316,14 +335,24 @@ class PDecomposition:
         covered = [v for vars_, _ in self.factors for v in vars_]
         if sorted(covered) != list(range(1, n + 1)):
             return False
+        # lam * (product of the factors) == f on numerator tuples, each
+        # signature over the lcm of its denominators, cross-multiplied
+        den = self.lam.d
+        tables = []
+        for vars_, g in self.factors:
+            d, nums = _over_lcm(g.values)
+            den *= d
+            tables.append((vars_, nums))
+        df, fnums = _over_lcm(f.values)
+        lam = tuple(k * df for k in self.lam.n)
         for m in range(1 << n):
-            prod = self.lam
-            for vars_, g in self.factors:
+            prod = lam
+            for vars_, nums in tables:
                 sub = 0
                 for v in vars_:
                     sub = (sub << 1) | ((m >> (n - v)) & 1)
-                prod = prod * g.values[sub]
-            if prod != f.values[m]:
+                prod = _times(prod, nums[sub])
+            if prod != tuple(k * den for k in fnums[m]):
                 return False
         for _, g in self.factors:
             if not _small_antipodal(g):
@@ -383,6 +412,14 @@ def _bipartition(n: int, smask: int):
     return svars, ovars, rows, cols, cells
 
 
+def _over_lcm(vals) -> tuple:
+    """(d, numerators): the values as numerator tuples over d, the lcm of
+    their denominators."""
+    d = math.lcm(*[c.d for c in vals])
+    return d, [c.n if c.d == d else tuple(k * (d // c.d) for k in c.n)
+               for c in vals]
+
+
 def _times(a: tuple, b: tuple) -> tuple:
     """The product of two numerator tuples modulo x^4 + 1, as in
     ``numeric._mul`` but with no denominator and no gcd."""
@@ -419,9 +456,7 @@ def _split_rank1(f: Signature, varlist):
         return None
     if _small_antipodal(f):
         return [(tuple(varlist), f)]
-    d = math.lcm(*[c.d for c in vals])
-    nums = [c.n if c.d == d else tuple(k * (d // c.d) for k in c.n)
-            for c in vals]
+    _, nums = _over_lcm(vals)
     for smask in range(1, 1 << (n - 1)):
         svars, ovars, rows, cols, cells = _bipartition(n, smask)
         live = [rm for rm in rows if (nz >> rm) & cells]

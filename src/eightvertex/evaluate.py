@@ -9,18 +9,22 @@ partition function is
 
 The exact sum (:func:`brute_force`) is a frontier sum.  Vertices are
 placed in a greedy order, the next being the unplaced vertex with the
-most edges to placed ones, and each edge is assigned when its second
-endpoint is placed.  One dict maps the port bits of the open vertices
-(placed, with ports still unset) to a partial sum; entries that agree
-are merged, a vertex's value is multiplied in once its last port is set,
-and an entry is dropped as soon as an open vertex's partial index has no
-nonzero completion.  Memory grows as about 2^(frontier width), the port
-bits the open vertices hold, instead of with the edge count.  The sum
-runs over integer coefficient tuples: each signature's values are put
-over one common denominator first, products are the closed form modulo
-x^4 + 1 on four ints, and the sum is reduced to a field value once, at
-the end.  Only ``max_edges`` (a ``TooManyEdges`` error, exit 3 in the
-CLI) bounds the size of a grid.
+most edges to placed ones; when a vertex is placed, its edges to placed
+vertices and its loops are assigned one edge at a time.  One dict maps
+the port bits of the open vertices (placed, with ports still unset) to a
+partial sum, and each edge is one pass over it: an entry is dropped as
+soon as an endpoint's partial index has no nonzero completion, an
+endpoint whose last port is set has its value multiplied in and its bits
+cleared, and entries that then agree are merged (the transfer-matrix
+step of Baxter, *Exactly Solved Models in Statistical Mechanics*, 1982,
+ch. 10, on a greedy frontier).  The dict never holds more than
+2^(frontier width) entries, the port bits the open vertices hold, and
+does not grow with the edge count.  The sum runs over integer
+coefficient tuples: each signature's values are put over one common
+denominator first, products are the closed form modulo x^4 + 1 on four
+ints, and the sum is reduced to a field value once, at the end.  Only
+``max_edges`` (a ``TooManyEdges`` error, exit 3 in the CLI) bounds the
+size of a grid.
 
 Beyond the frontier sum this module provides: a polynomial-time
 evaluator for grids whose signatures all lie in class A (Gauss sums over
@@ -214,17 +218,20 @@ _FULL = (1 << _FIELD) - 1
 def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     """The Holant sum over all edge orientations, as a frontier sum.
 
-    Vertices are placed in :func:`_placement_order`, and each edge is
-    assigned when its second endpoint is placed.  A vertex is open from
-    its placement until its last port is set.  One dict maps the partial
-    indexes of the open vertices (port bits set so far, one 6-bit field
-    of the key each) to the sum of the products of the completed
-    vertices' values; entries that agree are merged.  A vertex's value is
-    multiplied in once its last port is set, and an entry is dropped as
-    soon as an open vertex's partial index has no nonzero completion.
-    Memory grows as 2^(frontier width), the port bits held by the open
-    vertices, not with the edge count; only ``max_edges`` bounds the
-    input (TooManyEdges, exit 3 in the CLI).
+    Vertices are placed in :func:`_placement_order`.  A vertex is open
+    from its placement until its last port is set.  One dict maps the
+    partial indexes of the open vertices (port bits set so far, one 6-bit
+    field of the key each) to the sum of the products of the closed
+    vertices' values.  When a vertex is placed, each edge to a placed
+    vertex, and each of its loops, is assigned in turn by one pass over
+    the dict: every entry gains either the edge's first port bit or its
+    second.  The new entry is dropped if an endpoint's partial index has
+    no nonzero completion; an endpoint whose last port is now set has its
+    value multiplied in and its field cleared, so that entries that agree
+    merge at once.  The dict never holds more than 2^(frontier width)
+    entries, the port bits held by the open vertices, and does not grow
+    with the edge count; only ``max_edges`` bounds the input
+    (TooManyEdges, exit 3 in the CLI).
 
     Each signature's values are put over the lcm of their denominators,
     so the sum's denominator is the product of those of the vertices and
@@ -266,10 +273,6 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
         else:
             offset[v] = width
             width += _FIELD
-        # the key bits each assignment of v's new edges adds: the first
-        # port of an edge gets s, the second 1 - s
-        adds = [0]
-        touched = [v]
         for p in range(1, arity[v] + 1):
             e, end = ends[(v, p)]
             (a, pa), (b, pb) = grid.edges[e]
@@ -279,63 +282,60 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
             mb = 1 << (arity[b] - pb)
             assigned[a] |= ma
             assigned[b] |= mb
+            # the key bit each orientation adds: the first port of the
+            # edge gets s, the second 1 - s
             first = ma << offset[a]
             second = mb << offset[b]
-            adds = [k | first for k in adds] + [k | second for k in adds]
-            for u in (a, b):
-                if u not in touched:
-                    touched.append(u)
-        done = []           # (field offset, numerators) of closing vertices
-        checks = []         # (field offset, viable partial indexes)
-        keep = -1           # clears the fields of closing vertices
-        for u in touched:
-            name = names[u]
-            if assigned[u] == (1 << arity[u]) - 1:
-                done.append((offset[u], tables[name][1]))
-                keep &= ~(_FULL << offset[u])
-                free.append(offset[u])
-                continue
-            mask = assigned[u]
-            ok = viable.get((name, mask))
-            if ok is None:
-                ok = viable[(name, mask)] = {
-                    m & mask for m, b in enumerate(tables[name][1])
-                    if b is not None}
-            # a check that every partial index passes is left out
-            if len(ok) < 1 << bin(mask).count("1"):
-                checks.append((offset[u], ok))
-        free.sort(reverse=True)
+            done = []       # (field offset, numerators) of closing vertices
+            checks = []     # (field offset, viable partial indexes)
+            keep = -1       # clears the fields of closing vertices
+            for u in ((a,) if a == b else (a, b)):
+                name = names[u]
+                mask = assigned[u]
+                if mask == (1 << arity[u]) - 1:
+                    done.append((offset[u], tables[name][1]))
+                    keep &= ~(_FULL << offset[u])
+                    free.append(offset[u])
+                    continue
+                ok = viable.get((name, mask))
+                if ok is None:
+                    ok = viable[(name, mask)] = {
+                        m & mask for m, b in enumerate(tables[name][1])
+                        if b is not None}
+                # a check that every partial index passes is left out
+                if len(ok) < 1 << bin(mask).count("1"):
+                    checks.append((offset[u], ok))
+            free.sort(reverse=True)
 
-        out = {}
-        get = out.get
-        for key, (a0, a1, a2, a3) in sums.items():
-            for add in adds:
-                k = key | add
-                for off, ok in checks:
-                    if (k >> off) & _FULL not in ok:
-                        break
-                else:
-                    p0, p1, p2, p3 = a0, a1, a2, a3
-                    for off, nums in done:
-                        b = nums[(k >> off) & _FULL]
-                        if b is None:
+            out = {}
+            get = out.get
+            for key, (a0, a1, a2, a3) in sums.items():
+                for k in (key | first, key | second):
+                    for off, ok in checks:
+                        if (k >> off) & _FULL not in ok:
                             break
-                        b0, b1, b2, b3 = b
-                        # the product modulo x^4 + 1, as in numeric._mul
-                        p0, p1, p2, p3 = (
-                            p0 * b0 - p1 * b3 - p2 * b2 - p3 * b1,
-                            p0 * b1 + p1 * b0 - p2 * b3 - p3 * b2,
-                            p0 * b2 + p1 * b1 + p2 * b0 - p3 * b3,
-                            p0 * b3 + p1 * b2 + p2 * b1 + p3 * b0)
                     else:
-                        k &= keep
-                        s = get(k)
-                        if s is None:
-                            out[k] = (p0, p1, p2, p3)
+                        p0, p1, p2, p3 = a0, a1, a2, a3
+                        for off, nums in done:
+                            val = nums[(k >> off) & _FULL]
+                            if val is None:
+                                break
+                            b0, b1, b2, b3 = val
+                            # the product modulo x^4 + 1, as in numeric._mul
+                            p0, p1, p2, p3 = (
+                                p0 * b0 - p1 * b3 - p2 * b2 - p3 * b1,
+                                p0 * b1 + p1 * b0 - p2 * b3 - p3 * b2,
+                                p0 * b2 + p1 * b1 + p2 * b0 - p3 * b3,
+                                p0 * b3 + p1 * b2 + p2 * b1 + p3 * b0)
                         else:
-                            out[k] = (s[0] + p0, s[1] + p1, s[2] + p2,
-                                      s[3] + p3)
-        sums = out
+                            k &= keep
+                            s = get(k)
+                            if s is None:
+                                out[k] = (p0, p1, p2, p3)
+                            else:
+                                out[k] = (s[0] + p0, s[1] + p1, s[2] + p2,
+                                          s[3] + p3)
+            sums = out
     t0, t1, t2, t3 = sums.get(0, (0, 0, 0, 0))
     return _reduced(t0, t1, t2, t3, den)
 
@@ -345,24 +345,10 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
 def _affine_template(cert) -> tuple:
     """The terms of a class-A certificate over its 1-based ports: the
     linear terms (i, a), the cross terms (i, j) with coefficient 2, and
-    the parity constraints (ports, rhs) that cut out its affine space, one
-    per non-pivot coordinate in ascending bit order."""
-    space = cert.space
-    n = space.n
-    pivots = space.pivots
-    constraints = []
-    for bitpos in range(n):
-        if bitpos in pivots:
-            continue
-        ports = [n - bitpos]
-        rhs = (space.offset >> bitpos) & 1
-        for bvec, pj in zip(space.basis, pivots):
-            if (bvec >> bitpos) & 1:
-                ports.append(n - pj)
-                rhs ^= (space.offset >> pj) & 1
-        constraints.append((ports, rhs))
+    the parity constraints (ports, rhs) that cut out its affine space
+    (``AffineSpace.parity``)."""
     return (list(cert.lin.items()),
-            [ij for ij, b in cert.quad.items() if b % 2], constraints)
+            [ij for ij, b in cert.quad.items() if b % 2], cert.space.parity)
 
 
 def affine_eval(grid: Grid) -> Cyclo8:

@@ -101,6 +101,27 @@ def test_brute_force_matches_enumeration(grid):
     assert brute_force(grid) == oracles.holant_by_enumeration(grid)
 
 
+@given(small_grids(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_brute_force_ignores_numbering(grid, data):
+    """Renumbering the vertices changes the placement order; shuffling the
+    edge list and swapping the ends of edges changes the order and the
+    side from which edges are assigned.  None of it changes the sum."""
+    nv = len(grid.vertices)
+    new = data.draw(st.permutations(range(nv)))     # old vertex -> new
+    vertices = [None] * nv
+    for v, name in enumerate(grid.vertices):
+        vertices[new[v]] = name
+    edges = data.draw(st.permutations(
+        [((new[v], p), (new[w], q)) for (v, p), (w, q) in grid.edges]))
+    swaps = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    edges = [(y, x) if swap else (x, y)
+             for (x, y), swap in zip(edges, swaps)]
+    moved = Grid(grid.signatures, vertices, edges)
+    assert brute_force(moved) == oracles.holant_by_enumeration(grid)
+
+
 def torus(rows: int, cols: int) -> Graph:
     """The rows x cols torus; each vertex lists its right edge and then
     its down edge, so ports follow incidence order."""

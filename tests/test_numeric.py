@@ -1,11 +1,13 @@
 import importlib.util
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eightvertex import numeric
 from eightvertex.numeric import (
     Cyclo8, scalar, parse_scalar, parse_cyclo8, format_cyclo8,
     sqrt_in_field, as_power_of_i, unit_modulus,
@@ -147,6 +149,28 @@ def test_parse_scalar_forms():
     assert parse_cyclo8("a") == ALPHA
     with pytest.raises(ValueError):
         parse_cyclo8("one")
+
+
+def _parsed(text):
+    """parse_cyclo8's value, or the type and message of what it raised."""
+    try:
+        return parse_cyclo8(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    "+5", "-0", "007", "5_0", " 3 ", "1/0", "0/0", "1.5,0,0,0", "1e3,0,0,0",
+    "\u0663", "1,2,3", "", "+5,-0,007,12", "5_0,0,0,0", "\u0663,0,0,0",
+    "1,0,0,1/0", "12345678901234567890", "+-5", "5-",
+])
+def test_parse_int_path_matches_fraction_path(text, monkeypatch):
+    """Plain integers are read with int(); with that path switched off
+    every coefficient goes through Fraction(), and the value, or the
+    exception type and message, is the same."""
+    fast = _parsed(text)
+    monkeypatch.setattr(numeric, "_RE_INT", re.compile(r"(?!)"))
+    assert fast == _parsed(text)
 
 
 @given(cyclos)
