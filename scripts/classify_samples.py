@@ -2,7 +2,8 @@
 
 Runs the three worked sample signatures, a few hand-picked members of
 each decision branch, and a seeded random sweep, then prints kind
-counts and certificate targets.
+counts and certificate targets.  Exits 1 if a certificate fails its
+re-check.
 
 Usage: python3 scripts/classify_samples.py [n_random] [seed]
 """
@@ -64,7 +65,8 @@ def main():
     print(f"verdict counts: {counts}")
     print(f"certificate targets: {targets}")
     print(f"failed certificates: {bad}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,7 +2,7 @@
 
 Compares the Holant-based counts with the direct-enumeration and
 deletion-contraction oracles of tests/oracles.py, so it runs from a
-checkout of the repository.
+checkout of the repository.  Exits 1 if any count disagrees.
 
 Usage: python3 scripts/count_orientations.py
 """
@@ -20,6 +20,7 @@ from oracles import (  # noqa: E402
 
 
 def main():
+    mismatches = 0
     dipole = Graph([(0, 1)] * 4, {0: [0, 1, 2, 3], 1: [0, 1, 2, 3]})
     k5 = Graph(complete_graph(5))
     print("Eulerian orientations")
@@ -29,6 +30,7 @@ def main():
         direct = count_eulerian_orientations(g.edges)
         dt = time.monotonic() - t0
         flag = "ok" if holant == direct else "MISMATCH"
+        mismatches += holant != direct
         print(f"  {name:8s} holant={holant:6d} direct={direct:6d} "
               f"[{flag}] {dt:.3f}s")
 
@@ -42,9 +44,11 @@ def main():
         direct = tutte_polynomial(g.edges, 3, 3)
         dt = time.monotonic() - t0
         flag = "ok" if holant == direct else "MISMATCH"
+        mismatches += holant != direct
         print(f"  {name:8s} holant={holant} direct={direct} "
               f"[{flag}] {dt:.3f}s")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,8 @@
 Places chains of a diagonalizable building block into the slots of a
 grid, reads off the per-channel sums from a Vandermonde solve, and
 reconstructs the Holant values of several target signatures without
-evaluating them directly.
+evaluating them directly.  Exits 1 if an interpolated value disagrees
+with the directly evaluated one.
 
 Usage: python3 scripts/interpolation_walkthrough.py [t] [lambdas]
 e.g.   python3 scripts/interpolation_walkthrough.py 2 0,3,-1
@@ -36,7 +37,8 @@ def main():
         print(f"lambda = {k}: interpolated {out['values'][k]}, "
               f"direct {out['direct'][k]}")
     print("agreement:", out["agrees"])
+    return 0 if out["agrees"] else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

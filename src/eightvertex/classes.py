@@ -36,18 +36,15 @@ bipartition that passes both compares cross products, as products of
 numerator tuples over one denominator, with no gcd and no field element.
 The alphaA and L tests twist f by powers of alpha, each a signed rotation
 of the coefficients (``Cyclo8.rotate``), and run the class-A test.
-Brute-force oracles (exhaustive Q enumeration, definition level factor
-search) are provided for cross-validation at small arity.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
-from .numeric import Cyclo8, ONE, ZERO, as_power_of_i
+from .numeric import Cyclo8, ONE, ZERO
 from .signatures import Signature
 
 
@@ -369,21 +366,6 @@ def _small_antipodal(g: Signature) -> bool:
     return True
 
 
-def _restrict(f: Signature, varbits, fixed_m):
-    """The signature on the variables in varbits (ascending 1-based)
-    obtained by fixing all others to their bits in fixed_m."""
-    n = f.arity
-    k = len(varbits)
-    out = []
-    for u in range(1 << k):
-        m = fixed_m
-        for pos, v in enumerate(varbits):
-            bit = (u >> (k - 1 - pos)) & 1
-            m = (m & ~(1 << (n - v))) | (bit << (n - v))
-        out.append(f.values[m])
-    return Signature(k, out)
-
-
 @functools.lru_cache(maxsize=None)
 def _bipartition(n: int, smask: int):
     """The split of the 0-based positions of n variables into those in
@@ -527,91 +509,3 @@ def in_alphaA(f: Signature):
     ACertificate of alpha^{wt(x)} f(x), or None."""
     full = (1 << f.arity) - 1
     return in_A(_alpha_weight_twist(f, full))
-
-
-# -- brute-force oracles -------------------------------------------------
-
-def oracle_in_A(f: Signature) -> bool:
-    """Exhaustive class-A test for arity <= 4: support closure under
-    threefold XOR plus enumeration of every quadratic exponent form."""
-    n = f.arity
-    if n > 4:
-        raise ValueError("oracle limited to arity 4")
-    if f.is_zero():
-        return True
-    supp = f.support()
-    sset = set(supp)
-    for p in supp:
-        for q in supp:
-            for r in supp:
-                if p ^ q ^ r not in sset:
-                    return False
-    v0 = f.values[supp[0]]
-    exps = {}
-    for m in supp:
-        k = as_power_of_i(f.values[m] / v0)
-        if k is None:
-            return False
-        exps[m] = k
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for lin in itertools.product(range(4), repeat=n):
-        for bvals in itertools.product(range(2), repeat=len(pairs)):
-            shift = None
-            ok = True
-            for m in supp:
-                bits = [(m >> (n - i)) & 1 for i in range(1, n + 1)]
-                q = sum(lin[i] * bits[i] for i in range(n))
-                for (i, j), b in zip(pairs, bvals):
-                    q += 2 * b * bits[i - 1] * bits[j - 1]
-                delta = (exps[m] - q) % 4
-                if shift is None:
-                    shift = delta
-                elif shift != delta:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
-
-
-def oracle_in_P(f: Signature) -> bool:
-    """Definition-level class-P test for arity <= 4: search over all set
-    partitions of the variables (15 at arity 4), building each candidate
-    factor by restriction."""
-    n = f.arity
-    if n > 4:
-        raise ValueError("oracle limited to arity 4")
-    if f.is_zero():
-        return True
-    supp = f.support()
-    m0 = supp[0]
-    f0 = f.values[m0]
-    for part in _set_partitions(list(range(1, n + 1))):
-        factors = [(tuple(block), _restrict(f, block, m0)) for block in part]
-        if not all(_small_antipodal(g) for _, g in factors):
-            continue
-        ok = True
-        for m in range(1 << n):
-            prod = ONE
-            for block, g in factors:
-                sub = 0
-                for v in block:
-                    sub = (sub << 1) | ((m >> (n - v)) & 1)
-                prod = prod * g.values[sub]
-            if prod != f.values[m] * f0 ** (len(factors) - 1):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for k in range(len(sub)):
-            yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
-        yield [[first]] + sub

@@ -96,7 +96,10 @@ STEP_MATRICES = {
           _matrix(((_R, _R), (-_RI, _RI)))),
 }
 
-STEP_KINDS = (*STEP_MATRICES, "half_diag", "outer_rewrite")
+# kind -> the names of its parameters, in step order
+STEP_FIELDS = {"half_diag": ("gamma_sq",), "outer_rewrite": ("a", "x")}
+
+STEP_KINDS = (*STEP_MATRICES, *STEP_FIELDS)
 
 
 def apply_steps_signature(f: EightVertexSig, steps) -> Signature:
@@ -170,29 +173,17 @@ class Certificate:
     transformed: Signature
 
     def describe(self) -> str:
-        parts = []
-        for step in self.steps:
-            if step[0] == "half_diag":
-                parts.append(f"half_diag({step[1]})")
-            elif step[0] == "outer_rewrite":
-                parts.append(f"outer_rewrite({step[1]}, {step[2]})")
-            else:
-                parts.append(step[0])
+        parts = [f"{kind}({', '.join(map(str, args))})" if args else kind
+                 for kind, *args in self.steps]
         chain = " . ".join(parts) if parts else "identity"
         return f"{chain} -> {self.target}"
 
     def to_json_dict(self) -> dict:
-        enc = []
-        for step in self.steps:
-            if step[0] == "half_diag":
-                enc.append({"kind": "half_diag", "gamma_sq": str(step[1])})
-            elif step[0] == "outer_rewrite":
-                enc.append({"kind": "outer_rewrite",
-                            "a": str(step[1]), "x": str(step[2])})
-            else:
-                enc.append({"kind": step[0]})
+        steps = [{"kind": kind,
+                  **dict(zip(STEP_FIELDS.get(kind, ()), map(str, args)))}
+                 for kind, *args in self.steps]
         return {
-            "steps": enc,
+            "steps": steps,
             "target": self.target,
             "transformed": [str(v) for v in self.transformed.values],
         }
@@ -205,15 +196,10 @@ class Certificate:
         steps = []
         for enc in _cert_field(data["steps"], list, "steps is a list"):
             kind = _cert_field(enc, dict, "a step is an object")["kind"]
-            if kind == "half_diag":
-                steps.append(("half_diag", _cert_scalar(enc["gamma_sq"])))
-            elif kind == "outer_rewrite":
-                steps.append(("outer_rewrite",
-                              _cert_scalar(enc["a"]), _cert_scalar(enc["x"])))
-            elif kind in STEP_KINDS:
-                steps.append((kind,))
-            else:
+            if kind not in STEP_KINDS:
                 raise ValueError(f"unknown step kind {kind!r}")
+            steps.append((kind, *(_cert_scalar(enc[k])
+                                  for k in STEP_FIELDS.get(kind, ()))))
         vals = [_cert_scalar(v) for v in _cert_field(
             data["transformed"], list, "transformed is a list")]
         target = _cert_field(data["target"], str, "target is a string")

@@ -47,10 +47,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .numeric import (Cyclo8, scalar, parse_cyclo8, ALPHA, ONE, SQRT2, ZERO,
-                      _reduced)
+from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
+                      ZERO, _reduced)
 from .signatures import Signature, EightVertexSig
-from .gadgets import chain_power, eigen_report, signature_from_matrix
+from .gadgets import chain_power, eigen_report
 from .classes import in_A
 
 
@@ -745,43 +745,15 @@ def chain_block(t) -> Signature:
     """The eight-vertex building block with matrix
     [[1,0,0,t],[0,1,t,0],[0,t,1,0],[t,0,0,1]], diagonalized by the chain
     basis with eigenvalue pairs (1+t, 1+t, 1-t, 1-t)."""
-    t = scalar(t)
-    return signature_from_matrix([[ONE, ZERO, ZERO, t],
-                                  [ZERO, ONE, t, ZERO],
-                                  [ZERO, t, ONE, ZERO],
-                                  [t, ZERO, ZERO, ONE]])
+    return EightVertexSig.make(1, t, 1, t, t, 1, t, 1).to_signature()
 
 
 def slot_signature(lam) -> Signature:
-    """The target signature g_lambda with chain-basis eigenvalues
+    """The target signature g_lambda, the chain block's shape with
+    (1+lambda, 1-lambda) in place of (1, t): chain-basis eigenvalues
     (2, 2, 2*lambda, 2*lambda)."""
-    lam = scalar(lam)
-    p = ONE + lam
-    m = ONE - lam
-    return signature_from_matrix([[p, ZERO, ZERO, m],
-                                  [ZERO, p, m, ZERO],
-                                  [ZERO, m, p, ZERO],
-                                  [m, ZERO, ZERO, p]])
-
-
-def _solve_linear(a, b):
-    """Solve a x = b over exact scalars by Gaussian elimination; None if
-    a is singular."""
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()),
-                   None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                c = m[r][col]
-                m[r] = [v - c * u for v, u in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    p, m = ONE + lam, ONE - lam
+    return EightVertexSig.make(p, m, p, m, m, p, m, p).to_signature()
 
 
 def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
@@ -817,7 +789,7 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
         a_s, b_s = eig[0], eig[2]
         rows.append([a_s ** (m - j) * b_s ** j for j in range(m + 1)])
         rhs.append(brute_force(with_slot(d)))
-    coeffs = _solve_linear(rows, rhs)
+    coeffs = solve(rows, rhs)
     if coeffs is None:
         # the chain eigenvalues (1+t)^4s and (1-t)^4s do not separate the
         # channels, e.g. for t in {0, 1, -1, i}

@@ -4,44 +4,21 @@ All constructions live in the bipartite setting where every edge carries
 the binary disequality: composing two arity-4 signatures through a pair of
 edges multiplies their matrices with N = antidiag(1,1,1,1) in between, and
 attaching a binary signature to a dangling leg goes through one
-disequality edge.  Scalar factors are always kept; nothing is normalized
-away.
+disequality edge.  A binary signature is an arity-2 :class:`Signature`
+g, read as g(s, t) = ``g.at(s, t)``.  Scalar factors are always kept;
+nothing is normalized away.  Matrix products and powers are
+``numeric.mat_mul`` and ``numeric.mat_pow``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .numeric import Cyclo8, ONE, SQRT2, ZERO, scalar
+from .numeric import ONE, SQRT2, ZERO, mat_mul, mat_pow
 from .signatures import Signature
 
 
 class ChainFormUnsupported(ValueError):
     """The signature matrix is not diagonalized by the standard involution
     used for chain gadgets."""
-
-
-@dataclass(frozen=True)
-class BinarySig:
-    """A binary signature (g00, g01, g10, g11)."""
-
-    g00: Cyclo8
-    g01: Cyclo8
-    g10: Cyclo8
-    g11: Cyclo8
-
-    @staticmethod
-    def make(g00, g01, g10, g11) -> "BinarySig":
-        return BinarySig(*(scalar(v) for v in (g00, g01, g10, g11)))
-
-    def at(self, s: int, t: int) -> Cyclo8:
-        return (self.g00, self.g01, self.g10, self.g11)[2 * s + t]
-
-    def to_signature(self) -> Signature:
-        return Signature(2, [self.g00, self.g01, self.g10, self.g11])
-
-    def matrix(self):
-        return ((self.g00, self.g01), (self.g10, self.g11))
 
 
 def signature_matrix(f: Signature):
@@ -56,24 +33,6 @@ def signature_from_matrix(m) -> Signature:
     return Signature(4, vals)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-             for j in range(n)] for i in range(n)]
-
-
-def _mat_pow(m, e: int):
-    n = len(m)
-    result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    base = m
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        e >>= 1
-    return result
-
-
 _N4 = [[ONE if i + j == 3 else ZERO for j in range(4)] for i in range(4)]
 
 
@@ -81,7 +40,7 @@ def connect_via_n(f: Signature, g: Signature) -> Signature:
     """Join legs (x3, x4) of f to legs (x1, x2) of g through two
     disequality edges: M(h) = M(f) N M(g)."""
     return signature_from_matrix(
-        _mat_mul(_mat_mul(signature_matrix(f), _N4), signature_matrix(g)))
+        mat_mul(mat_mul(signature_matrix(f), _N4), signature_matrix(g)))
 
 
 def chain_power(f: Signature, k: int) -> Signature:
@@ -90,13 +49,19 @@ def chain_power(f: Signature, k: int) -> Signature:
     if k < 1:
         raise ValueError("chain length must be >= 1")
     m = signature_matrix(f)
-    nm = _mat_mul(_N4, m)
-    return signature_from_matrix(_mat_mul(m, _mat_pow(nm, k - 1)))
+    nm = mat_mul(_N4, m)
+    return signature_from_matrix(mat_mul(m, mat_pow(nm, k - 1)))
 
 
-def loop_binary(f: Signature, i: int, j: int, g: BinarySig) -> Signature:
+def _require_binary(g: Signature):
+    if g.arity != 2:
+        raise ValueError(f"need a binary signature, got arity {g.arity}")
+
+
+def loop_binary(f: Signature, i: int, j: int, g: Signature) -> Signature:
     """Connect variables i and j of f (1-based) through the binary g:
     h(rest) = sum_{s,t} f(.. s at i .. t at j ..) g(s, t)."""
+    _require_binary(g)
     n = f.arity
     if not (1 <= i <= n and 1 <= j <= n and i != j):
         raise ValueError("need two distinct variable positions")
@@ -121,18 +86,19 @@ def loop_binary(f: Signature, i: int, j: int, g: BinarySig) -> Signature:
 
 def pin(f: Signature, i: int, j: int, vi: int = 1, vj: int = 0) -> Signature:
     """Fix variable i to vi and variable j to vj, dropping both."""
-    g = BinarySig.make(*(1 if (s, t) == (vi, vj) else 0
-                         for s in (0, 1) for t in (0, 1)))
+    g = Signature(2, [1 if (s, t) == (vi, vj) else 0
+                      for s in (0, 1) for t in (0, 1)])
     return loop_binary(f, i, j, g)
 
 
-def binary_modify(f: Signature, i: int, g: BinarySig) -> Signature:
+def binary_modify(f: Signature, i: int, g: Signature) -> Signature:
     """Replace leg i of f by leg 1 of g, joined through a disequality edge:
     h(.. v at i ..) = sum_s g(v, 1-s) f(.. s at i ..).
 
     Modifying by (0, 1, t, 0) scales exactly the entries with x_i = 1
     by t.
     """
+    _require_binary(g)
     n = f.arity
     if not 1 <= i <= n:
         raise ValueError("variable position out of range")
@@ -150,12 +116,11 @@ def binary_modify(f: Signature, i: int, g: BinarySig) -> Signature:
 
 # -- eigenstructure of chain gadgets -------------------------------------
 
-def _standard_p():
-    h = ONE / SQRT2
-    return [[h, ZERO, ZERO, h],
-            [ZERO, h, h, ZERO],
-            [ZERO, h, -h, ZERO],
-            [h, ZERO, ZERO, -h]]
+_H = ONE / SQRT2
+_P = ((_H, ZERO, ZERO, _H),
+      (ZERO, _H, _H, ZERO),
+      (ZERO, _H, -_H, ZERO),
+      (_H, ZERO, ZERO, -_H))
 
 
 def eigen_report(f: Signature):
@@ -165,11 +130,10 @@ def eigen_report(f: Signature):
     Returns (P, eigenvalues) where M(f) = P diag(eigenvalues) P.  Raises
     ChainFormUnsupported when P M(f) P is not diagonal.
     """
-    p = _standard_p()
-    m = _mat_mul(_mat_mul(p, signature_matrix(f)), p)
+    m = mat_mul(mat_mul(_P, signature_matrix(f)), _P)
     for r in range(4):
         for c in range(4):
             if r != c and not m[r][c].is_zero():
                 raise ChainFormUnsupported(
                     "signature matrix is not diagonal in the chain basis")
-    return p, [m[k][k] for k in range(4)]
+    return _P, [m[k][k] for k in range(4)]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numeric import (Cyclo8, ONE, SQRT2, scalar, sqrt_in_field,
-                      unit_modulus, DivisionByZero)
+from .numeric import (Cyclo8, ONE, SQRT2, mat_mul, mat_pow, scalar,
+                      sqrt_in_field, unit_modulus)
 
 
 class NotInField(ValueError):
@@ -33,10 +33,6 @@ class ExtComplex:
     @staticmethod
     def infinity() -> "ExtComplex":
         return ExtComplex(None)
-
-    @staticmethod
-    def finite(v) -> "ExtComplex":
-        return ExtComplex(scalar(v))
 
     def __str__(self):
         return "inf" if self.is_infinity else str(self.value)
@@ -65,23 +61,16 @@ class Mobius:
     def trace(self) -> Cyclo8:
         return self.a + self.d
 
+    def matrix(self):
+        return ((self.a, self.b), (self.c, self.d))
+
     def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(self.a * other.a + self.b * other.c,
-                      self.a * other.b + self.b * other.d,
-                      self.c * other.a + self.d * other.c,
-                      self.c * other.b + self.d * other.d)
+        (a, b), (c, d) = mat_mul(self.matrix(), other.matrix())
+        return Mobius(a, b, c, d)
 
     def power(self, n: int) -> "Mobius":
-        if n < 0:
-            raise ValueError("nonnegative powers only")
-        result = Mobius(1, 0, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return result
+        (a, b), (c, d) = mat_pow(self.matrix(), n)
+        return Mobius(a, b, c, d)
 
     def is_scalar(self) -> bool:
         return (self.b.is_zero() and self.c.is_zero()
@@ -157,21 +146,9 @@ class Mobius:
         """The points z0, m(z0), ..., m^{steps-1}(z0) together with a flag
         saying whether all of them are distinct."""
         pts = [z0]
-        seen = {self._key(z0)}
-        distinct = True
-        z = z0
         for _ in range(steps - 1):
-            z = self.apply(z)
-            k = self._key(z)
-            if k in seen:
-                distinct = False
-            seen.add(k)
-            pts.append(z)
-        return pts, distinct
-
-    @staticmethod
-    def _key(z: ExtComplex):
-        return ("inf",) if z.is_infinity else z.value.coeffs
+            pts.append(self.apply(pts[-1]))
+        return pts, len(set(pts)) == len(pts)
 
     def fixed_points(self):
         """Fixed points on the extended plane.

@@ -28,6 +28,12 @@ are second names for Cyclo8 and parse_cyclo8, and ``Cyclo8._binop`` is a
 method that nothing calls.  They are kept only for the benchmark: it
 reads ``parse_scalar``, and its tracer (``benchmark/tracing.py``) wraps
 ``Scalar._binop``, ``__neg__``, ``__pow__`` and ``__eq__`` by name.
+
+The section "matrices over the field" holds the package's only matrix
+arithmetic: :func:`mat_mul`, :func:`mat_pow` (repeated squaring) and
+:func:`solve` (Gaussian elimination), on matrices given as sequences of
+rows.  Gadget chains, Moebius maps and the interpolation system all go
+through them.
 """
 
 from __future__ import annotations
@@ -411,6 +417,49 @@ def sqrt_in_field(x: Cyclo8):
         if y * y == x:
             return y
     return None
+
+
+# -- matrices over the field -------------------------------------------
+
+def mat_mul(a, b):
+    """The product of matrices a and b, each a sequence of rows."""
+    cols = tuple(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
+            for row in a]
+
+
+def mat_pow(m, e: int):
+    """m^e for a square m and e >= 0, by repeated squaring."""
+    if e < 0:
+        raise ValueError("nonnegative powers only")
+    n = len(m)
+    result = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    while e:
+        if e & 1:
+            result = mat_mul(result, m)
+        m = mat_mul(m, m)
+        e >>= 1
+    return result
+
+
+def solve(a, b):
+    """The x with a x = b for a square a and a vector b, by Gaussian
+    elimination; None if a is singular."""
+    n = len(b)
+    m = [list(row) + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not m[r][col].is_zero()),
+                   None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = m[col][col].inverse()
+        m[col] = [v * inv for v in m[col]]
+        for r in range(n):
+            if r != col and not m[r][col].is_zero():
+                c = m[r][col]
+                m[r] = [v - c * u for v, u in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
 
 
 # -- text syntax -------------------------------------------------------

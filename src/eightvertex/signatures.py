@@ -179,19 +179,6 @@ def is_eight_vertex(f: Signature) -> bool:
     return eight_vertex_readoff(f) is not None
 
 
-def matrix_view(f: Signature, row_vars: int = None):
-    """f as a matrix with rows indexed by the first row_vars variables and
-    columns by the rest.  Defaults to an even split."""
-    n = f.arity
-    if row_vars is None:
-        row_vars = n // 2
-    if not 0 <= row_vars <= n:
-        raise ValueError("row_vars out of range")
-    cols = n - row_vars
-    return [[f.values[(r << cols) | c] for c in range(1 << cols)]
-            for r in range(1 << row_vars)]
-
-
 def compressed_matrix(f: Signature):
     """The 3x3 matrix over input weights used for redundancy arguments:
 
@@ -213,10 +200,9 @@ def is_redundant(f: Signature) -> bool:
     c = d = w = z."""
     if f.arity != 4:
         return False
-    m = matrix_view(f, 2)
-    if m[1] != m[2]:
-        return False
-    return all(m[r][1] == m[r][2] for r in range(4))
+    v = f.values  # row (x1, x2) = r, column (x3, x4) = c at 4r + c
+    return (v[4:8] == v[8:12]
+            and all(v[4 * r + 1] == v[4 * r + 2] for r in range(4)))
 
 
 # -- variable permutations ---------------------------------------------

@@ -2,13 +2,18 @@
 
 Everything here is deliberately naive: deletion-contraction for the
 Tutte polynomial, direct orientation enumeration for Eulerian
-orientation counts.  The package code must agree with these on small
-inputs; the frozen constants in the test files were produced by these
-oracles.
+orientation counts, exhaustive quadratic forms and set partitions for
+membership in classes A and P.  The package code must agree with these
+on small inputs; the frozen constants in the test files were produced by
+these oracles.
 """
 
 import itertools
 from fractions import Fraction
+
+from eightvertex.numeric import Cyclo8
+
+_I = Cyclo8(0, 0, 1, 0)
 
 
 def tutte_polynomial(edges, x, y):
@@ -104,3 +109,114 @@ def holant_by_enumeration(grid):
             term = f.values[m] * term
         total = term + total
     return total
+
+
+# -- class membership at arity <= 4 ---------------------------------------
+
+def oracle_in_A(f):
+    """Exhaustive class-A test for arity <= 4: support closure under
+    threefold XOR plus enumeration of every quadratic exponent form."""
+    n = f.arity
+    if n > 4:
+        raise ValueError("oracle limited to arity 4")
+    if f.is_zero():
+        return True
+    supp = f.support()
+    sset = set(supp)
+    for p in supp:
+        for q in supp:
+            for r in supp:
+                if p ^ q ^ r not in sset:
+                    return False
+    v0 = f.values[supp[0]]
+    exps = {}
+    for m in supp:
+        k = next((k for k in range(4) if f.values[m] == v0 * _I ** k), None)
+        if k is None:
+            return False
+        exps[m] = k
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for lin in itertools.product(range(4), repeat=n):
+        for bvals in itertools.product(range(2), repeat=len(pairs)):
+            shift = None
+            ok = True
+            for m in supp:
+                bits = [(m >> (n - i)) & 1 for i in range(1, n + 1)]
+                q = sum(lin[i] * bits[i] for i in range(n))
+                for (i, j), b in zip(pairs, bvals):
+                    q += 2 * b * bits[i - 1] * bits[j - 1]
+                delta = (exps[m] - q) % 4
+                if shift is None:
+                    shift = delta
+                elif shift != delta:
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False
+
+
+def oracle_in_P(f):
+    """Definition-level class-P test for arity <= 4: search over all set
+    partitions of the variables (15 at arity 4), building each candidate
+    factor by restriction."""
+    n = f.arity
+    if n > 4:
+        raise ValueError("oracle limited to arity 4")
+    if f.is_zero():
+        return True
+    supp = f.support()
+    m0 = supp[0]
+    f0 = f.values[m0]
+    for part in _set_partitions(list(range(1, n + 1))):
+        factors = [(block, _restrict(f, block, m0)) for block in part]
+        if not all(_complementary_support(vals) for _, vals in factors):
+            continue
+        ok = True
+        for m in range(1 << n):
+            prod = 1
+            for block, vals in factors:
+                sub = 0
+                for v in block:
+                    sub = (sub << 1) | ((m >> (n - v)) & 1)
+                prod = vals[sub] * prod
+            if prod != f.values[m] * f0 ** (len(factors) - 1):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def _complementary_support(vals):
+    """True iff the table vals over k bits is nonzero at no more than two
+    points, and at two only if they are complements: m + m' = 2^k - 1."""
+    supp = [m for m, v in enumerate(vals) if not v.is_zero()]
+    return len(supp) < 2 or (len(supp) == 2
+                              and supp[0] + supp[1] == len(vals) - 1)
+
+
+def _restrict(f, varbits, fixed_m):
+    """The table of f over the variables in varbits (ascending 1-based)
+    with all others fixed to their bits in fixed_m."""
+    n = f.arity
+    k = len(varbits)
+    out = []
+    for u in range(1 << k):
+        m = fixed_m
+        for pos, v in enumerate(varbits):
+            bit = (u >> (k - 1 - pos)) & 1
+            m = (m & ~(1 << (n - v))) | (bit << (n - v))
+        out.append(f.values[m])
+    return out
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        for k in range(len(sub)):
+            yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
+        yield [[first]] + sub

@@ -9,10 +9,9 @@ from eightvertex.signatures import (
     Signature, equality, disequality2, holographic_transform,
 )
 import eightvertex.classes as classes
-from eightvertex.classes import (
-    in_A, in_P, in_L, in_alphaA, oracle_in_A, oracle_in_P,
-)
+from eightvertex.classes import in_A, in_P, in_L, in_alphaA
 
+from oracles import oracle_in_A, oracle_in_P
 from util import (
     ENTRY_POOL, NONZERO_POOL, random_affine_signature, random_ev,
     random_product_signature, random_signature,

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar
+from eightvertex.numeric import Cyclo8, I, ONE, ZERO, mat_mul, mat_pow, scalar
 from eightvertex.signatures import Signature, EightVertexSig, apply_perm
 from eightvertex.gadgets import (
-    BinarySig, signature_matrix, signature_from_matrix, connect_via_n,
+    signature_matrix, signature_from_matrix, connect_via_n,
     chain_power, loop_binary, pin, binary_modify, eigen_report,
     ChainFormUnsupported,
 )
@@ -69,12 +69,12 @@ def check_symmetrization(a, b, d):
     z = -a^2, y = -a^2/b."""
     w, z, y = a * a / d, -a * a, -a * a / b
     f = ev_sig(a, b, 1, d, w, z, y, a)
-    f1 = binary_modify(f, 1, BinarySig.make(0, 1, 1 / w, 0))
-    f1 = binary_modify(f1, 3, BinarySig.make(0, 1, 1 / d, 0))
+    f1 = binary_modify(f, 1, Signature(2, [0, 1, 1 / w, 0]))
+    f1 = binary_modify(f1, 3, Signature(2, [0, 1, 1 / d, 0]))
     assert f1 == ev_sig(a, b / d, 1, 1, 1, -1, -d / b, 1 / a)
     f1p = reorder(f1, (1, 4, 3, 2))
-    f6 = binary_modify(f1p, 1, BinarySig.make(0, 1, -b / d, 0))
-    f6 = binary_modify(f6, 3, BinarySig.make(0, 1, d / b, 0))
+    f6 = binary_modify(f1p, 1, Signature(2, [0, 1, -b / d, 0]))
+    f6 = binary_modify(f6, 3, Signature(2, [0, 1, d / b, 0]))
     assert f6 == ev_sig(a, d / b, 1, 1, 1, 1, -b / d, -1 / a)
     f7 = connect_via_n(f6, reorder(f6, (3, 4, 1, 2)))
     assert f7 == scaled(2, a * d / b, -1, 1, 1, 1, 1, -1, b / (a * d))
@@ -138,7 +138,7 @@ def test_attach_binary_matches_matrix_product():
     rng = random.Random(5)
     t = nonzero_fraction(rng)
     f = ev_sig(2, 3, 1, Fraction(1, 2), Fraction(1, 2), 1, 5, 2)
-    flipped = BinarySig.make(0, scalar(t), scalar(1), 0)
+    flipped = Signature(2, [0, scalar(t), scalar(1), 0])
     h = loop_binary(f, 3, 4, flipped)
     m = signature_matrix(f)
     gvec = [scalar(0), scalar(t), scalar(1), scalar(0)]
@@ -180,9 +180,42 @@ def test_pin_drops_two_variables():
 def test_binary_modify_scales_one_leg():
     f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
     t = scalar(Fraction(3, 2))
-    g = binary_modify(f, 1, BinarySig.make(0, 1, t, 0))
+    g = binary_modify(f, 1, Signature(2, [0, 1, t, 0]))
     ref = [v * t if (m >> 3) & 1 else v for m, v in enumerate(f.values)]
     assert list(g.values) == ref
+
+
+def test_binaries_must_have_arity_two():
+    f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
+    g3 = Signature(3, [0, 1, 2, 0, 0, 3, 4, 0])
+    with pytest.raises(ValueError):
+        binary_modify(f, 1, g3)
+    with pytest.raises(ValueError):
+        loop_binary(f, 3, 4, g3)
+
+
+def test_corollary_binaries_for_t_equal_i():
+    """The corollary with n = 4, t = i: k copies of g = (0, 1, t, 0)
+    chained through disequality edges give (0, 1, t^k, 0), distinct for
+    k = 1, 2, 3, and back to the disequality at k = 4; modifying leg 1 of
+    f by the k-th binary scales exactly the x1 = 1 entries by t^k."""
+    t = I
+    g = ((ZERO, ONE), (t, ZERO))
+    gn = mat_mul(g, ((ZERO, ONE), (ONE, ZERO)))
+    # the corollary's M(f), with x = a, abcdyzw != 0 and
+    # [[c, d], [w, z]] = [[5, 7], [11, 13]] of full rank
+    f = ev_sig(2, 3, 5, 7, 11, 13, 17, 2)
+    seen = []
+    for k in (1, 2, 3, 4):
+        chain = mat_mul(mat_pow(gn, k - 1), g)
+        assert chain == [[ZERO, ONE], [t ** k, ZERO]]
+        seen.append(chain)
+        h = binary_modify(f, 1, Signature(2, [v for row in chain
+                                              for v in row]))
+        assert list(h.values) == [v * t ** k if m >> 3 else v
+                                  for m, v in enumerate(f.values)]
+    assert seen[0] != seen[1] != seen[2] != seen[0]
+    assert seen[3] == [[ZERO, ONE], [ONE, ZERO]]
 
 
 def test_eigen_report_round_trip():

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eightvertex import numeric
 from eightvertex.numeric import (
     Cyclo8, scalar, parse_scalar, parse_cyclo8, format_cyclo8,
-    sqrt_in_field, as_power_of_i, unit_modulus,
+    sqrt_in_field, as_power_of_i, unit_modulus, mat_mul, mat_pow, solve,
     DivisionByZero, ZERO, ONE, I, ALPHA, SQRT2,
 )
 
@@ -100,6 +101,8 @@ def test_sqrt_in_field_sound(x):
 
 def test_sqrt_in_field_misses():
     assert sqrt_in_field(Cyclo8(3)) is None
+    # nor, then, is a primitive cube root of unity (-1 +- sqrt(-3)) / 2:
+    # the corollary's case n = 3 is not representable
     assert sqrt_in_field(Cyclo8(-3)) is None
     assert sqrt_in_field(Cyclo8(Fraction(5, 7))) is None
     # sqrt(sqrt2) = 2^(1/4) generates a degree-8 extension of Q
@@ -198,6 +201,44 @@ def test_scalar_demotion():
 def test_scalar_division_by_zero():
     with pytest.raises(DivisionByZero):
         scalar(1) / scalar(0)
+
+
+# -- matrices over the field --------------------------------------------
+
+def _gaussian_matrix(rng, n):
+    """An n x n matrix of random p + q*i with small rational p, q."""
+    def entry():
+        return Cyclo8(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), 0,
+                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)), 0)
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_mat_pow_is_repeated_mat_mul():
+    rng = random.Random(1313)
+    for n in (2, 3, 4):
+        m = _gaussian_matrix(rng, n)
+        acc = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        for e in range(6):
+            assert mat_pow(m, e) == acc
+            acc = mat_mul(acc, m)
+    with pytest.raises(ValueError):
+        mat_pow(m, -1)
+
+
+def test_solve_recovers_x():
+    rng = random.Random(2626)
+    for n in (1, 2, 3, 4):
+        a = _gaussian_matrix(rng, n)
+        x = [row[0] for row in _gaussian_matrix(rng, n)]
+        b = [row[0] for row in mat_mul(a, [[v] for v in x])]
+        assert solve(a, b) == x
+
+
+def test_solve_singular_is_none():
+    rng = random.Random(3939)
+    a = _gaussian_matrix(rng, 3)
+    a[2] = list(a[0])
+    assert solve(a, [ONE, I, ZERO]) is None
 
 
 def test_benchmark_tracer_wraps_field():
