@@ -27,13 +27,15 @@ give the linear and cross terms of Q, the order in which Q is extended
 to every point from one with a free bit fewer, and the variable of each
 pivot.  So a support that recurs costs only the exponent reads and the
 compares.  ``ACertificate.check`` compares values the same way, with the
-exponent Q(x) summed from bit masks of its terms.  The
-class-P test splits f across bipartitions of its variables, recursively.
-Two exact screens on the nonzero pattern of f, held as one int, come
-before any arithmetic: the support must have 2^k points, and the nonzero
-rows of a bipartition's matrix must share one nonzero pattern.  Only a
-bipartition that passes both compares cross products, as products of
-numerator tuples over one denominator, with no gcd and no field element.
+exponent Q(x) summed from bit masks of its terms.
+
+The class-P test reads the same hull.  A member's support is affine and
+the reduced basis of its hull is the disjoint variable blocks of its
+two-point factors, so two exact screens come before any arithmetic: the
+support must be an affine space, and its basis vectors must be pairwise
+disjoint.  Only then is f checked to be multiplicative over the blocks,
+along the hull's walk, as products of numerator tuples over one
+denominator, with no gcd and no field element.
 The alphaA and L tests twist f by powers of alpha, each a signed rotation
 of the coefficients (``Cyclo8.rotate``), and run the class-A test.
 """
@@ -259,9 +261,9 @@ class ACertificate:
 # on eval-affine (26 supports, 69300 calls), 99.7% on classify-planted
 # (25, 8512) and 98.6% on classify-sweep (3, 209); without the cache
 # eval-affine ran 0.78x the ops/s and classify-planted 0.96x.  The space
-# objects are shared, so the walk tables that ``in_A`` reads from them
-# (``singles``, ``pairs``, ``walk``, ``variables``) are built once per
-# support as well
+# objects are shared, so the walk tables that ``in_A`` and ``in_P`` read
+# from them (``singles``, ``pairs``, ``walk``, ``variables``) are built
+# once per support as well
 _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 
 
@@ -366,34 +368,6 @@ def _small_antipodal(g: Signature) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _bipartition(n: int, smask: int):
-    """The split of the 0-based positions of n variables into those in
-    smask and the rest, with index tables: the entry at row r (bits of r
-    on the smask positions, first position most significant) and column
-    c (bits of c on the rest, likewise) is at index rows[r] | cols[c].
-    Row and column bits are disjoint, so that index is also
-    rows[r] + cols[c], and ``cells``, the mask with bit cols[c] set for
-    every c, shifted left by rows[r] is the cell mask of row r.  Arity is
-    at most 6, so the cache holds at most 63 entries."""
-    svars = tuple(i for i in range(n) if (smask >> i) & 1)
-    ovars = tuple(i for i in range(n) if not (smask >> i) & 1)
-
-    def scatter(positions, a):
-        k = len(positions)
-        m = 0
-        for pos, i in enumerate(positions):
-            m |= ((a >> (k - 1 - pos)) & 1) << (n - 1 - i)
-        return m
-
-    rows = tuple(scatter(svars, r) for r in range(1 << len(svars)))
-    cols = tuple(scatter(ovars, c) for c in range(1 << len(ovars)))
-    cells = 0
-    for cm in cols:
-        cells |= 1 << cm
-    return svars, ovars, rows, cols, cells
-
-
 def _over_lcm(vals) -> tuple:
     """(d, numerators): the values as numerator tuples over d, the lcm of
     their denominators."""
@@ -413,73 +387,64 @@ def _times(a: tuple, b: tuple) -> tuple:
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
-def _split_rank1(f: Signature, varlist):
-    """Try to factor f (over the given 1-based variable labels) across a
-    bipartition; return (factors list) or None.
-
-    Two exact screens on the nonzero pattern, one int with bit m set iff
-    f[m] != 0, run before any arithmetic: f is rejected unless its
-    support has 2^k points (a tensor product of factors with one or two
-    support points each has that many), and a bipartition is skipped
-    unless every nonzero row of its matrix has the same nonzero columns
-    (a rank-one matrix is zero outside R x C, R its nonzero rows and C
-    its nonzero columns).  A survivor is rank one iff f[r, c] * pivot =
-    f[r, c0] * f[r0, c] on the cells of R x C off the pivot's row and
-    column, compared as products of numerator tuples over the lcm of
-    f's denominators."""
-    n = f.arity
-    vals = f.values
-    nz = 0
-    for m, c in enumerate(vals):
-        if any(c.n):
-            nz |= 1 << m
-    count = nz.bit_count()
-    if count & (count - 1):
-        return None
-    if _small_antipodal(f):
-        return [(tuple(varlist), f)]
-    _, nums = _over_lcm(vals)
-    for smask in range(1, 1 << (n - 1)):
-        svars, ovars, rows, cols, cells = _bipartition(n, smask)
-        live = [rm for rm in rows if (nz >> rm) & cells]
-        pattern = (nz >> live[0]) & cells
-        if any((nz >> rm) & cells != pattern for rm in live):
-            continue
-        on = [cm for cm in cols if (pattern >> cm) & 1]
-        # the first nonzero entry, rows before columns, is the pivot
-        row0, col0 = live[0], on[0]
-        p = nums[row0 | col0]
-        if not all(_times(nums[rm | cm], p)
-                   == _times(nums[rm | col0], nums[row0 | cm])
-                   for rm in live[1:] for cm in on[1:]):
-            continue
-        pivot = vals[row0 | col0]
-        g = Signature(len(svars), [vals[rm | col0] for rm in rows])
-        inv = 1 / pivot
-        h = Signature(len(ovars), [vals[row0 | cm] * inv for cm in cols])
-        gres = _split_rank1(g, [varlist[i] for i in svars])
-        if gres is None:
-            continue
-        hres = _split_rank1(h, [varlist[i] for i in ovars])
-        if hres is None:
-            continue
-        return gres + hres
-    return None
-
-
 def in_P(f: Signature):
-    """A PDecomposition if f is in class P, else None.  The factors come
-    from ``_split_rank1`` (bit-mask screens, then integer cross products)
-    and the decomposition is re-checked before it is returned."""
+    """A PDecomposition if f is in class P, else None.
+
+    A nonzero member's support is offset + span of the indicator masks of
+    the variable blocks of its two-point factors.  Those masks are
+    pairwise disjoint, so they are the reduced basis of the support's
+    affine hull (row reduction is unique).  Three screens, in this order:
+    the support is an affine space (``_hull``), its basis vectors are
+    pairwise disjoint, and f is multiplicative over them.  Only the last
+    does arithmetic: along ``space.walk``, f(point) f(offset) = f(rest)
+    f(offset ^ basis[j]), compared as products of numerator tuples over
+    one denominator.  By induction on the free coordinates u this gives
+    f(u) = f(0)^(1 - |u|) * prod f(e_j) over the bits j of u.  The factors
+    are then one two-point factor per basis vector, with values 1 and
+    f(e_j) / f(0), and one one-point factor on the fixed variables, with
+    lam = f(0); the decomposition is re-checked before it is returned."""
     n = f.arity
     if f.is_zero():
         return PDecomposition(lam=ZERO, factors=(
             ((tuple(range(1, n + 1)),
               Signature(n, [1] + [0] * ((1 << n) - 1))),)))
-    res = _split_rank1(f, list(range(1, n + 1)))
-    if res is None:
+    vals = f.values
+    space = _hull(tuple(m for m, v in enumerate(vals) if any(v.n)), n)
+    if space is None:
         return None
-    dec = PDecomposition(lam=ONE, factors=tuple(res))
+    blocks = 0
+    for b in space.basis:
+        if blocks & b:
+            return None
+        blocks |= b
+    off = space.offset
+    _, nums = _over_lcm(vals)
+    at = [nums[off]]    # at[u]: f at the point with free coordinates u
+    for u, j, rest, m in space.walk:
+        at.append(nums[m])
+        if rest and _times(at[u], at[0]) != _times(at[rest], at[1 << j]):
+            return None
+
+    def factor(mask, other):
+        """The factor on the variables of mask: 1 at offset's bits on
+        them and, if other is given, other at the complementary bits."""
+        vars_ = tuple(v for v in range(1, n + 1) if mask >> (n - v) & 1)
+        k = len(vars_)
+        sub = 0
+        for v in vars_:
+            sub = (sub << 1) | ((off >> (n - v)) & 1)
+        table = [ZERO] * (1 << k)
+        table[sub] = ONE
+        if other is not None:
+            table[sub ^ ((1 << k) - 1)] = other
+        return vars_, Signature(k, table)
+
+    inv = 1 / vals[off]
+    factors = [factor(b, vals[off ^ b] * inv) for b in space.basis]
+    fixed = ((1 << n) - 1) ^ blocks
+    if fixed:
+        factors.append(factor(fixed, None))
+    dec = PDecomposition(lam=vals[off], factors=tuple(factors))
     if not dec.check(f):
         raise AssertionError
     return dec

@@ -280,24 +280,18 @@ def demo_interp_cmd(grid_path, t, lambdas, as_json):
     except _INPUT_ERRORS as e:
         _fail(str(e))
     if as_json:
-        enc = {
+        click.echo(json.dumps({
             "slots": report["slots"],
             "channel_sums": [str(v) for v in report["channel_sums"]],
             "values": {k: str(v) for k, v in report["values"].items()},
-        }
-        if "agrees" in report:
-            enc["direct"] = {k: str(v) for k, v in report["direct"].items()}
-            enc["agrees"] = report["agrees"]
-        click.echo(json.dumps(enc))
+            "direct": {k: str(v) for k, v in report["direct"].items()},
+            "agrees": report["agrees"],
+        }))
         return
     click.echo(f"slots: {report['slots']}")
     for k, v in report["values"].items():
-        line = f"lambda={k}: {v}"
-        if "direct" in report:
-            line += f"  direct={report['direct'][k]}"
-        click.echo(line)
-    if "agrees" in report:
-        click.echo(f"agrees: {report['agrees']}")
+        click.echo(f"lambda={k}: {v}  direct={report['direct'][k]}")
+    click.echo(f"agrees: {report['agrees']}")
 
 
 if __name__ == "__main__":

@@ -756,8 +756,7 @@ def slot_signature(lam) -> Signature:
     return EightVertexSig.make(p, m, p, m, m, p, m, p).to_signature()
 
 
-def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
-                       check: bool = True) -> dict:
+def interpolation_demo(grid: Grid, t, lambdas) -> dict:
     """Recover the Holant values that would be obtained by placing
     g_lambda at every SLOT vertex, for each lambda in lambdas, without
     ever evaluating those grids directly: chains of the building block
@@ -765,18 +764,17 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
     are read off by solving a linear system.
 
     Returns a dict with the slot count, the recovered channel sums, the
-    interpolated values, and (when check is set) the directly evaluated
-    values for comparison.  A t for which the system is singular raises
-    ValueError.
+    interpolated values, the directly evaluated values, and whether the
+    two agree.  A t for which the system is singular raises ValueError.
     """
     t = scalar(t)
-    m = sum(1 for name in grid.vertices if name == slot_name)
+    m = sum(1 for name in grid.vertices if name == "SLOT")
     if m == 0:
         raise ValueError("grid has no slot vertices")
 
     def with_slot(sig: Signature) -> Grid:
         sigs = dict(grid.signatures)
-        sigs[slot_name] = sig
+        sigs["SLOT"] = sig
         return Grid(sigs, grid.vertices, grid.edges)
 
     block = chain_block(t)
@@ -804,10 +802,7 @@ def interpolation_demo(grid: Grid, t, lambdas, slot_name: str = "SLOT",
             total = total + (Cyclo8(2) ** (m - j)
                              * (2 * lam_s) ** j * coeffs[j])
         values[str(lam)] = total
-        if check:
-            direct[str(lam)] = brute_force(with_slot(slot_signature(lam)))
-    out = {"slots": m, "channel_sums": coeffs, "values": values}
-    if check:
-        out["direct"] = direct
-        out["agrees"] = all(values[k] == direct[k] for k in values)
-    return out
+        direct[str(lam)] = brute_force(with_slot(slot_signature(lam)))
+    return {"slots": m, "channel_sums": coeffs, "values": values,
+            "direct": direct,
+            "agrees": all(values[k] == direct[k] for k in values)}

@@ -44,8 +44,6 @@ import re
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 _ZETA = cmath.exp(1j * cmath.pi / 4)
 
 

@@ -156,9 +156,6 @@ class EightVertexSig:
         """The three inner pairs ((b, y), (c, z), (d, w))."""
         return ((self.b, self.y), (self.c, self.z), (self.d, self.w))
 
-    def outer(self):
-        return (self.a, self.x)
-
     def __str__(self):
         return ";".join(str(v) for v in self.entries())
 

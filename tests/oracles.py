@@ -111,7 +111,7 @@ def holant_by_enumeration(grid):
     return total
 
 
-# -- class membership at arity <= 4 ---------------------------------------
+# -- class membership: A at arity <= 4, P at arity <= 6 -------------------
 
 def oracle_in_A(f):
     """Exhaustive class-A test for arity <= 4: support closure under
@@ -157,12 +157,12 @@ def oracle_in_A(f):
 
 
 def oracle_in_P(f):
-    """Definition-level class-P test for arity <= 4: search over all set
-    partitions of the variables (15 at arity 4), building each candidate
-    factor by restriction."""
+    """Definition-level class-P test for arity <= 6: search over all set
+    partitions of the variables (15 at arity 4, 52 at 5, 203 at 6),
+    building each candidate factor by restriction."""
     n = f.arity
-    if n > 4:
-        raise ValueError("oracle limited to arity 4")
+    if n > 6:
+        raise ValueError("oracle limited to arity 6")
     if f.is_zero():
         return True
     supp = f.support()

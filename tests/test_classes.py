@@ -107,20 +107,36 @@ def test_in_P_matches_oracle_at_arity_4():
     assert 0 < members < len(mutants) + len(swept)
 
 
+def test_in_P_matches_oracle_at_arity_5_and_6():
+    rng = random.Random(5656)
+    for n in (5, 6):
+        planted = [random_product_signature(rng, n) for _ in range(8)]
+        for f in planted:
+            assert in_P(f) is not None and oracle_in_P(f), f
+        mutants = [_one_entry_mutant(rng, f, rng.randrange(1 << n))
+                   for f in planted for _ in range(10)]
+        members = 0
+        for f in mutants:
+            member = oracle_in_P(f)
+            assert (in_P(f) is not None) == member, f
+            members += member
+        # both answers occur among the mutants
+        assert 0 < members < len(mutants), n
+
+
 def test_in_P_screens_run_before_field_arithmetic(monkeypatch):
     seen = []
-    bipartition, times = classes._bipartition, classes._times
-    monkeypatch.setattr(classes, "_bipartition",
-                        lambda *a: seen.append("split") or bipartition(*a))
+    times = classes._times
     monkeypatch.setattr(classes, "_times",
                         lambda *a: seen.append("cross") or times(*a))
-    # 3 support points: no product of one- and two-point factors has 3
+    # 3 support points: not an affine space
     assert in_P(Signature(2, [1, 1, 1, 0])) is None
-    assert seen == []
-    # the even-weight points of 3 variables: no bipartition's rows share
-    # one nonzero pattern
+    # 4 support points, 0, 1, 2 and 4, that are not an affine space
+    assert in_P(Signature(3, [1, 1, 1, 0, 1, 0, 0, 0])) is None
+    # the even-weight points of 3 variables: an affine space whose
+    # reduced basis vectors 101 and 011 overlap
     assert in_P(Signature(3, [1, 0, 0, 1, 0, 1, 1, 0])) is None
-    assert "split" in seen and "cross" not in seen
+    assert seen == []
     # full support passes both screens and fails a cross product
     assert in_P(Signature(2, [1, 1, 1, 2])) is None
     assert "cross" in seen
