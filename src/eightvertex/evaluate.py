@@ -7,6 +7,10 @@ partition function is
     sum over {0,1}-values on half-edges, opposite across each edge,
     of the product of all vertex signature values.
 
+Both evaluators first call :meth:`Grid.validate`, which checks that
+the edges join every port exactly once and returns a flat port table:
+port p of vertex v is slot[base[v] + p - 1] = 2 * edge + end.
+
 The exact sum (:func:`brute_force`) is a frontier sum.  Vertices are
 placed in a greedy order, the next being the unplaced vertex with the
 most edges to placed ones; when a vertex is placed, its edges to placed
@@ -33,7 +37,9 @@ variables; Cai and Chen, *Complexity Dichotomies for Counting Problems*,
 CUP 2017), Eulerian-orientation counting, the Tutte-polynomial
 specialization T(G; 3, 3) through the medial graph, eight-vertex
 signatures from Ising-style couplings, and a worked interpolation
-demonstration built on chain gadgets.
+demonstration built on chain gadgets.  The class-A evaluator forms the
+product of the vertices' lams only for a nonzero sum, as one power per
+distinct lam.
 """
 
 from __future__ import annotations
@@ -81,31 +87,39 @@ class Grid:
     def vertex_sig(self, v: int) -> Signature:
         return self.signatures[self.vertices[v]]
 
-    def validate(self) -> dict:
+    def validate(self) -> tuple:
         """Check that the edges join every port of every vertex exactly
-        once, raising DanglingPort otherwise, and return the map from
-        each port (v, p) to (edge index, end): end 0 for the first
-        endpoint of the edge, 1 for the second."""
+        once, raising DanglingPort otherwise, and return the flat port
+        table (base, slot): port p of vertex v is
+        slot[base[v] + p - 1] = 2 * edge + end, end 0 for the first
+        endpoint of the edge and 1 for the second.
+
+        The edges are scanned in order, each end in turn (the vertex's
+        range, then the port's range, then a port used twice), so the
+        fault reported is the first one met; an unused port is looked
+        for last, over the vertices in order."""
         arity = [self.signatures[name].arity for name in self.vertices]
         nv = len(arity)
-        ends = {}
-        for e, ((v, p), (w, q)) in enumerate(self.edges):
-            for end, (u, r) in enumerate(((v, p), (w, q))):
+        *base, total = itertools.accumulate(arity, initial=0)
+        slot = [-1] * total
+        k = 0                   # 2 * edge + end of the next endpoint
+        for first, second in self.edges:
+            for u, r in (first, second):
                 if not 0 <= u < nv:
                     raise DanglingPort(f"vertex {u} out of range")
                 if not 1 <= r <= arity[u]:
                     raise DanglingPort(f"port {r} out of range on vertex {u}")
-                if (u, r) in ends:
+                i = base[u] + r - 1
+                if slot[i] >= 0:
                     raise DanglingPort(f"port {r} of vertex {u} used twice")
-                ends[(u, r)] = (e, end)
-        # every port in the map is a distinct valid one, so equal counts
-        # mean that none is unused
-        if len(ends) != sum(arity):
+                slot[i] = k
+                k += 1
+        if -1 in slot:
             for v in range(nv):
                 for r in range(1, arity[v] + 1):
-                    if (v, r) not in ends:
+                    if slot[base[v] + r - 1] < 0:
                         raise DanglingPort(f"port {r} of vertex {v} unused")
-        return ends
+        return base, slot
 
     @staticmethod
     def from_json(text: str) -> "Grid":
@@ -235,10 +249,11 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
 
     Each signature's values are put over the lcm of their denominators,
     so the sum's denominator is the product of those of the vertices and
-    the sum adds and multiplies numerator tuples only."""
+    the sum adds and multiplies numerator tuples only.  The edge at each
+    port is read from the flat port table of :meth:`Grid.validate`."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
-    ends = grid.validate()
+    base, slot = grid.validate()
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
@@ -274,8 +289,9 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
             offset[v] = width
             width += _FIELD
         for p in range(1, arity[v] + 1):
-            e, end = ends[(v, p)]
-            (a, pa), (b, pb) = grid.edges[e]
+            k = slot[base[v] + p - 1]
+            end = k & 1
+            (a, pa), (b, pb) = grid.edges[k >> 1]
             if not placed[b if end == 0 else a] or (a == b and end):
                 continue        # set later, or a loop already set
             ma = 1 << (arity[a] - pa)
@@ -367,8 +383,12 @@ def affine_eval(grid: Grid) -> Cyclo8:
     its pivot, so no pending row holds a variable already replaced.  Then
     the least live variable is summed out, which leaves at most one new
     row, until none is left; the factors this picks up are counted and
-    applied to the product of the certificates' lams once."""
-    ends = grid.validate()
+    applied once to the product of the certificates' lams.  That product
+    is formed last, only for a nonzero sum, and once per distinct lam
+    value c, as c ** (the number of vertices carrying it).
+
+    Ports are read from the flat port table of :meth:`Grid.validate`."""
+    base, slot = grid.validate()
     certs = {}                     # signature name -> its ACertificate
     for v, name in enumerate(grid.vertices):
         if name not in certs:
@@ -379,21 +399,19 @@ def affine_eval(grid: Grid) -> Cyclo8:
             certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
         return ZERO
-    lam = ONE
-    for name, count in Counter(grid.vertices).items():
-        lam = lam * certs[name].lam ** count
     templates = {name: _affine_template(cert) for name, cert in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation.
     # echelon[top]: (row, rhs) with top bit `top`, its pivot
     echelon = {}
     for v, name in enumerate(grid.vertices):
+        at = base[v] - 1           # port i of v: slot[at + i]
         for ports, rhs in templates[name][2]:
             mask = 0
             for i in ports:
-                e, t = ends[(v, i)]
-                rhs ^= t
-                mask ^= 1 << e
+                k = slot[at + i]
+                rhs ^= k & 1
+                mask ^= 1 << (k >> 1)
             while mask:
                 top = mask.bit_length() - 1
                 row = echelon.get(top)
@@ -412,16 +430,19 @@ def affine_eval(grid: Grid) -> Cyclo8:
     nb = [0] * nvars               # bit y of nb[x]: the term 2 x y
     for v, name in enumerate(grid.vertices):
         lins, quads, _ = templates[name]
+        at = base[v] - 1
         for i, a in lins:
-            e, t = ends[(v, i)]
-            if t:
+            k = slot[at + i]
+            if k & 1:
                 const += a
-                lin[e] -= a
+                lin[k >> 1] -= a
             else:
-                lin[e] += a
+                lin[k >> 1] += a
         for i, j in quads:
-            e1, t1 = ends[(v, i)]
-            e2, t2 = ends[(v, j)]
+            k1 = slot[at + i]
+            k2 = slot[at + j]
+            e1, t1 = k1 >> 1, k1 & 1
+            e2, t2 = k2 >> 1, k2 & 1
             if t1 and t2:
                 const += 2
             if e1 == e2:
@@ -503,7 +524,14 @@ def affine_eval(grid: Grid) -> Cyclo8:
             add_lin(ell, 3 if a == 1 else 1)
             add_cross(ell, ell)
 
-    # lam * 2^twos * sqrt2^halves * zeta^turn * i^const
+    # lam * 2^twos * sqrt2^halves * zeta^turn * i^const, where lam is the
+    # product of the vertices' lams, one power per distinct value
+    lams = Counter()
+    for name, count in Counter(grid.vertices).items():
+        lams[certs[name].lam] += count
+    lam = ONE
+    for c, count in lams.items():
+        lam = lam * c ** count
     twos += halves // 2
     val = lam * (1 << twos)
     if halves % 2:

@@ -77,23 +77,25 @@ class Signature:
         return Signature(self.arity, [s * v for v in self.values])
 
     def proportional_to(self, other: "Signature"):
-        """A scalar s with self = s * other, or None."""
+        """A scalar s with self = s * other, or None.
+
+        s is a0 / b0 at the first nonzero entry b0 of other; every other
+        pair (a, b) is compared by a * b0 == b * a0, so only one field
+        division is made."""
         if self.arity != other.arity:
             return None
-        s = None
+        a0 = b0 = None
         for a, b in zip(self.values, other.values):
             if b.is_zero():
                 if not a.is_zero():
                     return None
-                continue
-            r = a / b
-            if s is None:
-                s = r
-            elif s != r:
+            elif b0 is None:
+                a0, b0 = a, b
+            elif a * b0 != b * a0:
                 return None
-        if s is None:
-            s = ZERO if self.is_zero() else None
-        return s
+        if b0 is None:              # every b is 0, so every a is too
+            return ZERO
+        return a0 / b0
 
 
 # -- eight-vertex view -------------------------------------------------

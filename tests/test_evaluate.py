@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,8 +209,126 @@ def test_validate_returns_port_map():
     f = equality(3)
     grid = Grid({"f": f, "u": Signature(1, [1, 1])}, ["f", "u"],
                 [((0, 3), (0, 1)), ((1, 1), (0, 2))])
-    assert grid.validate() == {(0, 3): (0, 0), (0, 1): (0, 1),
-                               (1, 1): (1, 0), (0, 2): (1, 1)}
+    base, slot = grid.validate()
+    assert base == [0, 3]
+    assert slot == [1, 3, 0, 2]
+    # (edge, end) of each port
+    ends = {(v, p): divmod(slot[base[v] + p - 1], 2)
+            for v, p in ((0, 3), (0, 1), (1, 1), (0, 2))}
+    assert ends == {(0, 3): (0, 0), (0, 1): (0, 1),
+                    (1, 1): (1, 0), (0, 2): (1, 1)}
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([((0, 1), (2, 1)), ((0, 2), (1, 1))], "vertex 2 out of range"),
+    ([((0, 1), (-1, 1))], "vertex -1 out of range"),
+    ([((0, 1), (1, 3)), ((0, 2), (1, 2))], "port 3 out of range on vertex 1"),
+    ([((0, 0), (1, 1)), ((0, 2), (1, 2))], "port 0 out of range on vertex 0"),
+    ([((0, 1), (1, 1)), ((0, 1), (1, 2))], "port 1 of vertex 0 used twice"),
+    ([((0, 1), (1, 1))], "port 2 of vertex 0 unused"),
+    ([((0, 1), (0, 2))], "port 1 of vertex 1 unused"),
+    # with two faults, the first one met in edge order is reported:
+    # a port used twice in edge 1 comes before vertex 5 at its other end
+    ([((0, 1), (1, 1)), ((0, 1), (5, 1))], "port 1 of vertex 0 used twice"),
+    # the first end of edge 0 is checked before anything in edge 1
+    ([((0, 3), (1, 1)), ((7, 1), (1, 2))], "port 3 out of range on vertex 0"),
+    # the first end of an edge before its second end
+    ([((9, 1), (1, 9))], "vertex 9 out of range"),
+    ([((0, 1), (1, 1)), ((1, 1), (0, 1))], "port 1 of vertex 1 used twice"),
+    # any fault in the edges before an unused port
+    ([((0, 1), (1, 4))], "port 4 out of range on vertex 1"),
+    # unused ports are reported in vertex order, then port order
+    ([((1, 2), (1, 1))], "port 1 of vertex 0 unused"),
+    ([], "port 1 of vertex 0 unused"),
+])
+def test_validate_messages(edges, message):
+    grid = Grid({"f": equality(2)}, ["f", "f"], edges)
+    with pytest.raises(DanglingPort) as info:
+        grid.validate()
+    assert str(info.value) == message
+
+
+def test_validate_port_table_on_random_grids():
+    """On random closed grids, loops included, the table holds 2e + end
+    at every endpoint of every edge e, and base[v] is the number of
+    ports of the vertices before v."""
+    rng = random.Random(1515)
+    pool = {f"s{n}": equality(n) for n in (1, 2, 3, 4)}
+    loops = 0
+    for _ in range(200):
+        grid = random_grid(rng, pool, rng.randint(1, 12))
+        base, slot = grid.validate()
+        arity = [pool[name].arity for name in grid.vertices]
+        assert base == [sum(arity[:v]) for v in range(len(arity))]
+        assert sorted(slot) == list(range(2 * len(grid.edges)))
+        for e, ends in enumerate(grid.edges):
+            for end, (v, p) in enumerate(ends):
+                assert slot[base[v] + p - 1] == 2 * e + end
+        loops += sum(v == w for (v, _), (w, _) in grid.edges)
+    assert loops > 20
+
+
+def test_validate_matches_a_port_dict_scan():
+    """The table's faults and messages equal those of a scan that keys
+    a dict by (vertex, port), on random malformed and valid grids."""
+    def dict_scan(grid):
+        arity = [grid.signatures[name].arity for name in grid.vertices]
+        ends = {}
+        for e, ((v, p), (w, q)) in enumerate(grid.edges):
+            for end, (u, r) in enumerate(((v, p), (w, q))):
+                if not 0 <= u < len(arity):
+                    raise DanglingPort(f"vertex {u} out of range")
+                if not 1 <= r <= arity[u]:
+                    raise DanglingPort(f"port {r} out of range on vertex {u}")
+                if (u, r) in ends:
+                    raise DanglingPort(f"port {r} of vertex {u} used twice")
+                ends[(u, r)] = (e, end)
+        for v in range(len(arity)):
+            for r in range(1, arity[v] + 1):
+                if (v, r) not in ends:
+                    raise DanglingPort(f"port {r} of vertex {v} unused")
+        return ends
+
+    def outcome(check):
+        try:
+            return check()
+        except DanglingPort as exc:
+            return str(exc)
+
+    rng = random.Random(2020)
+    pool = {f"s{n}": equality(n) for n in (1, 2, 3)}
+    faults = 0
+    kinds = set()               # the messages with their numbers blanked
+    for _ in range(4000):
+        grid = random_grid(rng, pool, rng.randint(1, 6))
+        edges = grid.edges
+        for _ in range(rng.randint(0, 2)):
+            if not edges:
+                break
+            k = rng.randrange(len(edges))
+            pick = rng.randrange(3)
+            if pick == 0:
+                del edges[k]
+            elif pick == 1:
+                edges.insert(k, edges[rng.randrange(len(edges))])
+            else:
+                (v, p), end = edges[k]
+                edges[k] = ((v + rng.randint(-2, 2), p + rng.randint(-2, 2)),
+                            end)
+        want = outcome(lambda: dict_scan(grid))
+        got = outcome(grid.validate)
+        if isinstance(want, str):
+            faults += 1
+            kinds.add(re.sub(r"-?[0-9]+", "N", want))
+            assert got == want
+        else:
+            base, slot = got
+            assert {(v, p): divmod(slot[base[v] + p - 1], 2)
+                    for v in range(len(base))
+                    for p in range(1, pool[grid.vertices[v]].arity + 1)
+                    } == want
+    assert len(kinds) == 4
+    assert 1600 < faults < 3600
 
 
 def test_grid_from_json():
@@ -319,6 +439,72 @@ def test_affine_eval_nonzero_grids(seed):
     value = affine_eval(grid)
     assert not value.is_zero()
     assert value == brute_force(grid)
+
+
+# lam values that are not roots of unity: 1/2 has denominator 2, and the
+# inverses of 3i and 1 - i have denominators 3 and 2
+SHARED_LAMS = (scalar(Fraction(1, 2)), 3 * I, 1 - I)
+
+
+def _no_power(self, n):
+    raise AssertionError("a power was formed")
+
+
+def test_affine_eval_groups_shared_lams(monkeypatch):
+    """Grids in which nine signature names share three lam values.  The
+    product of the lams, one power per distinct value, gives the value
+    brute_force gives, and on the grids whose value is 0 it is never
+    formed: there Cyclo8.__pow__ raises."""
+    power = Cyclo8.__pow__
+    bases = []
+
+    def counted_power(self, n):
+        bases.append(self)
+        return power(self, n)
+
+    rng = random.Random(3131)
+    seen = Counter()
+    for _ in range(30):
+        pool = {}
+        for k in range(9):
+            n = rng.choice((1, 2, 2, 3))
+            f = (quadratic_signature(rng, n) if k % 2
+                 else random_affine_signature(rng, n))
+            f = f.scale(SHARED_LAMS[k % 3] / in_A(f).lam)
+            pool[f"s{k}"] = f
+        grid = random_grid(rng, pool, rng.randint(5, 12))
+        lams = [in_A(pool[name]).lam for name in set(grid.vertices)]
+        assert set(lams) <= set(SHARED_LAMS)
+        want = brute_force(grid)
+        if want.is_zero():
+            with monkeypatch.context() as patch:
+                patch.setattr(Cyclo8, "__pow__", _no_power)
+                assert affine_eval(grid).is_zero()
+        else:
+            bases.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Cyclo8, "__pow__", counted_power)
+                assert affine_eval(grid) == want
+            assert sorted(map(str, bases)) == sorted(map(str, set(lams)))
+        seen[want.is_zero(), len(set(lams)) < len(lams)] += 1
+    assert seen[False, True] >= 5 and seen[True, True] >= 5
+
+
+@pytest.mark.parametrize("edges, values", [
+    # an odd ring of equalities: the parity rows are inconsistent
+    ([((0, 2), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (0, 1))],
+     ([1, 0, 0, 1], [1, 0, 0, 1], [1, 0, 0, 1])),
+    # no parity row: summing out the edge gives 1 + i^2 = 0
+    ([((0, 1), (1, 1))], ([1, -1], [1, 1])),
+])
+def test_affine_eval_zero_grid_forms_no_lam_power(monkeypatch, edges,
+                                                   values):
+    sigs = {f"s{v}": Signature(len(vals).bit_length() - 1, vals).scale(lam)
+            for v, (vals, lam) in enumerate(zip(values, SHARED_LAMS))}
+    grid = Grid(sigs, list(sigs), edges)
+    assert brute_force(grid).is_zero()
+    monkeypatch.setattr(Cyclo8, "__pow__", _no_power)
+    assert affine_eval(grid) == 0
 
 
 @pytest.mark.parametrize("k, offset", [(4, 0b0101), (6, 0b010011),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eightvertex.numeric import Cyclo8, I, scalar
+from eightvertex.numeric import ALPHA, Cyclo8, I, scalar
 from eightvertex.signatures import (
     Signature, EightVertexSig, eight_vertex_readoff, is_eight_vertex,
     apply_perm, pair_orbit, holographic_transform, half_diagonal,
@@ -122,6 +122,68 @@ def test_proportional_to():
     assert f.proportional_to(Signature(2, [1, 1, 2, 0])) is None
     z = Signature(2, [0, 0, 0, 0])
     assert z.proportional_to(z) == scalar(0)
+    assert f.proportional_to(Signature(1, [1, 2])) is None
+    # only one side zero
+    assert z.proportional_to(f) == scalar(0)
+    assert f.proportional_to(z) is None
+    assert Signature(2, [1, 0, 0, 0]).proportional_to(
+        Signature(2, [0, 0, 0, 1])) is None
+    # the first ratio is 0
+    g = Signature(2, [1, 1, 2, 3])
+    assert Signature(2, [0, 0, 0, 0]).proportional_to(g) == scalar(0)
+    assert Signature(2, [0, 1, 2, 3]).proportional_to(g) is None
+    assert Signature(2, [0, 0, 0, 5]).proportional_to(g) is None
+    # non-unit denominators
+    h = Signature(2, [scalar(Fraction(1, 2)), 3 * I, 1 - I,
+                      ALPHA / 5])
+    for s in (scalar(Fraction(2, 3)), (1 - I) / 7, ALPHA / (2 + I)):
+        assert h.scale(s).proportional_to(h) == s
+        assert h.proportional_to(h.scale(s)) == 1 / s
+    bent = Signature(2, [*h.values[:3], h.values[3] * Fraction(7, 8)])
+    assert bent.proportional_to(h) is None
+    assert h.proportional_to(bent) is None
+
+
+def test_proportional_to_matches_per_entry_ratios():
+    """Against the definition that divides at every nonzero entry of
+    other and requires one ratio, on seeded pairs with zeros, rescaled
+    copies and one-entry changes."""
+    def per_entry(f, g):
+        if f.arity != g.arity:
+            return None
+        s = None
+        for a, b in zip(f.values, g.values):
+            if b.is_zero():
+                if not a.is_zero():
+                    return None
+                continue
+            r = a / b
+            if s is None:
+                s = r
+            elif s != r:
+                return None
+        if s is None:
+            s = scalar(0) if f.is_zero() else None
+        return s
+
+    pool = (scalar(0),) * 4 + ENTRY_POOL + (
+        scalar(Fraction(1, 2)), 3 * I, 1 - I, ALPHA / 3, (2 + I) / 5)
+    rng = random.Random(7272)
+    found = 0
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3))
+        g = Signature(n, [rng.choice(pool) for _ in range(1 << n)])
+        f = g.scale(rng.choice(pool))
+        if rng.randrange(2):
+            vals = list(f.values)
+            vals[rng.randrange(1 << n)] = rng.choice(pool)
+            f = Signature(n, vals)
+        if rng.randrange(8) == 0:
+            f, g = g, f
+        want = per_entry(f, g)
+        assert f.proportional_to(g) == want
+        found += want is not None
+    assert 1000 < found < 2800
 
 
 def matrix(rows):
