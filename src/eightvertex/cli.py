@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import click
 
-from .classes import in_A
 from .numeric import DivisionByZero, parse_cyclo8
 from .signatures import EightVertexSig, Signature
 from .classify import Certificate, check_certificate, classify as classify_sig
@@ -124,13 +123,16 @@ def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
                                    f.to_signature(), "f")
         else:
             _fail("one of --grid or --graph is required")
-        # max_edges bounds both paths; brute_force raises TooManyEdges
-        if len(grid.edges) <= max_edges and all(
-                in_A(grid.signatures[name]) is not None
-                for name in set(grid.vertices)):
-            val = affine_eval(grid)
-        else:
+        # max_edges bounds both paths: over it, brute_force raises
+        # TooManyEdges.  affine_eval tests each signature name for class A
+        # once and raises NotAffineSignature at the first that is not
+        if len(grid.edges) > max_edges:
             val = brute_force(grid, max_edges=max_edges)
+        else:
+            try:
+                val = affine_eval(grid)
+            except NotAffineSignature:
+                val = brute_force(grid, max_edges=max_edges)
     except TooManyEdges as e:
         _fail(str(e), code=3)
     except _INPUT_ERRORS as e:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -261,3 +262,107 @@ def test_A_certificate_check_rejects_tampering(seed):
                                             for _ in range(2)]))
     if n > 1:
         assert not cert.check(Signature(n - 1, f.values[:1 << (n - 1)]))
+
+
+def _a_answer(cert):
+    """in_A's answer as plain data: None, or (lam, offset, basis, sorted
+    lin, sorted quad)."""
+    if cert is None:
+        return None
+    return (cert.lam, cert.space.offset, cert.space.basis,
+            sorted(cert.lin.items()), sorted(cert.quad.items()))
+
+
+def test_in_A_rechecks_on_memo_hits(monkeypatch):
+    """The certificate is re-checked on every call: a check that fails
+    raises on a cold call and again when the shape is memoized."""
+    f = random_affine_signature(random.Random(16), 3)
+    classes._A_shape.cache_clear()
+    monkeypatch.setattr(classes.ACertificate, "check", lambda self, g: False)
+    with pytest.raises(AssertionError):
+        in_A(f)
+    assert classes._A_shape.cache_info().misses == 1
+    with pytest.raises(AssertionError):
+        in_A(f)
+    assert classes._A_shape.cache_info().hits == 1
+
+
+def test_in_A_memo_terms_are_read_only():
+    """lin and quad are shared with the memo, so they cannot be changed
+    through a certificate, and the next in_A of the shape gives the
+    original terms."""
+    # i^(x1 + 3 x2 + 2 x1 x3) on {0,1}^3
+    f = Signature(3, [I ** (x1 + 3 * x2 + 2 * x1 * x3)
+                      for x1 in (0, 1) for x2 in (0, 1) for x3 in (0, 1)])
+    cert = in_A(f)
+    assert dict(cert.lin) == {1: 1, 2: 3} and dict(cert.quad) == {(1, 3): 1}
+    with pytest.raises(TypeError):
+        cert.lin[1] = 2
+    with pytest.raises(TypeError):
+        cert.quad[(1, 2)] = 1
+    with pytest.raises(TypeError):
+        del cert.lin[2]
+    again = in_A(f)
+    assert again.lin is cert.lin and again.quad is cert.quad
+    assert dict(again.lin) == {1: 1, 2: 3} and dict(again.quad) == {(1, 3): 1}
+    assert again.check(f)
+
+
+def test_A_check_reads_the_certificates_own_terms():
+    """A certificate whose lin coefficient at a variable that is not
+    always 0 on the space is off by 1 fails check, while the exponent
+    table of the unchanged certificate is memoized."""
+    rng = random.Random(1616)
+    tried = 0
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        f = random_affine_signature(rng, n)
+        cert = in_A(f)
+        assert cert.check(f)
+        cached = classes._exponents.cache_info().currsize
+        for i in range(1, n + 1):
+            if not any(m >> (n - i) & 1 for m in f.support()):
+                continue
+            for delta in (1, -1):
+                lin = dict(cert.lin)
+                lin[i] = (lin.get(i, 0) + delta) % 4
+                bad = dataclasses.replace(cert, lin=lin)
+                assert not bad.check(f), (f, i, delta)
+                assert any(bad.value_at(m) != f.values[m]
+                           for m in range(1 << n))
+                tried += 1
+        # the tampered tables are new entries; the original still checks
+        assert classes._exponents.cache_info().currsize >= cached
+        assert cert.check(f)
+    assert tried > 500
+
+
+def test_in_A_cold_and_warm_agree():
+    """Seeded class-A signatures of arity 1 to 5 and their one-entry
+    mutants get the same answer with the memo cleared and with it warm,
+    and at arity 4 or less the same membership as the oracle."""
+    rng = random.Random(1617)
+    corpus = []
+    for _ in range(120):
+        f = random_affine_signature(rng, rng.randint(1, 5))
+        corpus.append(f)
+        corpus.append(_one_entry_mutant(rng, f, rng.randrange(1 << f.arity)))
+    classes._A_shape.cache_clear()
+    classes._exponents.cache_clear()
+    classes._hull.cache_clear()
+    cold = [_a_answer(in_A(f)) for f in corpus]
+    after_cold = classes._A_shape.cache_info()
+    warm = [_a_answer(in_A(f)) for f in corpus]
+    after_warm = classes._A_shape.cache_info()
+    # every lookup of the warm pass hits
+    assert after_warm.misses == after_cold.misses > 0
+    assert (after_warm.hits - after_cold.hits
+            == after_cold.hits + after_cold.misses)
+    assert cold == warm
+    members = 0
+    for f, answer in zip(corpus, cold):
+        if f.arity <= 4:
+            assert (answer is not None) == oracle_in_A(f), f
+        members += answer is not None
+    # both answers occur
+    assert 0 < members < len(corpus)

@@ -11,9 +11,14 @@ from click.testing import CliRunner
 import eightvertex
 import eightvertex.cli as cli
 from eightvertex.cli import main
+import eightvertex.classes as classes
+import eightvertex.evaluate as evaluate
+from eightvertex.classes import in_A
 from eightvertex.evaluate import brute_force
 
-from util import prism_grid, quadratic_signature
+from util import (
+    prism_grid, quadratic_signature, random_affine_signature, random_grid,
+)
 
 
 DIPOLE_TEXT = """\
@@ -217,6 +222,37 @@ def test_eval_class_a_grid_takes_affine_path(runner, tmp_path, monkeypatch):
                "--json")
     assert r.exit_code == 0, r.output
     assert json.loads(r.output)["exact"] == value == "-268435456-268435456i"
+
+
+def test_eval_tests_each_signature_name_once(runner, tmp_path, monkeypatch):
+    # a class-A grid of three names over 14 vertices: eval tests each
+    # name for class A once, in affine_eval, and gives brute_force's value
+    rng = random.Random(16)
+    pool = {f"s{k}": random_affine_signature(rng, ar)
+            for k, ar in enumerate((1, 2, 3))}
+    grid = random_grid(rng, pool, 10)
+    assert len(grid.vertices) > len(pool) == len(set(grid.vertices))
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps({
+        "signatures": {name: {"arity": f.arity,
+                              "values": [str(v) for v in f.values]}
+                       for name, f in pool.items()},
+        "vertices": [{"sig": name} for name in grid.vertices],
+        "edges": [[list(a), list(b)] for a, b in grid.edges],
+    }))
+    names = {tuple(f.values): name for name, f in pool.items()}
+    calls = []
+
+    def counting_in_A(f):
+        calls.append(names[tuple(f.values)])
+        return in_A(f)
+
+    for module in (cli, classes, evaluate):
+        monkeypatch.setattr(module, "in_A", counting_in_A, raising=False)
+    r = invoke(runner, "eval", "--grid", str(p), "--json")
+    assert r.exit_code == 0, r.output
+    assert sorted(calls) == sorted(pool)
+    assert json.loads(r.output)["exact"] == str(brute_force(grid))
 
 
 def test_eval_deep_ring(runner, tmp_path):
