@@ -22,22 +22,26 @@ three parts does its work once:
 
 1. one pass over the values reads f as lam * i^e on its support, lam the
    first nonzero value: f(x) = lam * i^k is found by comparing the
-   (numerators, denominator) of f(x) with those of the four quarter
-   turns of lam, which are signed shifts of lam's numerators;
-2. the class-A structure of the discrete key (support, arity, e) is
-   looked up in a bounded memo (``_A_shape``): the affine hull of the
-   support (itself memoized per support), the Z4 linear and the cross
-   terms of Q, read off the points one and two basis vectors from the
-   offset, the check that Q, extended along the hull's walk, gives e at
-   every point, and the terms by variable, as read-only mappings;
+   numerators of f(x) with those of the four quarter turns of lam, which
+   are signed shifts of lam's numerators, and its denominator with
+   lam's.  The pass gives one code per point, k on the support and 4
+   off it;
+2. the class-A structure of those codes is looked up in a bounded memo
+   (``_A_shape``), one ``AShape`` record per shape: the affine hull of
+   the support (itself memoized per support), the Z4 linear and the
+   cross terms of Q, read off the points one and two basis vectors from
+   the offset, the check that Q, extended along the hull's walk, gives e
+   at every point, the terms by variable as read-only mappings, and the
+   exponent table (Q mod 4 at each point, None off the space);
 3. ``ACertificate.check`` compares every value of f with the quarter
-   turn of lam that Q picks, and with 0 off the space.  Q is read from an
-   exponent table built once per (space, lin, quad) from the
-   certificate's own terms (``_exponents``), which ``value_at`` reads
-   too.  The check runs on every call, on a memo hit as well.
+   turn of lam that Q picks, and with 0 off the space.  Q is read from
+   the record's exponent table while the certificate's lin and quad are
+   the record's own objects, and otherwise from a table built from the
+   certificate's own terms (``_exponents``); ``value_at`` reads the same
+   table.  The check runs on every call, on a memo hit as well.
 
-So a shape that recurs costs one read of f, two memo lookups and the
-compares.
+So a shape that recurs costs one read of f, one memo lookup, a
+certificate that shares the record's objects, and the compares.
 
 The class-P test reads the same hull.  A member's support is affine and
 the reduced basis of its hull is the disjoint variable blocks of its
@@ -201,6 +205,9 @@ class AffineSpace:
 
 # -- class A --------------------------------------------------------------
 
+_ZERO4 = (0, 0, 0, 0)   # the numerators of 0
+
+
 def _quarter_turns(c: Cyclo8) -> tuple:
     """The numerators of c * i^k for k = 0..3, over c's denominator: the
     signed shifts of ``Cyclo8.rotate(2 * k)``, written out because four
@@ -224,14 +231,29 @@ class ACertificate:
     space: AffineSpace
     lin: Mapping = field(default_factory=dict)
     quad: Mapping = field(default_factory=dict)
+    # the AShape record in_A built this certificate from; not a field, so
+    # a certificate made any other way, dataclasses.replace included, has
+    # none
+    _record = None
+
+    @property
+    def shape(self) -> "AShape":
+        """The class-A record of this certificate's space and terms:
+        ``in_A``'s memoized record while the space, lin and quad are its
+        own objects, else one built from this certificate's own terms."""
+        rec = self._record
+        if (rec is None or rec.lin is not self.lin
+                or rec.quad is not self.quad or rec.space is not self.space):
+            rec = AShape(self.space, self.lin, self.quad,
+                         _exponents(self.space, tuple(self.lin.items()),
+                                    tuple(self.quad.items())))
+        return rec
 
     @property
     def exponents(self) -> tuple:
         """Q(m) at each point m of the space and None off it, for
-        m = 0 .. 2^n - 1, built from this certificate's own lin and quad
-        (``_exponents``)."""
-        return _exponents(self.space, tuple(self.lin.items()),
-                          tuple(self.quad.items()))
+        m = 0 .. 2^n - 1, from ``shape``."""
+        return self.shape.table
 
     def value_at(self, m: int) -> Cyclo8:
         q = self.exponents[m]
@@ -245,7 +267,7 @@ class ACertificate:
             return False
         d = self.lam.d
         turns = _quarter_turns(self.lam)
-        for c, q in zip(f.values, self.exponents):
+        for c, q in zip(f.values, self.shape.table):
             if q is None:
                 if any(c.n):
                     return False
@@ -254,12 +276,29 @@ class ACertificate:
         return True
 
 
+class AShape:
+    """The class-A structure shared by every signature lam * i^e of one
+    (support, e): the space, the read-only lin and quad by variable, and
+    the exponent table, Q mod 4 at each point and None off the space.
+    Records are shared through the memo, so they are never changed, and
+    compare and hash by identity, so a memo can be keyed by one.  A plain
+    class: a frozen dataclass added about 0.5 ms to every import."""
+
+    __slots__ = ("space", "lin", "quad", "table")
+
+    def __init__(self, space: AffineSpace, lin: Mapping, quad: Mapping,
+                 table: tuple):
+        self.space = space
+        self.lin = lin
+        self.quad = quad
+        self.table = table
+
+
 # Q mod 4 at each point of a space, keyed by (space, lin items, quad
-# items): a certificate's terms are summed over its points once, not at
-# every check.  Over one pass of each benchmark pool (memos cleared
-# first) it holds 255 tables on eval-affine (794 of 1049 lookups hit),
-# 215 on classify-planted (1237 of 1452), and none on classify-sweep,
-# whose signatures are all hard; warm, every lookup hits
+# items), for certificates whose terms are not an AShape record's own:
+# those made by hand or with dataclasses.replace.  ``in_A``'s
+# certificates read their record's table, so no benchmark pool stores
+# any table here
 @functools.lru_cache(maxsize=1024)
 def _exponents(space: AffineSpace, lin: tuple, quad: tuple) -> tuple:
     n = space.n
@@ -280,38 +319,43 @@ def _exponents(space: AffineSpace, lin: tuple, quad: tuple) -> tuple:
     return tuple(table)
 
 
-# the affine hull of a support, keyed by (support points, arity).  Few
-# distinct supports recur: in 5 s benchmark runs the hit rate was 99.96%
-# on eval-affine (26 supports, 69300 calls), 99.7% on classify-planted
-# (25, 8512) and 98.6% on classify-sweep (3, 209); without the cache
-# eval-affine ran 0.78x the ops/s and classify-planted 0.96x.  The space
-# objects are shared, so the walk tables that ``in_A`` and ``in_P`` read
-# from them (``singles``, ``pairs``, ``walk``, ``variables``) are built
-# once per support as well
+# the affine hull of a support, keyed by (support points, arity).  in_A
+# looks it up only on a miss of ``_A_shape``, in_P on every call.  Few
+# distinct supports recur: over one pass of each benchmark pool (memos
+# cleared first) 231 of 255 lookups hit on eval-affine (24 supports),
+# 1258 of 1289 on classify-planted (31) and 1105 of 1198 on
+# classify-sweep (93); warm, every lookup hits.  The space objects are
+# shared, so the walk tables that ``in_A`` and ``in_P`` read from them
+# (``singles``, ``pairs``, ``walk``, ``variables``) are built once per
+# support as well
 _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 
 
-# the class-A structure of (support, arity, e), which does not depend on
-# lam.  Few shapes recur even where the signatures differ: over one pass
-# of each benchmark pool (memos cleared first) the hit rate was 794 of
-# 1049 lookups on eval-affine (255 shapes, where every vertex of the
-# nonzero grids has its own signature), 1258 of 1567 on classify-planted
-# (309) and 4 of 31 on classify-sweep (27); warm, every lookup hits.
-# An entry is its key, the shared space and two mappings of at most
-# n(n+1)/2 terms; this memo and ``_exponents`` together held about 170 KB
-# for eval-affine's 255 shapes, and 1024 entries hold every pool
+# the AShape record of the codes in_A reads (e at each support point, 4
+# off it), which do not depend on lam.  Few shapes recur even where the
+# signatures differ: over one pass of each benchmark pool (memos cleared
+# first) 794 of 1049 lookups hit on eval-affine (255 shapes, where every
+# vertex of the nonzero grids has its own signature), 1258 of 1567 on
+# classify-planted (309) and 4 of 31 on classify-sweep (27); warm, every
+# lookup hits.  A record is its key, the shared space, two mappings of at
+# most n(n+1)/2 terms and a table of 2^n exponents; eval-affine's 255
+# records held about 230 KB by tracemalloc, and 1024 hold every pool
 @functools.lru_cache(maxsize=1024)
-def _A_shape(supp: tuple, n: int, e: tuple):
-    """(space, lin, quad) for a signature that is lam * i^e[k] at the
-    point supp[k], for each k, and 0 elsewhere, if it is in class A, else
-    None.  lin and quad are read-only, so every certificate of the shape
-    can share them."""
-    space = _hull(supp, n)
+def _A_shape(codes: tuple):
+    """The AShape record of a signature that is lam * i^codes[m] at each
+    point m with codes[m] < 4 and 0 elsewhere, its arity n given by
+    len(codes) = 2^n, if it is in class A, else None.  lin and quad are
+    read-only, so every certificate of the shape can share them."""
+    n = len(codes).bit_length() - 1
+    supp = []
+    at = [None] * (1 << n)      # at[m]: e at the point m, None off supp
+    for m, k in enumerate(codes):
+        if k != 4:
+            supp.append(m)
+            at[m] = k
+    space = _hull(tuple(supp), n)
     if space is None:
         return None
-    at = [0] * (1 << n)     # at[m]: e at the point m
-    for m, k in zip(supp, e):
-        at[m] = k
     # supp[0], the least point, is the offset and has no pivot bit (XOR
     # with a basis vector would clear its leading bit and give a lesser
     # point), so e at the offset is 0 and offset ^ basis[j] has the pivot
@@ -330,11 +374,18 @@ def _A_shape(supp: tuple, n: int, e: tuple):
         q[u] = q[rest] + lin[j] + 2 * (rows[j] & rest).bit_count()
         if q[u] % 4 != at[m]:
             return None
+    # the space is the support and Q mod 4 is e at every point of it, so
+    # at is Q's exponent table: the pivot variables of a point are its
+    # free coordinates, the only variables lin and quad name
     var = space.variables
     lin_vars = {var[j]: a for j, a in enumerate(lin) if a}
     quad_vars = {tuple(sorted((var[j], var[l]))): 1
                  for j, l, _ in space.pairs if (rows[j] >> l) & 1}
-    return space, MappingProxyType(lin_vars), MappingProxyType(quad_vars)
+    return AShape(space, MappingProxyType(lin_vars),
+                  MappingProxyType(quad_vars), tuple(at))
+
+
+_new = object.__new__
 
 
 def in_A(f: Signature):
@@ -343,33 +394,41 @@ def in_A(f: Signature):
     One pass over the values reads f as lam * i^e on its support, with
     lam = f at the least support point: f[m] = lam * i^k exactly when f[m]
     has lam's denominator and the numerators of the k-th quarter turn of
-    lam.  The class-A structure of (support, arity, e) is then looked up
-    (``_A_shape``), and the certificate is re-checked against every value
-    of f before it is returned."""
-    n = f.arity
+    lam, and the pass stops at the first value that is neither that nor 0.
+    The class-A structure of the codes (k on the support, 4 off it) is
+    then looked up (``_A_shape``), and the certificate is re-checked
+    against every value of f before it is returned."""
     vals = f.values
-    for m0, lam in enumerate(vals):
+    for lam in vals:
         if any(lam.n):
             break
     else:
-        return ACertificate(lam=ZERO, space=AffineSpace.full(n))
+        return ACertificate(lam=ZERO, space=AffineSpace.full(f.arity))
     d = lam.d
-    turns = {t: k for k, t in enumerate(_quarter_turns(lam))}
-    supp = []
-    e = []
-    for m in range(m0, 1 << n):
-        c = vals[m]
-        k = turns.get(c.n)
-        if k is not None and c.d == d:
-            supp.append(m)
-            e.append(k)
-        elif any(c.n):
+    t0, t1, t2, t3 = _quarter_turns(lam)
+    turns = {t0: 0, t1: 1, t2: 2, t3: 3, _ZERO4: 4}
+    codes = []
+    for c in vals:
+        if c.d == d:
+            k = turns.get(c.n)
+        else:                   # 0, or no quarter turn of lam
+            k = 4 if c.n == _ZERO4 else None
+        if k is None:
             return None
-    shape = _A_shape(tuple(supp), n, tuple(e))
-    if shape is None:
+        codes.append(k)
+    rec = _A_shape(tuple(codes))
+    if rec is None:
         return None
-    space, lin, quad = shape
-    cert = ACertificate(lam=lam, space=space, lin=lin, quad=quad)
+    # the fields are stored straight into the new certificate's
+    # __dict__: about 0.3 us, where the frozen dataclass __init__ took
+    # about 1.2 us of a warm call
+    cert = _new(ACertificate)
+    fields = cert.__dict__
+    fields["lam"] = lam
+    fields["space"] = rec.space
+    fields["lin"] = rec.lin
+    fields["quad"] = rec.quad
+    fields["_record"] = rec
     if not cert.check(f):
         raise AssertionError
     return cert

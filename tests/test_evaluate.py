@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eightvertex.numeric import ALPHA, I, Cyclo8, scalar
 from eightvertex.signatures import Signature, EightVertexSig, equality
 from eightvertex.classes import in_A
+import eightvertex.classes as classes
 import eightvertex.evaluate as evaluate
 from eightvertex.evaluate import (
     Grid, Graph, brute_force, affine_eval, eo_signature, eo_count,
@@ -686,3 +687,73 @@ def test_grid_from_graph_ports():
     grid = grid_from_graph(DIPOLE, eo_signature(), "eo")
     grid.validate()
     assert len(grid.edges) == 4
+
+
+def test_class_A_memos_stay_bounded():
+    """More distinct arity-5 and arity-6 shapes than the memos hold: the
+    shape memo, the exponent tables and the port templates each stay
+    within their maxsize, and every answer equals a cold recomputation."""
+    memos = (classes._A_shape, classes._exponents, evaluate._affine_template,
+             classes._hull)
+    for memo in memos:
+        memo.cache_clear()
+    rng = random.Random(1718)
+    size = classes._A_shape.cache_info().maxsize
+    corpus = [random_affine_signature(rng, rng.choice((5, 6)))
+              for _ in range(size + 300)]
+
+    def answer(f):
+        cert = in_A(f)
+        return (cert.lam, cert.space, sorted(cert.lin.items()),
+                sorted(cert.quad.items()), cert.exponents,
+                evaluate._affine_template(cert.shape))
+
+    warm = [answer(f) for f in corpus]
+    # the memos overflowed: the corpus's own certificates filled
+    # _exponents, and in_A and the templates met more shapes than fit
+    for memo in memos[:3]:
+        info = memo.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
+    for f, want in zip(corpus, warm):
+        for memo in memos:
+            memo.cache_clear()
+        assert answer(f) == want
+
+
+def test_affine_eval_names_sharing_a_shape():
+    """Seeded grids of at most 16 edges in which many names share a
+    class-A shape under different lams, some over a denominator other than
+    1, and two names are bound to one Signature object: affine_eval gives
+    brute_force's value, and the port template of each shape is built
+    once (one memo miss per shape)."""
+    lams = SHARED_LAMS + (Cyclo8(1), -I, scalar(Fraction(-2, 3)))
+    rng = random.Random(1719)
+    seen = Counter()
+    while seen["grids"] < 40:
+        bases = [random_affine_signature(rng, rng.choice((1, 2, 3))),
+                 quadratic_signature(rng, rng.choice((2, 3)))]
+        pool = {f"s{k}": bases[k % 2].scale(rng.choice(lams)
+                                            / in_A(bases[k % 2]).lam)
+                for k in range(8)}
+        pool["twin"] = pool["s0"]
+        grid = random_grid(rng, pool, rng.randint(5, 12))
+        if len(grid.edges) > 16:
+            continue
+        names = set(grid.vertices)
+        tables = {in_A(pool[name]).shape.table for name in names}
+        lam_of = {name: in_A(pool[name]).lam for name in names}
+        evaluate._affine_template.cache_clear()
+        value = affine_eval(grid)
+        assert value == brute_force(grid)
+        info = evaluate._affine_template.cache_info()
+        assert (info.misses, info.hits) == (len(tables),
+                                            len(names) - len(tables))
+        seen["grids"] += 1
+        seen["nonzero"] += not value.is_zero()
+        seen["shared"] += len(tables) < len(names)
+        seen["lams"] += len(tables) < len(set(map(str, lam_of.values())))
+        seen["twin"] += {"s0", "twin"} <= names
+        seen["d"] += any(c.d != 1 for c in lam_of.values())
+    assert seen["nonzero"] >= 5 and seen["twin"] >= 5
+    assert seen["shared"] >= 30 and seen["lams"] >= 20 and seen["d"] >= 20
