@@ -27,21 +27,23 @@ three parts does its work once:
    lam's.  The pass gives one code per point, k on the support and 4
    off it;
 2. the class-A structure of those codes is looked up in a bounded memo
-   (``_A_shape``), one ``AShape`` record per shape: the affine hull of
-   the support (itself memoized per support), the Z4 linear and the
-   cross terms of Q, read off the points one and two basis vectors from
-   the offset, the check that Q, extended along the hull's walk, gives e
-   at every point, the terms by variable as read-only mappings, and the
-   exponent table (Q mod 4 at each point, None off the space);
-3. ``ACertificate.check`` compares every value of f with the quarter
-   turn of lam that Q picks, and with 0 off the space.  Q is read from
-   the record's exponent table while the certificate's lin and quad are
-   the record's own objects, and otherwise from a table built from the
-   certificate's own terms (``_exponents``); ``value_at`` reads the same
-   table.  The check runs on every call, on a memo hit as well.
+   (``_A_shape``), one immutable ``AShape`` record per shape: the affine
+   hull of the support (itself memoized per support), the Z4 linear and
+   the cross terms of Q, read off the points one and two basis vectors
+   from the offset, the check that Q, extended along the hull's walk,
+   gives e at every point, the terms by variable as read-only mappings,
+   and the exponent table (Q mod 4 at each point, None off the space);
+3. the certificate is lam and that record.  ``ACertificate.check``
+   compares every value of f with the quarter turn of lam that the
+   record's table picks, and with 0 off the space; ``value_at`` reads
+   the same table.  The check runs on every call, on a memo hit as well.
 
 So a shape that recurs costs one read of f, one memo lookup, a
-certificate that shares the record's objects, and the compares.
+certificate of two fields, and the compares.  The one memo entry per
+shape is read both by the check and by ``evaluate.affine_eval``'s Gauss
+sum, which takes the terms and the parity rows of the space straight
+from it.  A certificate built by hand gets its record from
+``AShape.of``, which computes the table from the terms, uncached.
 
 The class-P test reads the same hull.  A member's support is affine and
 the reduced basis of its hull is the disjoint variable blocks of its
@@ -59,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .numeric import Cyclo8, ONE, ZERO
@@ -136,8 +138,8 @@ class AffineSpace:
     @functools.cached_property
     def mask(self) -> int:
         """The points as one int: bit m is set iff m is in the space."""
-        out = 0
-        for m in self.points():
+        out = 1 << self.offset
+        for *_, m in self.walk:
             out |= 1 << m
         return out
 
@@ -194,14 +196,6 @@ class AffineSpace:
             rows.append((tuple(ports), rhs))
         return tuple(rows)
 
-    def points(self):
-        for bits in range(1 << self.dim):
-            m = self.offset
-            for j, b in enumerate(self.basis):
-                if (bits >> j) & 1:
-                    m ^= b
-            yield m
-
 
 # -- class A --------------------------------------------------------------
 
@@ -217,57 +211,52 @@ def _quarter_turns(c: Cyclo8) -> tuple:
             (-a0, -a1, -a2, -a3), (a2, a3, -a0, -a1))
 
 
-@dataclass(frozen=True)
 class ACertificate:
-    """A witness f(x) = lam * i^Q(x) on the affine space, 0 elsewhere.
+    """A witness f(x) = lam * i^Q(x) on an affine space, 0 elsewhere: lam
+    and the ``AShape`` of the space and Q, which ``in_A`` shares between
+    every certificate of one shape.  Immutable, like the record."""
 
-    Q(x) = sum_i lin[i] x_i + 2 sum_{i<j} quad[(i,j)] x_i x_j mod 4,
-    with variables indexed 1-based, lin values in Z4, quad values in Z2.
-    ``in_A`` hands out read-only mappings for lin and quad, shared with
-    its memo.
-    """
+    __slots__ = ("lam", "shape")
 
-    lam: Cyclo8
-    space: AffineSpace
-    lin: Mapping = field(default_factory=dict)
-    quad: Mapping = field(default_factory=dict)
-    # the AShape record in_A built this certificate from; not a field, so
-    # a certificate made any other way, dataclasses.replace included, has
-    # none
-    _record = None
+    def __init__(self, lam: Cyclo8, shape: AShape):
+        _set_lam(self, lam)
+        _set_shape(self, shape)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ACertificate is immutable")
 
     @property
-    def shape(self) -> "AShape":
-        """The class-A record of this certificate's space and terms:
-        ``in_A``'s memoized record while the space, lin and quad are its
-        own objects, else one built from this certificate's own terms."""
-        rec = self._record
-        if (rec is None or rec.lin is not self.lin
-                or rec.quad is not self.quad or rec.space is not self.space):
-            rec = AShape(self.space, self.lin, self.quad,
-                         _exponents(self.space, tuple(self.lin.items()),
-                                    tuple(self.quad.items())))
-        return rec
+    def space(self) -> AffineSpace:
+        return self.shape.space
+
+    @property
+    def lin(self) -> Mapping:
+        return self.shape.lin
+
+    @property
+    def quad(self) -> Mapping:
+        return self.shape.quad
 
     @property
     def exponents(self) -> tuple:
         """Q(m) at each point m of the space and None off it, for
-        m = 0 .. 2^n - 1, from ``shape``."""
+        m = 0 .. 2^n - 1."""
         return self.shape.table
 
     def value_at(self, m: int) -> Cyclo8:
-        q = self.exponents[m]
+        q = self.shape.table[m]
         return ZERO if q is None else self.lam.rotate(2 * q)
 
     def check(self, f: Signature) -> bool:
         """True iff f is this certificate's function.  Each value is
         compared, as its (numerators, denominator), with the quarter turn
         of lam that Q picks, and with 0 off the space."""
-        if f.arity != self.space.n:
+        shape = self.shape
+        if f.arity != shape.space.n:
             return False
         d = self.lam.d
         turns = _quarter_turns(self.lam)
-        for c, q in zip(f.values, self.shape.table):
+        for c, q in zip(f.values, shape.table):
             if q is None:
                 if any(c.n):
                     return False
@@ -276,47 +265,62 @@ class ACertificate:
         return True
 
 
+_set_lam = ACertificate.lam.__set__
+_set_shape = ACertificate.shape.__set__
+
+
 class AShape:
-    """The class-A structure shared by every signature lam * i^e of one
-    (support, e): the space, the read-only lin and quad by variable, and
-    the exponent table, Q mod 4 at each point and None off the space.
-    Records are shared through the memo, so they are never changed, and
-    compare and hash by identity, so a memo can be keyed by one.  A plain
-    class: a frozen dataclass added about 0.5 ms to every import."""
+    """The class-A structure shared by every signature lam * i^Q of one
+    (space, Q): the space, Q's terms by 1-based variable as read-only
+    mappings, lin with values in Z4 and quad (the cross terms 2 x_i x_j)
+    with values in Z2, and the exponent table, Q mod 4 at each point and
+    None off the space.  ``in_A`` hands out one record per shape from its
+    memo to every certificate of that shape, so a record is immutable, and
+    compares and hashes by identity.  A plain slotted class: a frozen
+    dataclass added about 0.5 ms to every import."""
 
     __slots__ = ("space", "lin", "quad", "table")
 
     def __init__(self, space: AffineSpace, lin: Mapping, quad: Mapping,
                  table: tuple):
-        self.space = space
-        self.lin = lin
-        self.quad = quad
-        self.table = table
+        _set_space(self, space)
+        _set_lin(self, lin)
+        _set_quad(self, quad)
+        _set_table(self, table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AShape is immutable")
+
+    @classmethod
+    def of(cls, space: AffineSpace, lin: Mapping, quad: Mapping) -> "AShape":
+        """The record of Q(x) = sum_i lin[i] x_i + 2 sum_{i<j} quad[(i,j)]
+        x_i x_j on space, built afresh: the terms nonzero mod 4 (lin) or
+        mod 2 (quad), reduced, and Q mod 4 at every point of the space."""
+        n = space.n
+        lin = {i: a % 4 for i, a in lin.items() if a % 4}
+        quad = {ij: 1 for ij, b in quad.items() if b % 2}
+        bits = [(1 << (n - i), a) for i, a in lin.items()]
+        pairs = [(1 << (n - i)) | (1 << (n - j)) for i, j in quad]
+        on = space.mask
+        table = [None] * (1 << n)
+        for m in range(1 << n):
+            if on >> m & 1:
+                q = 0
+                for bit, a in bits:
+                    if m & bit:
+                        q += a
+                for mask in pairs:
+                    if m & mask == mask:
+                        q += 2
+                table[m] = q % 4
+        return cls(space, MappingProxyType(lin), MappingProxyType(quad),
+                   tuple(table))
 
 
-# Q mod 4 at each point of a space, keyed by (space, lin items, quad
-# items), for certificates whose terms are not an AShape record's own:
-# those made by hand or with dataclasses.replace.  ``in_A``'s
-# certificates read their record's table, so no benchmark pool stores
-# any table here
-@functools.lru_cache(maxsize=1024)
-def _exponents(space: AffineSpace, lin: tuple, quad: tuple) -> tuple:
-    n = space.n
-    lin = [(1 << (n - i), a) for i, a in lin]
-    quad = [((1 << (n - i)) | (1 << (n - j)), 2 * b) for (i, j), b in quad]
-    on = space.mask
-    table = [None] * (1 << n)
-    for m in range(1 << n):
-        if on >> m & 1:
-            q = 0
-            for bit, a in lin:
-                if m & bit:
-                    q += a
-            for mask, b in quad:
-                if m & mask == mask:
-                    q += b
-            table[m] = q % 4
-    return tuple(table)
+_set_space = AShape.space.__set__
+_set_lin = AShape.lin.__set__
+_set_quad = AShape.quad.__set__
+_set_table = AShape.table.__set__
 
 
 # the affine hull of a support, keyed by (support points, arity).  in_A
@@ -344,8 +348,8 @@ _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 def _A_shape(codes: tuple):
     """The AShape record of a signature that is lam * i^codes[m] at each
     point m with codes[m] < 4 and 0 elsewhere, its arity n given by
-    len(codes) = 2^n, if it is in class A, else None.  lin and quad are
-    read-only, so every certificate of the shape can share them."""
+    len(codes) = 2^n, if it is in class A, else None.  The record is
+    immutable, so every certificate of the shape shares it."""
     n = len(codes).bit_length() - 1
     supp = []
     at = [None] * (1 << n)      # at[m]: e at the point m, None off supp
@@ -385,9 +389,6 @@ def _A_shape(codes: tuple):
                   MappingProxyType(quad_vars), tuple(at))
 
 
-_new = object.__new__
-
-
 def in_A(f: Signature):
     """An ACertificate if f is in class A, else None.
 
@@ -403,7 +404,8 @@ def in_A(f: Signature):
         if any(lam.n):
             break
     else:
-        return ACertificate(lam=ZERO, space=AffineSpace.full(f.arity))
+        return ACertificate(ZERO,
+                            AShape.of(AffineSpace.full(f.arity), {}, {}))
     d = lam.d
     t0, t1, t2, t3 = _quarter_turns(lam)
     turns = {t0: 0, t1: 1, t2: 2, t3: 3, _ZERO4: 4}
@@ -419,16 +421,7 @@ def in_A(f: Signature):
     rec = _A_shape(tuple(codes))
     if rec is None:
         return None
-    # the fields are stored straight into the new certificate's
-    # __dict__: about 0.3 us, where the frozen dataclass __init__ took
-    # about 1.2 us of a warm call
-    cert = _new(ACertificate)
-    fields = cert.__dict__
-    fields["lam"] = lam
-    fields["space"] = rec.space
-    fields["lin"] = rec.lin
-    fields["quad"] = rec.quad
-    fields["_record"] = rec
+    cert = ACertificate(lam, rec)
     if not cert.check(f):
         raise AssertionError
     return cert

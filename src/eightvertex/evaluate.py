@@ -44,7 +44,6 @@ distinct lam.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import json
@@ -359,23 +358,6 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
 
 # -- class-A fast evaluation ----------------------------------------------
 
-# the port template of each class-A shape, keyed by its AShape record
-# (an entry holds its key, so a record is never freed while its entry
-# lives).  Names that share a shape share one template: over one pass of
-# eval-affine's pool (memos cleared first) 794 of 1049 lookups hit, and
-# the 255 templates held about 100 KB by tracemalloc; warm, every lookup
-# hits
-@functools.lru_cache(maxsize=1024)
-def _affine_template(shape) -> tuple:
-    """The terms of a class-A shape over its 1-based ports: the linear
-    terms (i, a), the cross terms (i, j) with coefficient 2, and the
-    parity constraints (ports, rhs) that cut out its affine space
-    (``AffineSpace.parity``)."""
-    return (tuple(shape.lin.items()),
-            tuple(ij for ij, b in shape.quad.items() if b % 2),
-            shape.space.parity)
-
-
 def affine_eval(grid: Grid) -> Cyclo8:
     """The Holant sum in polynomial time when every vertex signature is in
     class A: the sum collapses to a Gauss sum over a quadratic exponent in
@@ -396,10 +378,11 @@ def affine_eval(grid: Grid) -> Cyclo8:
     is formed last, only for a nonzero sum, and once per distinct lam
     value c, as c ** (the number of vertices carrying it).
 
-    Each name's terms are read from the port template of its
-    certificate's class-A shape, built once per shape
-    (``_affine_template``), and ports from the flat port table of
-    :meth:`Grid.validate`."""
+    Each name's linear terms (i, a), cross terms (i, j) over its 1-based
+    ports and parity rows (``AffineSpace.parity``) are read straight from
+    its certificate's ``AShape`` record: the one memo entry per shape,
+    which ``in_A``'s check reads as well.  Ports come from the flat port
+    table of :meth:`Grid.validate`."""
     base, slot = grid.validate()
     certs = {}                     # signature name -> its ACertificate
     for v, name in enumerate(grid.vertices):
@@ -411,15 +394,14 @@ def affine_eval(grid: Grid) -> Cyclo8:
             certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
         return ZERO
-    templates = {name: _affine_template(cert.shape)
-                 for name, cert in certs.items()}
+    shapes = {name: cert.shape for name, cert in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation.
     # echelon[top]: (row, rhs) with top bit `top`, its pivot
     echelon = {}
     for v, name in enumerate(grid.vertices):
         at = base[v] - 1           # port i of v: slot[at + i]
-        for ports, rhs in templates[name][2]:
+        for ports, rhs in shapes[name].space.parity:
             mask = 0
             for i in ports:
                 k = slot[at + i]
@@ -442,16 +424,16 @@ def affine_eval(grid: Grid) -> Cyclo8:
     lin = [0] * nvars              # Z4, reduced when read
     nb = [0] * nvars               # bit y of nb[x]: the term 2 x y
     for v, name in enumerate(grid.vertices):
-        lins, quads, _ = templates[name]
+        shape = shapes[name]
         at = base[v] - 1
-        for i, a in lins:
+        for i, a in shape.lin.items():
             k = slot[at + i]
             if k & 1:
                 const += a
                 lin[k >> 1] -= a
             else:
                 lin[k >> 1] += a
-        for i, j in quads:
+        for i, j in shape.quad:
             k1 = slot[at + i]
             k2 = slot[at + j]
             e1, t1 = k1 >> 1, k1 & 1

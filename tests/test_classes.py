@@ -1,6 +1,6 @@
-import dataclasses
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +10,10 @@ from eightvertex.signatures import (
     Signature, equality, disequality2, holographic_transform,
 )
 import eightvertex.classes as classes
-from eightvertex.classes import in_A, in_P, in_L, in_alphaA
+from eightvertex.classes import (
+    ACertificate, AffineSpace, AShape, in_A, in_P, in_L, in_alphaA,
+)
+from eightvertex.evaluate import Grid, affine_eval, brute_force
 
 from oracles import oracle_in_A, oracle_in_P
 from util import (
@@ -308,10 +311,39 @@ def test_in_A_memo_terms_are_read_only():
     assert again.check(f)
 
 
+def test_A_records_and_certificates_are_immutable():
+    """The record in_A shares between certificates of one shape, and each
+    certificate, refuse every assignment, so no caller can change what
+    later in_A calls and affine_eval read."""
+    # i^(x1 + x2) on {0,1}^2; the one-vertex loop joins its two ports
+    f = Signature(2, [I ** (x1 + x2) for x1 in (0, 1) for x2 in (0, 1)])
+    loop = Grid({"f": f}, ["f"], [((0, 1), (0, 2))])
+    cert = in_A(f)
+    before = _a_answer(cert), cert.exponents
+    rec = cert.shape
+    for name, value in (("space", AffineSpace.full(2)),
+                        ("lin", MappingProxyType({1: 2})),
+                        ("quad", MappingProxyType({(1, 2): 1})),
+                        ("table", (0, 0, 0, 0)), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, value)
+    for name, value in (("lam", I), ("shape", AShape.of(rec.space, {}, {})),
+                        ("space", AffineSpace.full(2)), ("lin", {1: 2}),
+                        ("quad", {}), ("exponents", (0, 0, 0, 0)),
+                        ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, value)
+    again = in_A(f)
+    assert again.shape is rec and (_a_answer(again), again.exponents) == before
+    assert dict(again.lin) == {1: 1, 2: 1} and again.check(f)
+    assert affine_eval(loop) == brute_force(loop) == 2 * I
+
+
 def test_A_check_reads_the_certificates_own_terms():
-    """A certificate whose lin coefficient at a variable that is not
-    always 0 on the space is off by 1 fails check, while the exponent
-    table of the unchanged certificate is memoized."""
+    """A certificate built with AShape.of from in_A's terms with the lin
+    coefficient at a variable that is not always 0 on the space off by 1
+    fails check and differs from f in value_at; in_A's own certificate
+    still checks."""
     rng = random.Random(1616)
     tried = 0
     for _ in range(200):
@@ -319,20 +351,18 @@ def test_A_check_reads_the_certificates_own_terms():
         f = random_affine_signature(rng, n)
         cert = in_A(f)
         assert cert.check(f)
-        cached = classes._exponents.cache_info().currsize
         for i in range(1, n + 1):
             if not any(m >> (n - i) & 1 for m in f.support()):
                 continue
             for delta in (1, -1):
                 lin = dict(cert.lin)
-                lin[i] = (lin.get(i, 0) + delta) % 4
-                bad = dataclasses.replace(cert, lin=lin)
+                lin[i] = lin.get(i, 0) + delta
+                bad = ACertificate(cert.lam,
+                                   AShape.of(cert.space, lin, cert.quad))
                 assert not bad.check(f), (f, i, delta)
                 assert any(bad.value_at(m) != f.values[m]
                            for m in range(1 << n))
                 tried += 1
-        # the tampered tables are new entries; the original still checks
-        assert classes._exponents.cache_info().currsize >= cached
         assert cert.check(f)
     assert tried > 500
 
@@ -348,7 +378,6 @@ def test_in_A_cold_and_warm_agree():
         corpus.append(f)
         corpus.append(_one_entry_mutant(rng, f, rng.randrange(1 << f.arity)))
     classes._A_shape.cache_clear()
-    classes._exponents.cache_clear()
     classes._hull.cache_clear()
     cold = [_a_answer(in_A(f)) for f in corpus]
     after_cold = classes._A_shape.cache_info()
@@ -370,11 +399,13 @@ def test_in_A_cold_and_warm_agree():
 
 def test_A_shape_table_is_Q_on_the_space():
     """The exponent table of in_A's record, filled on a miss from the
-    codes the walk has just checked, is the table _exponents builds from
+    codes the walk has just checked, is the table AShape.of builds from
     the record's own terms: Q mod 4 at every point of the space and None
-    off it.  A certificate with equal but distinct terms gets the same
-    table through _exponents."""
+    off it.  check relies on the two agreeing.  A second in_A of f hands
+    out the same record, and a certificate built by hand from the terms
+    checks f."""
     rng = random.Random(1717)
+    jitter = random.Random(1818)   # the shifts, apart from the corpus
     classes._A_shape.cache_clear()
     seen = set()
     for _ in range(300):
@@ -382,18 +413,24 @@ def test_A_shape_table_is_Q_on_the_space():
         f = random_affine_signature(rng, n)
         cert = in_A(f)
         rec = cert.shape
-        assert (rec.space, rec.lin, rec.quad) == (cert.space, cert.lin,
-                                                  cert.quad)
-        assert rec.lin is cert.lin and rec.quad is cert.quad
-        assert in_A(f).shape is rec and cert.exponents is rec.table
-        want = classes._exponents(rec.space, tuple(rec.lin.items()),
-                                  tuple(rec.quad.items()))
-        assert rec.table == want
+        assert (cert.space, cert.lin, cert.quad, cert.exponents) == (
+            rec.space, rec.lin, rec.quad, rec.table)
+        assert in_A(f).shape is rec
+        built = AShape.of(rec.space, rec.lin, rec.quad)
+        assert built.table == rec.table
+        # terms shifted by multiples of 4 (lin) or 2 (quad), zero ones
+        # among them, give the record's own reduced terms
+        var = range(1, n + 1)
+        shifted = AShape.of(
+            rec.space,
+            {i: rec.lin.get(i, 0) + 4 * jitter.randint(-1, 1) for i in var},
+            {(i, j): rec.quad.get((i, j), 0) + 2 * jitter.randint(-1, 1)
+             for i in var for j in var if i < j})
+        assert (shifted.table, dict(shifted.lin), dict(shifted.quad)) == (
+            rec.table, dict(rec.lin), dict(rec.quad))
         assert len(rec.table) == 1 << n
         for m, q in enumerate(rec.table):
             assert (q is None) == (not rec.space.contains(m))
-        copy = dataclasses.replace(cert, lin=dict(cert.lin))
-        assert copy.shape is not rec and copy.exponents == rec.table
-        assert copy.check(f)
+        assert ACertificate(cert.lam, built).check(f)
         seen.add(n)
     assert seen == {1, 2, 3, 4, 5, 6}

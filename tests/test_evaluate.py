@@ -690,11 +690,11 @@ def test_grid_from_graph_ports():
 
 
 def test_class_A_memos_stay_bounded():
-    """More distinct arity-5 and arity-6 shapes than the memos hold: the
-    shape memo, the exponent tables and the port templates each stay
-    within their maxsize, and every answer equals a cold recomputation."""
-    memos = (classes._A_shape, classes._exponents, evaluate._affine_template,
-             classes._hull)
+    """More distinct arity-5 and arity-6 shapes than the shape memo holds:
+    the shape and hull memos stay within their maxsize, and every answer,
+    the parity rows affine_eval reads included, equals a cold
+    recomputation."""
+    memos = (classes._A_shape, classes._hull)
     for memo in memos:
         memo.cache_clear()
     rng = random.Random(1718)
@@ -705,15 +705,14 @@ def test_class_A_memos_stay_bounded():
     def answer(f):
         cert = in_A(f)
         return (cert.lam, cert.space, sorted(cert.lin.items()),
-                sorted(cert.quad.items()), cert.exponents,
-                evaluate._affine_template(cert.shape))
+                sorted(cert.quad.items()), cert.exponents, cert.space.parity)
 
     warm = [answer(f) for f in corpus]
-    # the memos overflowed: the corpus's own certificates filled
-    # _exponents, and in_A and the templates met more shapes than fit
-    for memo in memos[:3]:
+    # in_A met more shapes than fit
+    info = classes._A_shape.cache_info()
+    assert info.misses > info.maxsize
+    for memo in memos:
         info = memo.cache_info()
-        assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
     for f, want in zip(corpus, warm):
         for memo in memos:
@@ -725,8 +724,9 @@ def test_affine_eval_names_sharing_a_shape():
     """Seeded grids of at most 16 edges in which many names share a
     class-A shape under different lams, some over a denominator other than
     1, and two names are bound to one Signature object: affine_eval gives
-    brute_force's value, and the port template of each shape is built
-    once (one memo miss per shape)."""
+    brute_force's value, names that share a shape share one record
+    object, and affine_eval reads those records and builds no new one
+    (each of its in_A calls hits the shape memo)."""
     lams = SHARED_LAMS + (Cyclo8(1), -I, scalar(Fraction(-2, 3)))
     rng = random.Random(1719)
     seen = Counter()
@@ -741,14 +741,16 @@ def test_affine_eval_names_sharing_a_shape():
         if len(grid.edges) > 16:
             continue
         names = set(grid.vertices)
-        tables = {in_A(pool[name]).shape.table for name in names}
+        records = [in_A(pool[name]).shape for name in names]
+        tables = {rec.table for rec in records}
+        assert len({id(rec) for rec in records}) == len(tables)
         lam_of = {name: in_A(pool[name]).lam for name in names}
-        evaluate._affine_template.cache_clear()
+        before = classes._A_shape.cache_info()
         value = affine_eval(grid)
         assert value == brute_force(grid)
-        info = evaluate._affine_template.cache_info()
-        assert (info.misses, info.hits) == (len(tables),
-                                            len(names) - len(tables))
+        info = classes._A_shape.cache_info()
+        assert (info.misses, info.hits) == (before.misses,
+                                            before.hits + len(names))
         seen["grids"] += 1
         seen["nonzero"] += not value.is_zero()
         seen["shared"] += len(tables) < len(names)

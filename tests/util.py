@@ -44,7 +44,7 @@ def nonzero_fraction(rng: random.Random, lo=-9, hi=9, den=9) -> Fraction:
 def random_affine_signature(rng: random.Random, arity: int):
     """A random member of class A, built straight from the definition:
     lam * i^Q on a random affine subspace."""
-    from eightvertex.classes import AffineSpace, ACertificate
+    from eightvertex.classes import AffineSpace, ACertificate, AShape
 
     n = arity
     space = None
@@ -63,7 +63,7 @@ def random_affine_signature(rng: random.Random, arity: int):
             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     a0 = rng.randrange(4)          # a constant term i^a0, folded into lam
     lam = lam.rotate(2 * a0)
-    cert = ACertificate(lam, space, lin, quad)
+    cert = ACertificate(lam, AShape.of(space, lin, quad))
     return Signature(n, [cert.value_at(m) for m in range(1 << n)])
 
 
@@ -147,9 +147,9 @@ def prism_grid(rng, rungs: int, pool: dict):
 def _full_affine_signature(n, lam, lin, quad) -> Signature:
     """lam * i^Q on every point of {0,1}^n, Q given by its 1-based
     linear and cross terms."""
-    from eightvertex.classes import AffineSpace, ACertificate
+    from eightvertex.classes import AffineSpace, ACertificate, AShape
 
-    cert = ACertificate(lam, AffineSpace.full(n), lin, quad)
+    cert = ACertificate(lam, AShape.of(AffineSpace.full(n), lin, quad))
     return Signature(n, [cert.value_at(m) for m in range(1 << n)])
 
 
