@@ -61,7 +61,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .numeric import Cyclo8, ONE, ZERO
@@ -70,7 +69,6 @@ from .signatures import Signature
 
 # -- affine spaces -------------------------------------------------------
 
-@dataclass(frozen=True)
 class AffineSpace:
     """An affine subspace of F_2^n: offset + span(basis).
 
@@ -78,11 +76,26 @@ class AffineSpace:
     signature value indexing.  The basis is row reduced so each vector has
     a distinct leading bit; those leading bits are the free coordinates
     (projection onto them is a bijection onto F_2^dim).
+
+    Immutable, and equal to a space of the same n, offset and basis.  The
+    instance dict holds only the cached properties below.
     """
 
-    n: int
-    offset: int
-    basis: tuple
+    __slots__ = ("n", "offset", "basis", "__dict__")
+
+    def __init__(self, n: int, offset: int, basis: tuple):
+        _set_n(self, n)
+        _set_offset(self, offset)
+        _set_basis(self, basis)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffineSpace is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineSpace):
+            return NotImplemented
+        return (self.n == other.n and self.offset == other.offset
+                and self.basis == other.basis)
 
     @property
     def dim(self) -> int:
@@ -197,6 +210,11 @@ class AffineSpace:
         return tuple(rows)
 
 
+_set_n = AffineSpace.n.__set__
+_set_offset = AffineSpace.offset.__set__
+_set_basis = AffineSpace.basis.__set__
+
+
 # -- class A --------------------------------------------------------------
 
 _ZERO4 = (0, 0, 0, 0)   # the numerators of 0
@@ -276,8 +294,7 @@ class AShape:
     with values in Z2, and the exponent table, Q mod 4 at each point and
     None off the space.  ``in_A`` hands out one record per shape from its
     memo to every certificate of that shape, so a record is immutable, and
-    compares and hashes by identity.  A plain slotted class: a frozen
-    dataclass added about 0.5 ms to every import."""
+    compares and hashes by identity."""
 
     __slots__ = ("space", "lin", "quad", "table")
 
@@ -429,14 +446,19 @@ def in_A(f: Signature):
 
 # -- class P -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class PDecomposition:
     """f = lam * tensor product of factors; each factor covers the listed
     1-based variables and has support in at most two complementary
-    points."""
+    points.  Immutable."""
 
-    lam: Cyclo8
-    factors: tuple  # of (vars tuple, Signature)
+    __slots__ = ("lam", "factors")
+
+    def __init__(self, lam: Cyclo8, factors: tuple):
+        _set_p_lam(self, lam)
+        _set_factors(self, factors)   # of (vars tuple, Signature)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PDecomposition is immutable")
 
     def check(self, f: Signature) -> bool:
         n = f.arity
@@ -466,6 +488,10 @@ class PDecomposition:
             if not _small_antipodal(g):
                 return False
         return True
+
+
+_set_p_lam = PDecomposition.lam.__set__
+_set_factors = PDecomposition.factors.__set__
 
 
 def _small_antipodal(g: Signature) -> bool:

@@ -1,19 +1,20 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Subcommands: classify, eval, eval-affine, eo, tutte33, ising,
 check-cert, demo-interp.  JSON output is the machine interface
 (--json); the default output is a short human-readable summary.
+Options are never abbreviated, and an option's value is the argument
+after it even when that starts with '-' (``--sig -i,1,1,1,1,1,1,-i``).
 
 Exit codes: 0 on success (a hard verdict is data, not an error),
-2 on input errors, 3 on size-limit violations.
+2 on input errors and usage errors, 3 on size-limit violations.
 """
 
+import argparse
 import json
 import math
 import sys
 from fractions import Fraction
-
-import click
 
 from .numeric import DivisionByZero, parse_cyclo8
 from .signatures import EightVertexSig, Signature
@@ -47,7 +48,7 @@ _INPUT_ERRORS = (ValueError, KeyError, DivisionByZero, NotRepresentable,
 
 
 def _fail(msg: str, code: int = 2):
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -71,20 +72,30 @@ def _load_graph(path: str) -> Graph:
 def _print_value(val, as_json: bool):
     z = val.to_complex()
     if as_json:
-        click.echo(json.dumps({"approx": [z.real, z.imag], "exact": str(val)}))
+        print(json.dumps({"approx": [z.real, z.imag], "exact": str(val)}))
     else:
-        click.echo(f"{val}  (~ {z.real:g} {z.imag:+g}i)")
+        print(f"{val}  (~ {z.real:g} {z.imag:+g}i)")
 
 
-@click.group()
-def main():
-    """Exact tools for eight-vertex Holant problems."""
+# (name, handler, options) of each subcommand, in the order of the help;
+# an option is (flag, keywords of add_argument), and the handler takes
+# the options' values as keywords
+_COMMANDS = []
 
 
-@main.command("classify")
-@click.option("--sig", help="signature a,b,c,d,w,z,y,x")
-@click.option("--preset", type=click.Choice(sorted(PRESETS)))
-@click.option("--json", "as_json", is_flag=True)
+def _command(name: str, *options):
+    def register(handler):
+        _COMMANDS.append((name, handler, options))
+        return handler
+    return register
+
+
+_JSON = ("--json", {"dest": "as_json", "action": "store_true"})
+_SIG = ("--sig", {"help": "signature a,b,c,d,w,z,y,x"})
+_PRESET = ("--preset", {"choices": sorted(PRESETS)})
+
+
+@_command("classify", _SIG, _PRESET, _JSON)
 def classify_cmd(sig, preset, as_json):
     """Classify a signature as hard, tractable, or vanishing."""
     try:
@@ -93,24 +104,25 @@ def classify_cmd(sig, preset, as_json):
     except _INPUT_ERRORS as e:
         _fail(str(e))
     if as_json:
-        click.echo(json.dumps(verdict.to_json_dict()))
+        print(json.dumps(verdict.to_json_dict()))
         return
-    click.echo(f"verdict: {verdict.kind}  (branch {verdict.branch})")
+    print(f"verdict: {verdict.kind}  (branch {verdict.branch})")
     for rule, detail in verdict.trace:
-        click.echo(f"  {rule}: {detail}")
+        print(f"  {rule}: {detail}")
     if verdict.certificate is not None:
-        click.echo(f"  certificate: {verdict.certificate.describe()}")
+        print(f"  certificate: {verdict.certificate.describe()}")
     if verdict.reason is not None:
-        click.echo(f"  reason: {verdict.reason}")
+        print(f"  reason: {verdict.reason}")
 
 
-@main.command("eval")
-@click.option("--grid", "grid_path", help="grid JSON file")
-@click.option("--graph", "graph_path", help="graph file (with --sig/--preset)")
-@click.option("--sig", help="signature to place on every graph vertex")
-@click.option("--preset", type=click.Choice(sorted(PRESETS)))
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--max-edges", default=28, show_default=True)
+@_command("eval",
+          ("--grid", {"dest": "grid_path", "help": "grid JSON file"}),
+          ("--graph", {"dest": "graph_path",
+                       "help": "graph file (with --sig/--preset)"}),
+          ("--sig", {"help": "signature to place on every graph vertex"}),
+          _PRESET, _JSON,
+          ("--max-edges", {"type": int, "default": 28,
+                           "help": "(default: %(default)s)"}))
 def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
     """Evaluate a Holant partition function exactly: as a Gauss sum when
     every vertex signature is in class A, by brute force otherwise."""
@@ -140,9 +152,10 @@ def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
     _print_value(val, as_json)
 
 
-@main.command("eval-affine")
-@click.option("--grid", "grid_path", required=True, help="grid JSON file")
-@click.option("--json", "as_json", is_flag=True)
+@_command("eval-affine",
+          ("--grid", {"dest": "grid_path", "required": True,
+                      "help": "grid JSON file"}),
+          _JSON)
 def eval_affine_cmd(grid_path, as_json):
     """Evaluate an all-affine grid through the polynomial-time path."""
     try:
@@ -152,9 +165,7 @@ def eval_affine_cmd(grid_path, as_json):
     _print_value(val, as_json)
 
 
-@main.command("eo")
-@click.option("--graph", "graph_path", required=True)
-@click.option("--json", "as_json", is_flag=True)
+@_command("eo", ("--graph", {"dest": "graph_path", "required": True}), _JSON)
 def eo_cmd(graph_path, as_json):
     """Count Eulerian orientations of a 4-regular graph."""
     try:
@@ -163,13 +174,13 @@ def eo_cmd(graph_path, as_json):
         _fail(str(e), code=3)
     except _INPUT_ERRORS as e:
         _fail(str(e))
-    click.echo(json.dumps({"count": n}) if as_json else str(n))
+    print(json.dumps({"count": n}) if as_json else str(n))
 
 
-@main.command("tutte33")
-@click.option("--graph", "graph_path", required=True,
-              help="planar graph file with rotation lines")
-@click.option("--json", "as_json", is_flag=True)
+@_command("tutte33",
+          ("--graph", {"dest": "graph_path", "required": True,
+                       "help": "planar graph file with rotation lines"}),
+          _JSON)
 def tutte33_cmd(graph_path, as_json):
     """Evaluate T(G; 3, 3) through the medial-graph Holant."""
     try:
@@ -179,20 +190,17 @@ def tutte33_cmd(graph_path, as_json):
     except _INPUT_ERRORS as e:
         _fail(str(e))
     if as_json:
-        click.echo(json.dumps({"value": str(val)}))
+        print(json.dumps({"value": str(val)}))
     else:
-        click.echo(str(val))
+        print(str(val))
 
 
-@main.command("ising")
-@click.option("--jh", required=True)
-@click.option("--jv", required=True)
-@click.option("--j", required=True)
-@click.option("--jp", required=True)
-@click.option("--jpp", required=True)
-@click.option("--approx", is_flag=True,
-              help="allow energies off the i*pi/4 lattice (float weights)")
-@click.option("--json", "as_json", is_flag=True)
+@_command("ising",
+          *((flag, {"required": True})
+            for flag in ("--jh", "--jv", "--j", "--jp", "--jpp")),
+          ("--approx", {"action": "store_true", "help": "allow energies "
+                        "off the i*pi/4 lattice (float weights)"}),
+          _JSON)
 def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
     """Build the eight-vertex signature of an Ising-type energy
     function (couplings in units of i*pi/4) and classify it; with
@@ -220,11 +228,11 @@ def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
         payload = {"signature": str(f),
                    "classification": classify_sig(f).to_json_dict()}
     if as_json:
-        click.echo(json.dumps(payload))
+        print(json.dumps(payload))
     else:
-        click.echo(f"signature: {payload['signature']}")
+        print(f"signature: {payload['signature']}")
         if "classification" in payload:
-            click.echo(f"verdict: {payload['classification']['verdict']}")
+            print(f"verdict: {payload['classification']['verdict']}")
 
 
 def _coupling(flag: str, text: str) -> Fraction:
@@ -235,11 +243,12 @@ def _coupling(flag: str, text: str) -> Fraction:
         raise ValueError(f"{flag} {text}: zero denominator") from None
 
 
-@main.command("check-cert")
-@click.option("--sig", required=True)
-@click.option("--cert", "cert_path", required=True,
-              help="certificate JSON file (as emitted by classify)")
-@click.option("--json", "as_json", is_flag=True)
+@_command("check-cert",
+          ("--sig", {"required": True}),
+          ("--cert", {"dest": "cert_path", "required": True,
+                      "help": "certificate JSON file (as emitted by "
+                              "classify)"}),
+          _JSON)
 def check_cert_cmd(sig, cert_path, as_json):
     """Re-verify a tractability certificate."""
     try:
@@ -255,7 +264,7 @@ def check_cert_cmd(sig, cert_path, as_json):
     except _INPUT_ERRORS as e:
         _fail(str(e))
     ok = check_certificate(f, cert)
-    click.echo(json.dumps({"valid": ok}) if as_json else str(ok).lower())
+    print(json.dumps({"valid": ok}) if as_json else str(ok).lower())
 
 
 def _demo_grid() -> Grid:
@@ -264,11 +273,13 @@ def _demo_grid() -> Grid:
     return Grid({"SLOT": Signature(4, [0] * 16)}, ["SLOT", "SLOT"], edges)
 
 
-@main.command("demo-interp")
-@click.option("--grid", "grid_path", help="grid JSON with SLOT vertices")
-@click.option("--t", default="2", show_default=True)
-@click.option("--lambdas", default="0,3,-1", show_default=True)
-@click.option("--json", "as_json", is_flag=True)
+@_command("demo-interp",
+          ("--grid", {"dest": "grid_path",
+                      "help": "grid JSON with SLOT vertices"}),
+          ("--t", {"default": "2", "help": "(default: %(default)s)"}),
+          ("--lambdas", {"default": "0,3,-1",
+                         "help": "(default: %(default)s)"}),
+          _JSON)
 def demo_interp_cmd(grid_path, t, lambdas, as_json):
     """Interpolation demo: recover slot-family Holant values from
     chain-gadget evaluations and compare with direct evaluation."""
@@ -282,7 +293,7 @@ def demo_interp_cmd(grid_path, t, lambdas, as_json):
     except _INPUT_ERRORS as e:
         _fail(str(e))
     if as_json:
-        click.echo(json.dumps({
+        print(json.dumps({
             "slots": report["slots"],
             "channel_sums": [str(v) for v in report["channel_sums"]],
             "values": {k: str(v) for k, v in report["values"].items()},
@@ -290,10 +301,52 @@ def demo_interp_cmd(grid_path, t, lambdas, as_json):
             "agrees": report["agrees"],
         }))
         return
-    click.echo(f"slots: {report['slots']}")
+    print(f"slots: {report['slots']}")
     for k, v in report["values"].items():
-        click.echo(f"lambda={k}: {v}  direct={report['direct'][k]}")
-    click.echo(f"agrees: {report['agrees']}")
+        print(f"lambda={k}: {v}  direct={report['direct'][k]}")
+    print(f"agrees: {report['agrees']}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="eightvertex", allow_abbrev=False,
+        description="Exact tools for eight-vertex Holant problems.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for name, handler, options in _COMMANDS:
+        summary = " ".join(handler.__doc__.split())
+        sub = commands.add_parser(name, help=summary, description=summary,
+                                  allow_abbrev=False)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
+    return parser
+
+
+def _joined(argv) -> list:
+    """argv with each option that takes a value joined to the argument
+    after it, as --option=value, so that argparse reads that argument as
+    the value even when it starts with '-'."""
+    takes_value = {flag for _, _, options in _COMMANDS
+                   for flag, keywords in options if "action" not in keywords}
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg in takes_value:
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
+def main(argv=None):
+    """Run the command line argv (default: the process's arguments).
+    Errors end the process through SystemExit with code 2 or 3."""
+    args = vars(_parser().parse_args(
+        _joined(sys.argv[1:] if argv is None else argv)))
+    del args["command"]
+    args.pop("handler")(**args)
 
 
 if __name__ == "__main__":

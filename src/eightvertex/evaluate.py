@@ -50,7 +50,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
@@ -78,11 +77,13 @@ class NotAffineSignature(ValueError):
 
 # -- grids ----------------------------------------------------------------
 
-@dataclass
 class Grid:
-    signatures: dict            # name -> Signature
-    vertices: list              # vertex index -> signature name
-    edges: list                 # ((v, p), (w, q)) with 1-based ports
+    __slots__ = ("signatures", "vertices", "edges")
+
+    def __init__(self, signatures: dict, vertices: list, edges: list):
+        self.signatures = signatures    # name -> Signature
+        self.vertices = vertices        # vertex index -> signature name
+        self.edges = edges              # ((v, p), (w, q)) with 1-based ports
 
     def vertex_sig(self, v: int) -> Signature:
         return self.signatures[self.vertices[v]]
@@ -129,6 +130,7 @@ class Grid:
                        "a grid is an object with signatures, vertices and "
                        "edges")
         sigs = {}
+        parsed = {}     # each distinct scalar string of the file, parsed
         for name, spec in _expect(_field(data, "signatures", "the grid"),
                                   dict, "signatures is an object").items():
             _expect(spec, dict, f"signature {name!r} is an object")
@@ -138,7 +140,7 @@ class Grid:
                                 "an eightvertex entry is a string")
                 sigs[name] = EightVertexSig.parse(text8).to_signature()
             else:
-                vals = [_grid_value(v) for v in _expect(
+                vals = [_grid_value(v, parsed) for v in _expect(
                     _field(spec, "values", owner), list, "values is a list")]
                 sigs[name] = Signature(
                     _expect(_field(spec, "arity", owner), int,
@@ -176,11 +178,17 @@ def _expect(value, kind, rule: str):
     raise ValueError(f"bad grid: {rule}, got {json.dumps(value)[:40]}")
 
 
-def _grid_value(v) -> Cyclo8:
+def _grid_value(v, parsed: dict) -> Cyclo8:
     """A signature value of a grid file: an int, or a string in the scalar
-    syntax.  Floats are refused, since every value must be exact."""
+    syntax.  Floats are refused, since every value must be exact.  A
+    string is parsed once per file: parsed maps the strings met so far to
+    their values, and only strings are ever its keys, since true, 1 and
+    1.0 are equal keys but not equally valid values."""
     if isinstance(v, str):
-        return parse_cyclo8(v)
+        c = parsed.get(v)
+        if c is None:
+            c = parsed[v] = parse_cyclo8(v)
+        return c
     return Cyclo8(_expect(v, int, "a value is an int or a scalar string"))
 
 
@@ -540,13 +548,16 @@ def affine_eval(grid: Grid) -> Cyclo8:
 
 # -- graphs with rotation systems ------------------------------------------
 
-@dataclass
 class Graph:
     """A multigraph given as an edge list, optionally with a counter
     clockwise rotation (edge indices) around each vertex."""
 
-    edges: list                 # (u, v) pairs
-    rotations: dict = field(default_factory=dict)   # vertex -> [edge ids]
+    __slots__ = ("edges", "rotations")
+
+    def __init__(self, edges: list, rotations: dict = None):
+        self.edges = edges              # (u, v) pairs
+        # vertex -> [edge ids]
+        self.rotations = {} if rotations is None else rotations
 
     @property
     def vertices(self):

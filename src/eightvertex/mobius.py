@@ -10,8 +10,6 @@ fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numeric import (Cyclo8, ONE, SQRT2, mat_mul, mat_pow, scalar,
                       sqrt_in_field, unit_modulus)
 
@@ -20,11 +18,25 @@ class NotInField(ValueError):
     """A requested value (e.g. a fixed point) does not lie in Q(zeta8)."""
 
 
-@dataclass(frozen=True)
 class ExtComplex:
-    """A point of the extended plane: a field element or infinity."""
+    """A point of the extended plane: a field element or infinity.
+    Immutable, and equal to a point of the same value."""
 
-    value: Cyclo8 = None  # None encodes infinity
+    __slots__ = ("value",)
+
+    def __init__(self, value: Cyclo8 = None):   # None encodes infinity
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExtComplex is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtComplex):
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
     @property
     def is_infinity(self) -> bool:

@@ -17,7 +17,6 @@ rows indexed by (x1, x2) and columns by (x3, x4).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .numeric import Cyclo8, ZERO, parse_cyclo8, scalar
 
@@ -107,19 +106,25 @@ _EV_POSITIONS = {
 _EV_ORDER = "abcdwzyx"
 
 
-@dataclass(frozen=True)
 class EightVertexSig:
     """The eight entries (a, b, c, d, w, z, y, x) of an eight-vertex
-    signature, in the layout of the matrix docstring above."""
+    signature, in the layout of the matrix docstring above.  Immutable."""
 
-    a: Cyclo8
-    b: Cyclo8
-    c: Cyclo8
-    d: Cyclo8
-    w: Cyclo8
-    z: Cyclo8
-    y: Cyclo8
-    x: Cyclo8
+    __slots__ = tuple(_EV_ORDER)
+
+    def __init__(self, a: Cyclo8, b: Cyclo8, c: Cyclo8, d: Cyclo8,
+                 w: Cyclo8, z: Cyclo8, y: Cyclo8, x: Cyclo8):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+        _set_w(self, w)
+        _set_z(self, z)
+        _set_y(self, y)
+        _set_x(self, x)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EightVertexSig is immutable")
 
     @staticmethod
     def make(a, b, c, d, w, z, y, x) -> "EightVertexSig":
@@ -160,6 +165,10 @@ class EightVertexSig:
 
     def __str__(self):
         return ";".join(str(v) for v in self.entries())
+
+
+_set_a, _set_b, _set_c, _set_d, _set_w, _set_z, _set_y, _set_x = (
+    getattr(EightVertexSig, k).__set__ for k in _EV_ORDER)
 
 
 def eight_vertex_readoff(f: Signature):

@@ -14,6 +14,8 @@ from eightvertex.classify import (
 from eightvertex.signatures import (
     OddSupportWithHalfTransform, Signature, disequality2,
 )
+from eightvertex.classes import AffineSpace, in_P
+from eightvertex.mobius import ExtComplex
 
 from util import NONZERO_POOL, random_ev
 
@@ -322,3 +324,18 @@ def test_zero_gamma_sq_certificate_rejected():
         "transformed": [str(v) for v in f.to_signature().values],
     })
     assert check_certificate(f, cert) is False
+
+
+def test_records_are_immutable():
+    # verdicts, certificates, signatures and the class witnesses refuse
+    # every assignment, to a field or to a new name
+    v = classify(parse("1,1,1,0,0,1,1,0"))
+    f = parse("0,1,1,1,1,1,1,0")
+    dec = in_P(Signature(2, [1, 0, 0, 1]))
+    for obj, field in ((v, "kind"), (v.certificate, "target"), (f, "a"),
+                       (AffineSpace.full(2), "offset"), (dec, "lam"),
+                       (ExtComplex(I), "value")):
+        for name in (field, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, field))
+    assert v.kind == "tractable" and f.a == Cyclo8(0)

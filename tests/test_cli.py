@@ -1,12 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import eightvertex
 import eightvertex.cli as cli
@@ -48,11 +50,22 @@ GRID_JSON = json.dumps({
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return main
 
 
 def invoke(runner, *args):
-    return runner.invoke(main, list(args))
+    """Run the CLI in process on args: its exit code, its stdout and
+    stderr, and the two together (no command writes to both)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            runner(list(args))
+        except SystemExit as e:
+            code = e.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue())
 
 
 def test_classify_hard_json(runner):
@@ -149,7 +162,7 @@ def test_eval_malformed_grid_exit_2(runner, tmp_path, text):
     p = tmp_path / "grid.json"
     p.write_text(text)
     for cmd in ("eval", "eval-affine"):
-        r = runner.invoke(main, [cmd, "--grid", str(p)])
+        r = invoke(runner, cmd, "--grid", str(p))
         assert r.exit_code == 2, r.output
         assert r.output.startswith("error: bad grid:")
 
@@ -182,7 +195,7 @@ def test_eval_grid_missing_field_exit_2(runner, tmp_path, text, message):
     p = tmp_path / "grid.json"
     p.write_text(text)
     for cmd in ("eval", "eval-affine"):
-        r = runner.invoke(main, [cmd, "--grid", str(p)])
+        r = invoke(runner, cmd, "--grid", str(p))
         assert r.exit_code == 2, r.output
         assert r.output == f"error: bad grid: {message}\n"
 
@@ -444,7 +457,7 @@ def _grid_value_file(tmp_path, value):
 def test_zero_denominator_exit_2(runner, tmp_path, args, text):
     args = [_grid_value_file(tmp_path, "1/0") if a == "GRID" else a
             for a in args]
-    r = runner.invoke(main, args)
+    r = invoke(runner, *args)
     assert r.exit_code == 2, r.output
     assert r.output == f"error: zero denominator in scalar: {text!r}\n"
 
@@ -517,3 +530,66 @@ def test_python_m_entry_points(runner, module):
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error:")
+
+
+def test_no_subcommand_exit_2_with_usage(runner):
+    r = invoke(runner)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("usage: eightvertex")
+
+
+def test_option_value_may_start_with_a_dash(runner):
+    # the value after --sig is taken as it stands, '-' first or not
+    r = invoke(runner, "classify", "--sig", "-i,1,1,1,1,1,1,-i", "--json")
+    assert r.exit_code == 0, r.output
+    assert r.output == invoke(runner, "classify", "--sig=-i,1,1,1,1,1,1,-i",
+                              "--json").output
+    data = json.loads(r.output)
+    assert (data["verdict"], data["branch"]) == ("hard", "B4")
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--si", "1"],
+    ["classify", "--preset", "nope"],
+    ["classify", "--sig"],
+    ["classify", "--preset", "eo", "extra"],
+    ["eval", "--max-edges", "q"],
+    ["eval-affine"],
+    ["frobnicate"],
+], ids=["abbreviation", "unknown-preset", "missing-value", "extra-argument",
+        "non-int-max-edges", "missing-required", "unknown-command"])
+def test_usage_errors_exit_2(runner, args):
+    r = invoke(runner, *args)
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert "usage: eightvertex" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    [], ["classify"], ["eval"], ["eval-affine"], ["eo"], ["tutte33"],
+    ["ising"], ["check-cert"], ["demo-interp"]],
+    ids=lambda c: " ".join(c) or "eightvertex")
+def test_help_exit_0(runner, command):
+    r = invoke(runner, *command, "--help")
+    assert r.exit_code == 0, r.output
+    assert r.stdout.startswith(" ".join(["usage: eightvertex", *command]))
+    assert r.stderr == ""
+
+
+def test_import_loads_only_the_standard_library():
+    # importing the CLI (and mobius, the one module it does not import)
+    # loads no third-party package, nor dataclasses or inspect; and the
+    # package declares no runtime dependency
+    src = Path(eightvertex.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, eightvertex.cli, eightvertex.mobius; "
+            "print(*(m for m in ('click', 'dataclasses', 'inspect') "
+            "if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "\n"
+    pyproject = (src.parent / "pyproject.toml").read_text()
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert "dependencies" not in project

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import ALPHA, I, Cyclo8, scalar
+from eightvertex.numeric import ALPHA, I, Cyclo8, parse_cyclo8, scalar
 from eightvertex.signatures import Signature, EightVertexSig, equality
 from eightvertex.classes import in_A
 import eightvertex.classes as classes
@@ -345,6 +345,41 @@ def test_grid_from_json():
     assert grid.vertex_sig(0).arity == 4
     assert grid.signatures["B"].values[3] == I
     brute_force(grid)
+
+
+def _one_vertex_grid(sigs: dict) -> str:
+    """A grid file of the arity-2 signatures sigs (name -> values), the
+    first on one vertex with its two ports joined."""
+    return json.dumps({
+        "signatures": {name: {"arity": 2, "values": values}
+                       for name, values in sigs.items()},
+        "vertices": [{"sig": next(iter(sigs))}],
+        "edges": [[[0, 1], [0, 2]]],
+    })
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "float-one"])
+def test_grid_from_json_refuses_values_equal_to_a_parsed_one(bad):
+    # true == 1 == 1.0 and all three hash alike, but only 1 and "1" are
+    # values: a file that already holds both still refuses the other two
+    text = _one_vertex_grid({"B": [1, "1", 0, 0], "C": [1, bad, 0, "1"]})
+    with pytest.raises(ValueError) as e:
+        Grid.from_json(text)
+    assert str(e.value) == ("bad grid: a value is an int or a scalar "
+                            f"string, got {json.dumps(bad)}")
+
+
+def test_grid_from_json_repeated_values_parse_as_each_alone():
+    # strings repeated within and across signatures, next to ints equal
+    # to some of their values: each value as parse_cyclo8 or Cyclo8 gives
+    strings = ["i", "-1/2", "1,0,-1,0"]
+    sigs = {f"s{k}": [strings[k % 3], -1, strings[(k + 1) % 3], k]
+            for k in range(6)}
+    grid = Grid.from_json(_one_vertex_grid(sigs))
+    for name, values in sigs.items():
+        assert list(grid.signatures[name].values) == [
+            parse_cyclo8(v) if isinstance(v, str) else Cyclo8(v)
+            for v in values]
 
 
 @given(rng_seed)
