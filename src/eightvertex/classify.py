@@ -108,7 +108,7 @@ def apply_steps_signature(f: EightVertexSig, steps) -> Signature:
     and OddSupportWithHalfTransform when a half-specified diagonal
     meets odd-weight support.
     """
-    sig = f.to_signature()
+    sig = f
     for step in steps:
         if step[0] == "outer_rewrite":
             ev = eight_vertex_readoff(sig)
@@ -120,7 +120,7 @@ def apply_steps_signature(f: EightVertexSig, steps) -> Signature:
                 raise ValueError(
                     "outer rewrite must preserve the corner product")
             sig = EightVertexSig(na, ev.b, ev.c, ev.d,
-                                 ev.w, ev.z, ev.y, nx).to_signature()
+                                 ev.w, ev.z, ev.y, nx)
         elif step[0] == "half_diag":
             sig = half_diagonal(sig, step[1])
         else:

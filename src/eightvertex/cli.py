@@ -131,8 +131,7 @@ def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
             grid = _load_grid(grid_path)
         elif graph_path is not None:
             f = _sig_from_options(sig, preset)
-            grid = grid_from_graph(_load_graph(graph_path),
-                                   f.to_signature(), "f")
+            grid = grid_from_graph(_load_graph(graph_path), f, "f")
         else:
             _fail("one of --grid or --graph is required")
         # max_edges bounds both paths: over it, brute_force raises

@@ -55,7 +55,6 @@ from fractions import Fraction
 from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
                       ZERO, _reduced)
 from .signatures import Signature, EightVertexSig
-from .gadgets import chain_power, eigen_report
 from .classes import in_A
 
 
@@ -84,9 +83,6 @@ class Grid:
         self.signatures = signatures    # name -> Signature
         self.vertices = vertices        # vertex index -> signature name
         self.edges = edges              # ((v, p), (w, q)) with 1-based ports
-
-    def vertex_sig(self, v: int) -> Signature:
-        return self.signatures[self.vertices[v]]
 
     def validate(self) -> tuple:
         """Check that the edges join every port of every vertex exactly
@@ -138,7 +134,7 @@ class Grid:
             if "eightvertex" in spec:
                 text8 = _expect(spec["eightvertex"], str,
                                 "an eightvertex entry is a string")
-                sigs[name] = EightVertexSig.parse(text8).to_signature()
+                sigs[name] = EightVertexSig.parse(text8)
             else:
                 vals = [_grid_value(v, parsed) for v in _expect(
                     _field(spec, "values", owner), list, "values is a list")]
@@ -641,7 +637,7 @@ def eo_count(graph: Graph) -> int:
 def tutte_signature() -> Signature:
     """The eight-vertex signature whose Holant on the medial grid gives
     twice T(G; 3, 3): entries (a..x) = (0, 1, 1, 2, 2, 1, 1, 0)."""
-    return EightVertexSig.make(0, 1, 1, 2, 2, 1, 1, 0).to_signature()
+    return EightVertexSig(0, 1, 1, 2, 2, 1, 1, 0)
 
 
 def medial_graph(graph: Graph) -> Grid:
@@ -783,7 +779,7 @@ def chain_block(t) -> Signature:
     """The eight-vertex building block with matrix
     [[1,0,0,t],[0,1,t,0],[0,t,1,0],[t,0,0,1]], diagonalized by the chain
     basis with eigenvalue pairs (1+t, 1+t, 1-t, 1-t)."""
-    return EightVertexSig.make(1, t, 1, t, t, 1, t, 1).to_signature()
+    return EightVertexSig(1, t, 1, t, t, 1, t, 1)
 
 
 def slot_signature(lam) -> Signature:
@@ -791,7 +787,7 @@ def slot_signature(lam) -> Signature:
     (1+lambda, 1-lambda) in place of (1, t): chain-basis eigenvalues
     (2, 2, 2*lambda, 2*lambda)."""
     p, m = ONE + lam, ONE - lam
-    return EightVertexSig.make(p, m, p, m, m, p, m, p).to_signature()
+    return EightVertexSig(p, m, p, m, m, p, m, p)
 
 
 def interpolation_demo(grid: Grid, t, lambdas) -> dict:
@@ -805,6 +801,9 @@ def interpolation_demo(grid: Grid, t, lambdas) -> dict:
     interpolated values, the directly evaluated values, and whether the
     two agree.  A t for which the system is singular raises ValueError.
     """
+    # imported here, so that only this demonstration loads the gadgets
+    from .gadgets import chain_power, eigen_report
+
     t = scalar(t)
     m = sum(1 for name in grid.vertices if name == "SLOT")
     if m == 0:

@@ -27,7 +27,9 @@ Fractions mix with them (floats and complex numbers raise TypeError).
 are second names for Cyclo8 and parse_cyclo8, and ``Cyclo8._binop`` is a
 method that nothing calls.  They are kept only for the benchmark: it
 reads ``parse_scalar``, and its tracer (``benchmark/tracing.py``) wraps
-``Scalar._binop``, ``__neg__``, ``__pow__`` and ``__eq__`` by name.
+``Scalar._binop``, ``__neg__``, ``__pow__`` and ``__eq__`` by name.  The
+one such shim outside this module is ``EightVertexSig.to_signature``,
+which returns the signature itself: ``benchmark/ops.py`` calls it.
 
 The section "matrices over the field" holds the package's only matrix
 arithmetic: :func:`mat_mul`, :func:`mat_pow` (repeated squaring) and

@@ -3,20 +3,25 @@
 A :class:`Signature` of arity n stores 2^n scalars in lexicographic order
 of (x1, ..., xn) with x1 as the most significant bit.  Arity-4 signatures
 whose support lies inside the even-weight "pair" positions are the
-eight-vertex signatures; :class:`EightVertexSig` is the compact view
-(a, b, c, d, w, z, y, x) with matrix
+eight-vertex signatures, with matrix
 
     M(f) = [[a, 0, 0, b],
             [0, c, d, 0],
             [0, w, z, 0],
             [y, 0, 0, x]]
 
-rows indexed by (x1, x2) and columns by (x3, x4).
+rows indexed by (x1, x2) and columns by (x3, x4).  :class:`EightVertexSig`
+is such a Signature, built from (a, b, c, d, w, z, y, x); it stores only
+the 16 values, and its entries are views of them, so an eight-vertex
+signature goes to every function that takes a Signature as it is.
+:func:`eight_vertex_readoff` gives the EightVertexSig of an arity-4
+Signature whose odd-weight values are all 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .numeric import Cyclo8, ZERO, parse_cyclo8, scalar
 
@@ -97,38 +102,34 @@ class Signature:
         return a0 / b0
 
 
-# -- eight-vertex view -------------------------------------------------
+# -- eight-vertex signatures -------------------------------------------
 
-_EV_POSITIONS = {
-    "a": 0b0000, "b": 0b0011, "c": 0b0101, "d": 0b0110,
-    "w": 0b1001, "z": 0b1010, "y": 0b1100, "x": 0b1111,
-}
-_EV_ORDER = "abcdwzyx"
+# the positions of (a, b, c, d, w, z, y, x) among the 16 values, and the
+# eight odd-weight positions, where an eight-vertex signature is 0
+_EV_POSITIONS = (0b0000, 0b0011, 0b0101, 0b0110,
+                 0b1001, 0b1010, 0b1100, 0b1111)
+_OFF_PAIR = (0b0001, 0b0010, 0b0100, 0b0111,
+             0b1000, 0b1011, 0b1101, 0b1110)
+_entries = operator.itemgetter(*_EV_POSITIONS)
 
 
-class EightVertexSig:
-    """The eight entries (a, b, c, d, w, z, y, x) of an eight-vertex
-    signature, in the layout of the matrix docstring above.  Immutable."""
+def _entry(m: int):
+    return property(lambda self: self.values[m])
 
-    __slots__ = tuple(_EV_ORDER)
 
-    def __init__(self, a: Cyclo8, b: Cyclo8, c: Cyclo8, d: Cyclo8,
-                 w: Cyclo8, z: Cyclo8, y: Cyclo8, x: Cyclo8):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_c(self, c)
-        _set_d(self, d)
-        _set_w(self, w)
-        _set_z(self, z)
-        _set_y(self, y)
-        _set_x(self, x)
+class EightVertexSig(Signature):
+    """An arity-4 Signature built from its eight entries
+    (a, b, c, d, w, z, y, x), in the layout of the matrix docstring
+    above; its other eight values are 0.  The entries are views of
+    ``values``."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EightVertexSig is immutable")
+    __slots__ = ()
 
-    @staticmethod
-    def make(a, b, c, d, w, z, y, x) -> "EightVertexSig":
-        return EightVertexSig(*(scalar(v) for v in (a, b, c, d, w, z, y, x)))
+    a, b, c, d, w, z, y, x = map(_entry, _EV_POSITIONS)
+
+    def __init__(self, a, b, c, d, w, z, y, x):
+        super().__init__(4, (a, ZERO, ZERO, b, ZERO, c, d, ZERO,
+                             ZERO, w, z, ZERO, y, ZERO, ZERO, x))
 
     @staticmethod
     def parse(text: str) -> "EightVertexSig":
@@ -147,13 +148,12 @@ class EightVertexSig:
         return EightVertexSig(*(parse_cyclo8(p) for p in parts))
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d, self.w, self.z, self.y, self.x)
+        return _entries(self.values)
 
     def to_signature(self) -> Signature:
-        vals = [ZERO] * 16
-        for name, pos in _EV_POSITIONS.items():
-            vals[pos] = getattr(self, name)
-        return Signature(4, vals)
+        """self, which is already a Signature.  Kept only for the
+        benchmark (``benchmark/ops.py`` calls it)."""
+        return self
 
     def scale(self, s) -> "EightVertexSig":
         s = scalar(s)
@@ -167,24 +167,21 @@ class EightVertexSig:
         return ";".join(str(v) for v in self.entries())
 
 
-_set_a, _set_b, _set_c, _set_d, _set_w, _set_z, _set_y, _set_x = (
-    getattr(EightVertexSig, k).__set__ for k in _EV_ORDER)
+def is_eight_vertex(f: Signature) -> bool:
+    """True iff f has arity 4 and is 0 at the eight odd-weight
+    positions."""
+    v = f.values
+    return f.arity == 4 and all(v[m].is_zero() for m in _OFF_PAIR)
 
 
 def eight_vertex_readoff(f: Signature):
-    """The EightVertexSig view of f, or None if f is not arity 4 with
-    support inside the eight pair positions."""
-    if f.arity != 4:
+    """f as an EightVertexSig (f itself when it is one), or None if f is
+    not arity 4 with support inside the eight pair positions."""
+    if isinstance(f, EightVertexSig):
+        return f
+    if not is_eight_vertex(f):
         return None
-    allowed = set(_EV_POSITIONS.values())
-    for m in f.support():
-        if m not in allowed:
-            return None
-    return EightVertexSig(*(f.values[_EV_POSITIONS[n]] for n in _EV_ORDER))
-
-
-def is_eight_vertex(f: Signature) -> bool:
-    return eight_vertex_readoff(f) is not None
+    return EightVertexSig(*_entries(f.values))
 
 
 def compressed_matrix(f: Signature):
@@ -236,13 +233,11 @@ def pair_orbit(ev: EightVertexSig):
     """All distinct eight-vertex signatures obtained from ev by permuting
     its four variables.  The orbit permutes the three inner pairs and
     applies even numbers of within-pair swaps; it has at most 24 members."""
-    f = ev.to_signature()
     seen = []
     for perm in itertools.permutations(range(1, 5)):
-        g = eight_vertex_readoff(apply_perm(f, perm))
+        g = eight_vertex_readoff(apply_perm(ev, perm))
         assert g is not None
-        if not any(all(u == v for u, v in zip(g.entries(), h.entries()))
-                   for h in seen):
+        if g not in seen:
             seen.append(g)
     return seen
 

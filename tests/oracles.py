@@ -102,7 +102,7 @@ def holant_by_enumeration(grid):
             port_bit[(w, q)] = 1 - s
         term = 1
         for v in range(len(grid.vertices)):
-            f = grid.vertex_sig(v)
+            f = grid.signatures[grid.vertices[v]]
             m = 0
             for p in range(1, f.arity + 1):
                 m = 2 * m + port_bit[(v, p)]

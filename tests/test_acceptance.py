@@ -95,8 +95,8 @@ def test_05_outer_product_invariance():
         holder = {"F": equality(4)}
         grid = random_grid(rng, holder, rng.randint(3, 7))
         f, g = pairs[trial]
-        gf = Grid({"F": f.to_signature()}, grid.vertices, grid.edges)
-        gg = Grid({"F": g.to_signature()}, grid.vertices, grid.edges)
+        gf = Grid({"F": f}, grid.vertices, grid.edges)
+        gg = Grid({"F": g}, grid.vertices, grid.edges)
         assert brute_force(gf) == brute_force(gg), (trial, str(f))
 
 

@@ -98,7 +98,7 @@ def test_in_P_matches_oracle_at_arity_4():
     sweep = random.Random(90909)
     swept = []
     for _ in range(1000):
-        swept.append(random_ev(sweep).to_signature())
+        swept.append(random_ev(sweep))
         sweep.choice(NONZERO_POOL)
     for f in planted:
         assert in_P(f) is not None and oracle_in_P(f), f

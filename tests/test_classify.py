@@ -86,7 +86,7 @@ def test_spin_alpha_affine_example():
 
 
 def test_generic_power_of_i_tractable():
-    f = EightVertexSig.make(1, 2, 2, 2, 2, -2, 2, -4)
+    f = EightVertexSig(1, 2, 2, 2, 2, -2, 2, -4)
     v = classify(f)
     assert v.kind == "tractable"
     assert check_certificate(f, v.certificate)
@@ -99,7 +99,7 @@ def test_generic_single_violations_are_hard():
         (1, 2, 2, 2, 2, 2, 2, -4),        # z = -dw violated
         (1, 2, 2, 2, 2, -2, 2, 4),        # ax = -i^(j+k) c^2 violated
     ):
-        v = classify(EightVertexSig.make(*entries))
+        v = classify(EightVertexSig(*entries))
         assert v.kind == "hard", entries
 
 
@@ -129,7 +129,7 @@ def test_generic_relations_always_certify():
 
 def test_odd_powers_parity_violation_is_hard():
     # b/c = i, y/c = 1 makes j + k odd
-    f = EightVertexSig.make(1, I, 1, 1, -1, -1, 1, -I)
+    f = EightVertexSig(1, I, 1, 1, -1, -1, 1, -I)
     v = classify(f)
     assert v.kind in ("hard", "tractable")
     if v.kind == "tractable":
@@ -143,7 +143,7 @@ def test_one_inner_zero_is_hard():
 
 def test_three_equal_pairs_tractable_example():
     # b = y, c = z, d = w with a*x a perfect square in the field
-    f = EightVertexSig.make(1, 1, 1, 1, 1, 1, 1, 1)
+    f = EightVertexSig(1, 1, 1, 1, 1, 1, 1, 1)
     v = classify(f)
     assert v.kind == "tractable"
     assert check_certificate(f, v.certificate)
@@ -151,7 +151,7 @@ def test_three_equal_pairs_tractable_example():
 
 def test_equal_pair_products_branch():
     # by = cz = dw = ax: the chain route must decide this family
-    f = EightVertexSig.make(1, 2, 2, 2, Cyclo8(1) / 2, Cyclo8(1) / 2,
+    f = EightVertexSig(1, 2, 2, 2, Cyclo8(1) / 2, Cyclo8(1) / 2,
                             Cyclo8(1) / 2, 1)
     v = classify(f)
     assert v.kind in ("hard", "tractable")
@@ -227,7 +227,7 @@ def test_verdict_json_shape_hard():
 def test_tampered_certificate_rejected():
     f = parse("1,1,1,0,0,1,1,0")
     cert = classify(f).certificate
-    wrong = EightVertexSig.make(0, 1, 1, 1, 1, 1, 1, 0)
+    wrong = EightVertexSig(0, 1, 1, 1, 1, 1, 1, 0)
     assert not check_certificate(wrong, cert)
     bad_target = Certificate(cert.steps, "L" if cert.target != "L" else "P",
                              cert.transformed)
@@ -249,7 +249,7 @@ def test_transform_disequality_identity():
 def test_apply_steps_hadamard_squares_to_scalar():
     f = parse("1,1,1,0,0,1,1,0")
     twice = apply_steps_signature(f, (("hadamard",), ("hadamard",)))
-    assert twice.proportional_to(f.to_signature()) is not None
+    assert twice.proportional_to(f) is not None
 
 
 # -- step matrices ----------------------------------------------------------
@@ -321,7 +321,7 @@ def test_zero_gamma_sq_certificate_rejected():
     cert = Certificate.from_json_dict({
         "steps": [{"kind": "half_diag", "gamma_sq": "0"}],
         "target": "A",
-        "transformed": [str(v) for v in f.to_signature().values],
+        "transformed": [str(v) for v in f.values],
     })
     assert check_certificate(f, cert) is False
 

@@ -578,18 +578,22 @@ def test_help_exit_0(runner, command):
 
 
 def test_import_loads_only_the_standard_library():
-    # importing the CLI (and mobius, the one module it does not import)
-    # loads no third-party package, nor dataclasses or inspect; and the
-    # package declares no runtime dependency
+    # importing the CLI loads neither gadgets (only the interpolation
+    # demonstration imports it, when it runs) nor mobius (no command uses
+    # it); with mobius, it loads no third-party package, nor dataclasses
+    # or inspect; and the package declares no runtime dependency
     src = Path(eightvertex.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, eightvertex.cli, eightvertex.mobius; "
+    code = ("import sys, eightvertex.cli; "
+            "print(*(m for m in ('eightvertex.gadgets', 'eightvertex.mobius') "
+            "if m in sys.modules)); "
+            "import eightvertex.mobius; "
             "print(*(m for m in ('click', 'dataclasses', 'inspect') "
             "if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=env, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "\n"
+    assert r.stdout == "\n\n"
     pyproject = (src.parent / "pyproject.toml").read_text()
     project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert "dependencies" not in project

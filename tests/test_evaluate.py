@@ -54,8 +54,8 @@ def test_brute_force_tiny():
 
 def test_brute_force_matches_direct_sum():
     rng = random.Random(99)
-    f = random_ev(rng).to_signature()
-    g = random_ev(rng).to_signature()
+    f = random_ev(rng)
+    g = random_ev(rng)
     grid = two_vertex_grid(f, g)
     total = scalar(0)
     for m in range(16):
@@ -146,7 +146,7 @@ def torus(rows: int, cols: int) -> Graph:
     (4, 4, "1,2,1,-1,1,i,2,3", "-393252+205136i"),
 ])
 def test_brute_force_large_tori(rows, cols, sig, value):
-    f = EightVertexSig.parse(sig).to_signature()
+    f = EightVertexSig.parse(sig)
     grid = grid_from_graph(torus(rows, cols), f, "f")
     assert len(grid.edges) > 28
     with pytest.raises(TooManyEdges):
@@ -342,7 +342,7 @@ def test_grid_from_json():
         "edges": [[[0, 1], [0, 2]], [[0, 3], [0, 4]]],
     })
     grid = Grid.from_json(text)
-    assert grid.vertex_sig(0).arity == 4
+    assert grid.signatures[grid.vertices[0]].arity == 4
     assert grid.signatures["B"].values[3] == I
     brute_force(grid)
 
@@ -578,7 +578,7 @@ def _eight_vertex_affine(rng) -> Signature:
                          for m, v in enumerate(g.values)])
 
 
-ALL_ONES_8V = EightVertexSig.parse("1,1,1,1,1,1,1,1").to_signature()
+ALL_ONES_8V = EightVertexSig.parse("1,1,1,1,1,1,1,1")
 
 
 @st.composite

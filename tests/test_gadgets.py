@@ -25,7 +25,7 @@ from util import ev_sig, reorder, nonzero_fraction
 
 
 def scaled(s, *entries) -> Signature:
-    return EightVertexSig.make(*entries).scale(s).to_signature()
+    return EightVertexSig(*entries).scale(s)
 
 
 # -- the five closed forms -------------------------------------------------

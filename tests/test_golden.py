@@ -29,6 +29,13 @@ grids over signatures with non-unit denominators, of ``affine_eval`` and
 ``interpolation_demo`` for several t, and of ``tutte33`` on K4.  It was
 recorded before ``Scalar`` became a name for ``Cyclo8``.
 
+Over the same two corpora and the planted pool, one more test pins the
+one signature type: each eight-vertex signature is an arity-4
+``Signature`` that is 0 at the odd-weight positions, survives
+``parse(str(f))``, is its own readoff, and gives the same
+``brute_force`` and ``affine_eval`` outcome whether a grid file writes
+it as ``{"eightvertex": ...}`` or as its 16 values.
+
 ``GOLDEN`` was recorded with the Fraction-backed ``Cyclo8`` that the
 integer representation replaced.  A refactor that changes any verdict,
 branch, certificate or reason changes the digest.
@@ -36,6 +43,7 @@ branch, certificate or reason changes the digest.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -44,11 +52,13 @@ from pathlib import Path
 from eightvertex.classes import in_A
 from eightvertex.classify import classify
 from eightvertex.evaluate import (
-    Graph, Grid, affine_eval, brute_force, interpolation_demo,
-    slot_signature, tutte33,
+    Graph, Grid, NotAffineSignature, affine_eval, brute_force,
+    interpolation_demo, slot_signature, tutte33,
 )
 from eightvertex.numeric import Cyclo8, I
-from eightvertex.signatures import EightVertexSig, Signature
+from eightvertex.signatures import (
+    EightVertexSig, Signature, eight_vertex_readoff,
+)
 
 from util import (
     ENTRY_POOL, NONZERO_POOL, quadratic_signature, random_affine_signature,
@@ -79,7 +89,7 @@ def gaussian_corpus():
         return Cyclo8(re, 0, im, 0)
 
     for _ in range(300):
-        yield EightVertexSig.make(*(entry() for _ in range(8)))
+        yield EightVertexSig(*(entry() for _ in range(8)))
 
 
 def outcome(f) -> str:
@@ -115,6 +125,49 @@ def test_planted_certificate_digest():
     assert corpus_digest(planted_corpus()) == PLANTED
 
 
+# the eight odd-weight positions, where an eight-vertex signature is 0
+OFF_PAIR = [m for m in range(16) if m.bit_count() % 2]
+
+
+def grid_outcomes(spec: dict) -> list:
+    """brute_force and affine_eval (or "not in A") on two vertices of
+    the signature spec, port p of one joined to port 5 - p of the
+    other, read from a grid file."""
+    text = json.dumps({"signatures": {"F": spec},
+                       "vertices": [{"sig": "F"}] * 2,
+                       "edges": [[[0, p], [1, 5 - p]] for p in range(1, 5)]})
+    out = []
+    for evaluate in (brute_force, affine_eval):
+        try:
+            out.append(str(evaluate(Grid.from_json(text))))
+        except NotAffineSignature:
+            out.append("not in A")
+    return out
+
+
+def test_eight_vertex_signature_is_one_signature():
+    # an eight-vertex signature is an arity-4 Signature, 0 off the pair
+    # positions, and a grid file may write it either way; the planted
+    # corpus puts 112 of its signatures in class A, so affine_eval also
+    # evaluates, where on the other two it mostly refuses
+    in_a = 0
+    corpora = sweep_corpus(), gaussian_corpus(), planted_corpus()
+    for k, f in enumerate(itertools.chain(*corpora)):
+        assert isinstance(f, Signature) and f.arity == 4
+        assert all(f.values[m].is_zero() for m in OFF_PAIR)
+        assert EightVertexSig.parse(str(f)) == f
+        assert eight_vertex_readoff(f) is f
+        assert eight_vertex_readoff(Signature(4, f.values)) == f
+        vals = list(f.values)
+        vals[OFF_PAIR[k % 8]] = Cyclo8(1)
+        assert eight_vertex_readoff(Signature(4, vals)) is None
+        as_eight = grid_outcomes({"eightvertex": str(f)})
+        assert as_eight == grid_outcomes(
+            {"arity": 4, "values": [str(v) for v in f.values]})
+        in_a += as_eight[1] != "not in A"
+    assert in_a > 100
+
+
 def affine_corpus():
     rng = random.Random(5151)
     for _ in range(1000):
@@ -125,8 +178,7 @@ def affine_corpus():
         vals = list(f.values)
         vals[rng.randrange(len(vals))] = rng.choice(ENTRY_POOL)
         yield Signature(f.arity, vals)
-    for f in sweep_corpus():
-        yield f.to_signature()
+    yield from sweep_corpus()
 
 
 def a_outcome(f) -> str:

@@ -18,8 +18,8 @@ rng_seed = st.integers(min_value=0, max_value=10 ** 9)
 
 
 def test_eight_vertex_round_trip():
-    ev = EightVertexSig.make(1, 2, 3, 4, 5, 6, 7, 8)
-    back = eight_vertex_readoff(ev.to_signature())
+    ev = EightVertexSig(1, 2, 3, 4, 5, 6, 7, 8)
+    back = eight_vertex_readoff(Signature(4, ev.values))
     assert back.entries() == ev.entries()
 
 
@@ -40,7 +40,7 @@ def test_parse_str_round_trip():
 
 
 def test_is_eight_vertex():
-    assert is_eight_vertex(EightVertexSig.make(*range(1, 9)).to_signature())
+    assert is_eight_vertex(EightVertexSig(*range(1, 9)))
     odd = Signature(4, [1] + [0] * 15).values
     assert is_eight_vertex(Signature(4, odd))
     assert not is_eight_vertex(Signature(4, [1] * 16))
@@ -49,8 +49,7 @@ def test_is_eight_vertex():
 @given(rng_seed)
 def test_readoff_rejects_off_positions(seed):
     rng = random.Random(seed)
-    ev = random_ev(rng)
-    f = ev.to_signature()
+    f = random_ev(rng)
     bad = rng.choice([m for m in range(16)
                       if bin(m).count("1") in (1, 3)])
     vals = list(f.values)
@@ -97,14 +96,13 @@ def test_pair_orbit_invariants(seed):
 def test_pair_orbit_members_are_variable_permutations(seed):
     rng = random.Random(seed)
     ev = random_ev(rng)
-    f = ev.to_signature()
     perms = set()
     import itertools
     for p in itertools.permutations([1, 2, 3, 4]):
-        g = apply_perm(f, p)
+        g = apply_perm(ev, p)
         perms.add(tuple(str(v) for v in g.values))
     for o in pair_orbit(ev):
-        assert tuple(str(v) for v in o.to_signature().values) in perms
+        assert tuple(str(v) for v in o.values) in perms
 
 
 def test_equality_disequality():
@@ -213,8 +211,7 @@ def test_holographic_inverse_round_trip():
 
 def test_half_diag_matches_full_diag_on_even_support():
     rng = random.Random(17)
-    ev = random_ev(rng)
-    f = ev.to_signature()
+    f = random_ev(rng)
     gamma = scalar(3)
     full = holographic_transform(f, matrix(((1, 0), (0, gamma))))
     half = half_diagonal(f, gamma * gamma)
@@ -255,10 +252,9 @@ def test_half_diag_rejects_zero_gamma_sq():
 
 def test_redundant_and_compressed():
     vals = [scalar(0)] * 16
-    ev = EightVertexSig.make(1, 2, 3, 3, 3, 3, 2, 1)
-    f = ev.to_signature()
+    f = EightVertexSig(1, 2, 3, 3, 3, 3, 2, 1)
     assert is_redundant(f)
     m = compressed_matrix(f)
     assert m is not None
-    g = EightVertexSig.make(1, 2, 3, 4, 3, 3, 2, 1).to_signature()
+    g = EightVertexSig(1, 2, 3, 4, 3, 3, 2, 1)
     assert not is_redundant(g)

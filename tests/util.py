@@ -22,7 +22,7 @@ def random_ev(rng: random.Random) -> EightVertexSig:
 
 
 def ev_sig(a, b, c, d, w, z, y, x) -> Signature:
-    return EightVertexSig.make(a, b, c, d, w, z, y, x).to_signature()
+    return EightVertexSig(a, b, c, d, w, z, y, x)
 
 
 def reorder(f: Signature, order) -> Signature:
