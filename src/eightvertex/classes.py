@@ -51,7 +51,8 @@ two-point factors, so two exact screens come before any arithmetic: the
 support must be an affine space, and its basis vectors must be pairwise
 disjoint.  Only then is f checked to be multiplicative over the blocks,
 along the hull's walk, as products of numerator tuples over one
-denominator, with no gcd and no field element.
+denominator (the kernel of ``numeric``: ``_over_lcm`` and ``_times``),
+with no gcd and no field element.
 The alphaA and L tests twist f by powers of alpha, each a signed rotation
 of the coefficients (``Cyclo8.rotate``), and run the class-A test.
 """
@@ -59,11 +60,10 @@ of the coefficients (``Cyclo8.rotate``), and run the class-A test.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .numeric import Cyclo8, ONE, ZERO
+from .numeric import Cyclo8, ONE, ZERO, _ZERO4, _over_lcm, _times
 from .signatures import Signature
 
 
@@ -216,9 +216,6 @@ _set_basis = AffineSpace.basis.__set__
 
 
 # -- class A --------------------------------------------------------------
-
-_ZERO4 = (0, 0, 0, 0)   # the numerators of 0
-
 
 def _quarter_turns(c: Cyclo8) -> tuple:
     """The numerators of c * i^k for k = 0..3, over c's denominator: the
@@ -501,25 +498,6 @@ def _small_antipodal(g: Signature) -> bool:
     if len(supp) == 2:
         return supp[0] ^ supp[1] == (1 << g.arity) - 1
     return True
-
-
-def _over_lcm(vals) -> tuple:
-    """(d, numerators): the values as numerator tuples over d, the lcm of
-    their denominators."""
-    d = math.lcm(*[c.d for c in vals])
-    return d, [c.n if c.d == d else tuple(k * (d // c.d) for k in c.n)
-               for c in vals]
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """The product of two numerator tuples modulo x^4 + 1, as in
-    ``numeric._mul`` but with no denominator and no gcd."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
 def in_P(f: Signature):

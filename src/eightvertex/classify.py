@@ -50,6 +50,7 @@ from .signatures import (
     eight_vertex_readoff,
     half_diagonal,
     holographic_transform,
+    proportional,
 )
 from .classes import in_A, in_L, in_P, in_alphaA
 
@@ -261,13 +262,16 @@ def make_certificate(f: EightVertexSig, steps, target: str):
 
 def check_certificate(f: EightVertexSig, cert: Certificate) -> bool:
     """Independently re-apply the transform and re-run membership on
-    both sides; compare the transformed signature up to a scalar."""
+    both sides, then compare the image of f with the certificate's
+    transformed signature up to a nonzero scalar (``proportional``, on
+    numerator tuples with no field division).  The two must have the
+    same zero pattern, so the certificate of a nonzero signature does
+    not check against the all-zero signature."""
     if cert.target not in _TARGETS:
         return False
     found = make_certificate(f, cert.steps, cert.target)
     return (found is not None
-            and found.transformed.proportional_to(cert.transformed)
-            is not None)
+            and proportional(found.transformed, cert.transformed))
 
 
 # -- verdicts --------------------------------------------------------------
@@ -478,9 +482,10 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
     """No zero entries, generic inner matrix: hard unless the inner
     ratios to c are powers of i that meet three relations, and then
     tractable through one diagonal computed from them."""
+    inv_c = f.c.inverse()
     powers = {}
     for name in ("b", "y", "d", "w", "z"):
-        k = as_power_of_i(getattr(f, name) / f.c)
+        k = as_power_of_i(getattr(f, name) * inv_c)
         if k is None:
             return Verdict.hard(
                 "B6",
@@ -514,7 +519,7 @@ def _b6_classify(f: EightVertexSig) -> Verdict:
     # i^t / c with the least such t, in {0, 1}.
     r = as_power_of_i(f.a)
     s = (m - j) % 2 if r is None else ((r + m - j) % 2 - r) % 4
-    cert = make_certificate(f, (("half_diag", f.a / f.c * _i_pow(s)),), "A")
+    cert = make_certificate(f, (("half_diag", f.a * inv_c * _i_pow(s)),), "A")
     if cert is None:
         raise AssertionError("the closed-form B6 certificate must check")
     return Verdict.tractable("B6", cert)

@@ -47,13 +47,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import math
 import re
 from collections import Counter
 from fractions import Fraction
 
 from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
-                      ZERO, _reduced)
+                      ZERO, _ZERO4, _over_lcm, _reduced)
 from .signatures import Signature, EightVertexSig
 from .classes import in_A
 
@@ -251,8 +250,8 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     with the edge count; only ``max_edges`` bounds the input
     (TooManyEdges, exit 3 in the CLI).
 
-    Each signature's values are put over the lcm of their denominators,
-    so the sum's denominator is the product of those of the vertices and
+    Each signature's values are put over the lcm of their denominators
+    (``numeric._over_lcm``; a zero value becomes None), so the sum's denominator is the product of those of the vertices and
     the sum adds and multiplies numerator tuples only.  The edge at each
     port is read from the flat port table of :meth:`Grid.validate`."""
     if len(grid.edges) > max_edges:
@@ -261,17 +260,10 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
-    tables = {}             # signature name -> (denominator, numerators)
+    tables = {}     # signature name -> (denominator, numerators or None)
     for name in set(grid.vertices):
-        vals = grid.signatures[name].values
-        d = math.lcm(*[c.d for c in vals])
-        nums = []
-        for c in vals:
-            f = d // c.d
-            n0, n1, n2, n3 = c.n
-            nums.append(None if c.is_zero()
-                        else (n0 * f, n1 * f, n2 * f, n3 * f))
-        tables[name] = (d, nums)
+        d, nums = _over_lcm(grid.signatures[name].values)
+        tables[name] = (d, [None if k == _ZERO4 else k for k in nums])
     den = 1
     for name in grid.vertices:
         den *= tables[name][0]

@@ -19,6 +19,18 @@ The field houses every constant the rest of the package needs:
 * ``zeta`` is alpha, a square root of i (``ALPHA``),
 * ``zeta - zeta^3`` is sqrt(2) (``SQRT2``).
 
+The integer-numerator kernel does field arithmetic on many values with
+no Cyclo8 per step: :func:`_over_lcm` puts a sequence of values over the
+lcm of their denominators as numerator tuples, :func:`_times` multiplies
+two tuples modulo x^4 + 1 with no denominator and no gcd, and
+:func:`_reduced` makes a field value of a tuple once, at the end.  It
+has four users: ``signatures.holographic_transform`` (the slot passes),
+``signatures.proportional``, through which ``classify.check_certificate``
+compares a re-derived image with the certificate's, ``classes.in_P``
+with ``PDecomposition.check`` (multiplicativity), and
+``evaluate.brute_force`` (its per-signature tables; its frontier writes
+the product out inline).
+
 Cyclo8 is the one value type of the package: signature entries,
 certificate entries and Holant sums are all Cyclo8s, and only ints and
 Fractions mix with them (floats and complex numbers raise TypeError).
@@ -313,6 +325,35 @@ def _mul(x: Cyclo8, y: Cyclo8) -> Cyclo8:
                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
                     x.d * y.d)
+
+
+_ZERO4 = (0, 0, 0, 0)   # the numerators of 0
+
+
+def _over_lcm(vals) -> tuple:
+    """(d, numerators): the values as numerator tuples over d, the lcm of
+    their denominators.  A value already over d keeps its own tuple."""
+    d = math.lcm(*[c.d for c in vals])
+    nums = []
+    for c in vals:
+        if c.d == d:
+            nums.append(c.n)
+        else:
+            f = d // c.d
+            n0, n1, n2, n3 = c.n
+            nums.append((n0 * f, n1 * f, n2 * f, n3 * f))
+    return d, nums
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two numerator tuples modulo x^4 + 1, as in ``_mul``
+    but with no denominator and no gcd."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
 
 
 ZERO = Cyclo8(0)

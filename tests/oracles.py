@@ -3,7 +3,8 @@
 Everything here is deliberately naive: deletion-contraction for the
 Tutte polynomial, direct orientation enumeration for Eulerian
 orientation counts, exhaustive quadratic forms and set partitions for
-membership in classes A and P.  The package code must agree with these
+membership in classes A and P, and holographic transforms summed term
+by term from their definition in Cyclo8 arithmetic.  The package code must agree with these
 on small inputs; the frozen constants in the test files were produced by
 these oracles.
 """
@@ -12,6 +13,7 @@ import itertools
 from fractions import Fraction
 
 from eightvertex.numeric import Cyclo8
+from eightvertex.signatures import Signature
 
 _I = Cyclo8(0, 0, 1, 0)
 
@@ -86,6 +88,23 @@ def count_eulerian_orientations(edges):
 
 def complete_graph(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def holographic_by_definition(f, rows):
+    """T^{tensor n} f from the definition: the value at y is the sum over
+    x of f(x) * prod_i T[y_i][x_i], each product and sum a Cyclo8
+    operation, with no slot passes and no common denominator."""
+    n = f.arity
+    out = []
+    for y in range(1 << n):
+        total = Cyclo8(0)
+        for x, v in enumerate(f.values):
+            term = v
+            for shift in range(n):
+                term = term * rows[(y >> shift) & 1][(x >> shift) & 1]
+            total = total + term
+        out.append(total)
+    return Signature(n, out)
 
 
 def holant_by_enumeration(grid):

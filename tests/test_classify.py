@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar, I, ALPHA
+from eightvertex.numeric import Cyclo8, scalar, I, ALPHA, parse_cyclo8
 from eightvertex.signatures import EightVertexSig, pair_orbit
 from eightvertex.classify import (
     classify, Certificate, Verdict, make_certificate, check_certificate,
     apply_steps_signature, transform_disequality, STEP_MATRICES,
 )
 from eightvertex.signatures import (
-    OddSupportWithHalfTransform, Signature, disequality2,
+    OddSupportWithHalfTransform, Signature, disequality2, proportional,
 )
 from eightvertex.classes import AffineSpace, in_P
 from eightvertex.mobius import ExtComplex
@@ -234,6 +234,19 @@ def test_tampered_certificate_rejected():
     assert not check_certificate(f, bad_target)
 
 
+def test_certificate_does_not_check_against_zero_signature():
+    # every step applies to the all-zero signature, and its images lie in
+    # every class by convention, but they are proportional to a nonzero
+    # image only through the scalar 0, which does not count
+    zero = parse("0,0,0,0,0,0,0,0")
+    assert classify(zero).kind == "vanishing"
+    for sig in ("1,1,1,0,0,1,1,0", "2i,1,1,-1,-i,i,i,1/2",
+                "2,1,-1,-i,-1,i,i,-1/2i"):
+        cert = classify(parse(sig)).certificate
+        assert check_certificate(parse(sig), cert)
+        assert not check_certificate(zero, cert), sig
+
+
 def test_make_certificate_rejects_bad_outer_rewrite():
     f = parse("1,1,1,0,0,1,1,0")
     # outer_rewrite must preserve the product a*x
@@ -249,7 +262,7 @@ def test_transform_disequality_identity():
 def test_apply_steps_hadamard_squares_to_scalar():
     f = parse("1,1,1,0,0,1,1,0")
     twice = apply_steps_signature(f, (("hadamard",), ("hadamard",)))
-    assert twice.proportional_to(f) is not None
+    assert proportional(twice, f)
 
 
 # -- step matrices ----------------------------------------------------------
@@ -339,3 +352,35 @@ def test_records_are_immutable():
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, field))
     assert v.kind == "tractable" and f.a == Cyclo8(0)
+
+
+# -- Defect A: tractable signatures that classify calls hard ----------------
+#
+# The fast path tries gamma_sq only in {i^k, alpha i^k}, B2 tests the
+# binary core without rescaling it, and B6's screens assume the fast path
+# caught every signature that some rescaling puts in A.  Each signature
+# below has a one-step certificate that make_certificate accepts.
+
+DEFECT_A = (
+    ("32,0,0,8,-8i,0,0,2i", "4"),
+    ("-16,4i,0,0,0,0,4,i", "4i"),
+    ("i,4i,4i,4i,4i,4i,-4i,-16i", "1/4"),
+    ("2,-8i,-8,-8i,8,8i,-8,32i", "-1/4"),
+)
+
+
+@pytest.mark.parametrize("sig, gamma_sq", DEFECT_A)
+def test_defect_a_certificate_checks(sig, gamma_sq):
+    f = parse(sig)
+    cert = make_certificate(f, (("half_diag", parse_cyclo8(gamma_sq)),),
+                            "A")
+    assert cert is not None
+    assert cert.describe() == f"half_diag({gamma_sq}) -> A"
+    assert check_certificate(f, cert)
+
+
+@pytest.mark.xfail(strict=True, reason="Defect A: classify calls these "
+                   "tractable signatures hard (B2 or B6)")
+@pytest.mark.parametrize("sig, gamma_sq", DEFECT_A)
+def test_defect_a_classified_tractable(sig, gamma_sq):
+    assert classify(parse(sig)).kind == "tractable"

@@ -364,6 +364,36 @@ def test_check_cert_round_trip(runner, tmp_path):
     assert "false" in r.output
 
 
+def test_check_cert_against_zero_signature_is_false(runner, tmp_path):
+    # every step of the certificate applies to the all-zero signature,
+    # whose images are proportional to the certificate's only through 0
+    r = invoke(runner, "classify", "--sig", "1,1,1,0,0,1,1,0", "--json")
+    p = tmp_path / "v.json"
+    p.write_text(r.output)
+    r = invoke(runner, "check-cert", "--sig", "0,0,0,0,0,0,0,0",
+               "--cert", str(p), "--json")
+    assert r.exit_code == 0
+    assert r.output == '{"valid": false}\n'
+
+
+def test_classify_z_route_certificate(runner, tmp_path):
+    # branch B5, through the symmetrizing z step
+    sig = "2i,1,1,-1,-i,i,i,1/2"
+    r = invoke(runner, "classify", "--sig", sig)
+    assert r.exit_code == 0, r.output
+    assert r.output == ("verdict: tractable  (branch B5)\n"
+                        "  certificate: outer_rewrite(1, i) . half_diag(1)"
+                        " . z -> A\n")
+    r = invoke(runner, "classify", "--sig", sig, "--json")
+    assert json.loads(r.output)["branch"] == "B5"
+    p = tmp_path / "b5.json"
+    p.write_text(r.output)
+    r = invoke(runner, "check-cert", "--sig", sig, "--cert", str(p),
+               "--json")
+    assert r.exit_code == 0
+    assert r.output == '{"valid": true}\n'
+
+
 def test_classify_generic_branch_certificate(runner, tmp_path):
     # branch B6 with a = 2, not a power of i: no half_diag(i^t / c) fits,
     # and the diagonal is (a / c) i^s = -2i

@@ -21,7 +21,7 @@ from eightvertex.gadgets import (
     ChainFormUnsupported,
 )
 
-from util import ev_sig, reorder, nonzero_fraction
+from util import reorder, nonzero_fraction
 
 
 def scaled(s, *entries) -> Signature:
@@ -34,11 +34,11 @@ def check_double_copy_unit_circle(a, b, y, lam):
     """Two copies of f joined on legs (x3, x4) against legs (x3, x4) in
     reversed order, for the rotation-free unit-circle shape
     M(f) = [[a,0,0,b],[0,1,lam,0],[0,lam,1,0],[y,0,0,a]]."""
-    f = ev_sig(a, b, 1, lam, lam, 1, y, a)
+    f = EightVertexSig(a, b, 1, lam, lam, 1, y, a)
     f1 = connect_via_n(f, reorder(f, (3, 4, 2, 1)))
     s = 1 + lam * lam
-    expect = ev_sig(2 * a * b, a * a + b * y, s, 2 * lam,
-                    2 * lam, s, a * a + b * y, 2 * a * y)
+    expect = EightVertexSig(2 * a * b, a * a + b * y, s, 2 * lam,
+                            2 * lam, s, a * a + b * y, 2 * a * y)
     assert f1 == expect
     # the inner block is s * [[1, delta], [delta, 1]] with
     # delta = 2*lam / (1 + lam^2)
@@ -53,7 +53,7 @@ def check_equal_pair_products_chain(b, c, d):
     """For M(f) = [[1,0,0,b],[0,c,d,0],[0,1/d,1/c,0],[1/b,0,0,1]] (all
     three inner pair products and the outer product equal to 1), two
     join steps produce the symmetric signature 8*[t,0,1,0,1/t], t=bcd."""
-    f = ev_sig(1, b, c, d, 1 / d, 1 / c, 1 / b, 1)
+    f = EightVertexSig(1, b, c, d, 1 / d, 1 / c, 1 / b, 1)
     f1 = connect_via_n(f, reorder(f, (3, 4, 1, 2)))
     cd = c * d
     assert f1 == scaled(2, b, 1, cd, 1, 1, 1 / cd, 1, 1 / b)
@@ -68,14 +68,14 @@ def check_symmetrization(a, b, d):
     M(f) = [[a,0,0,b],[0,1,d,0],[0,w,z,0],[y,0,0,a]] with w = a^2/d,
     z = -a^2, y = -a^2/b."""
     w, z, y = a * a / d, -a * a, -a * a / b
-    f = ev_sig(a, b, 1, d, w, z, y, a)
+    f = EightVertexSig(a, b, 1, d, w, z, y, a)
     f1 = binary_modify(f, 1, Signature(2, [0, 1, 1 / w, 0]))
     f1 = binary_modify(f1, 3, Signature(2, [0, 1, 1 / d, 0]))
-    assert f1 == ev_sig(a, b / d, 1, 1, 1, -1, -d / b, 1 / a)
+    assert f1 == EightVertexSig(a, b / d, 1, 1, 1, -1, -d / b, 1 / a)
     f1p = reorder(f1, (1, 4, 3, 2))
     f6 = binary_modify(f1p, 1, Signature(2, [0, 1, -b / d, 0]))
     f6 = binary_modify(f6, 3, Signature(2, [0, 1, d / b, 0]))
-    assert f6 == ev_sig(a, d / b, 1, 1, 1, 1, -b / d, -1 / a)
+    assert f6 == EightVertexSig(a, d / b, 1, 1, 1, 1, -b / d, -1 / a)
     f7 = connect_via_n(f6, reorder(f6, (3, 4, 1, 2)))
     assert f7 == scaled(2, a * d / b, -1, 1, 1, 1, 1, -1, b / (a * d))
     f8 = connect_via_n(f7, f7)
@@ -85,18 +85,18 @@ def check_symmetrization(a, b, d):
 
 def check_one_pair_double(a, c, d, z):
     """Doubling M(f) = [[a,0,0,0],[0,c,d,0],[0,0,z,0],[0,0,0,a]]."""
-    f = ev_sig(a, 0, c, d, 0, z, 0, a)
+    f = EightVertexSig(a, 0, c, d, 0, z, 0, a)
     f1 = connect_via_n(f, f)
-    assert f1 == ev_sig(0, a * a, c * d, c * z + d * d, c * z, d * z,
-                        a * a, 0)
+    assert f1 == EightVertexSig(0, a * a, c * d, c * z + d * d, c * z, d * z,
+                                a * a, 0)
 
 
 def check_two_pair_double(c, d, w, z):
     """Doubling M(f) = [[1,0,0,0],[0,c,d,0],[0,w,z,0],[0,0,0,1]]."""
-    f = ev_sig(1, 0, c, d, w, z, 0, 1)
+    f = EightVertexSig(1, 0, c, d, w, z, 0, 1)
     f2 = connect_via_n(f, f)
-    assert f2 == ev_sig(0, 1, c * (d + w), c * z + d * d, c * z + w * w,
-                        z * (d + w), 1, 0)
+    assert f2 == EightVertexSig(0, 1, c * (d + w), c * z + d * d,
+                                c * z + w * w, z * (d + w), 1, 0)
 
 
 def run_closed_form_suite(seed: int, rounds: int):
@@ -137,7 +137,7 @@ def test_attach_binary_matches_matrix_product():
     # connecting (0,1,t,0) to legs (x3,x4) of f gives column M(f) N g
     rng = random.Random(5)
     t = nonzero_fraction(rng)
-    f = ev_sig(2, 3, 1, Fraction(1, 2), Fraction(1, 2), 1, 5, 2)
+    f = EightVertexSig(2, 3, 1, Fraction(1, 2), Fraction(1, 2), 1, 5, 2)
     flipped = Signature(2, [0, scalar(t), scalar(1), 0])
     h = loop_binary(f, 3, 4, flipped)
     m = signature_matrix(f)
@@ -161,7 +161,7 @@ def test_connect_via_n_is_matrix_product():
 
 
 def test_chain_power_matches_iterated_join():
-    f = ev_sig(1, 2, 1, 3, 3, 1, 2, 1)
+    f = EightVertexSig(1, 2, 1, 3, 3, 1, 2, 1)
     c1 = chain_power(f, 1)
     assert c1 == f
     c3 = chain_power(f, 3)
@@ -169,7 +169,7 @@ def test_chain_power_matches_iterated_join():
 
 
 def test_pin_drops_two_variables():
-    f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
+    f = EightVertexSig(1, 2, 3, 4, 5, 6, 7, 8)
     g = pin(f, 1, 2, 0, 0)
     # x1 = x2 = 0 leaves the top row of M(f)
     assert [str(v) for v in g.values] == ["1", "0", "0", "2"]
@@ -178,7 +178,7 @@ def test_pin_drops_two_variables():
 
 
 def test_binary_modify_scales_one_leg():
-    f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
+    f = EightVertexSig(1, 2, 3, 4, 5, 6, 7, 8)
     t = scalar(Fraction(3, 2))
     g = binary_modify(f, 1, Signature(2, [0, 1, t, 0]))
     ref = [v * t if (m >> 3) & 1 else v for m, v in enumerate(f.values)]
@@ -186,7 +186,7 @@ def test_binary_modify_scales_one_leg():
 
 
 def test_binaries_must_have_arity_two():
-    f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
+    f = EightVertexSig(1, 2, 3, 4, 5, 6, 7, 8)
     g3 = Signature(3, [0, 1, 2, 0, 0, 3, 4, 0])
     with pytest.raises(ValueError):
         binary_modify(f, 1, g3)
@@ -204,7 +204,7 @@ def test_corollary_binaries_for_t_equal_i():
     gn = mat_mul(g, ((ZERO, ONE), (ONE, ZERO)))
     # the corollary's M(f), with x = a, abcdyzw != 0 and
     # [[c, d], [w, z]] = [[5, 7], [11, 13]] of full rank
-    f = ev_sig(2, 3, 5, 7, 11, 13, 17, 2)
+    f = EightVertexSig(2, 3, 5, 7, 11, 13, 17, 2)
     seen = []
     for k in (1, 2, 3, 4):
         chain = mat_mul(mat_pow(gn, k - 1), g)
@@ -219,7 +219,7 @@ def test_corollary_binaries_for_t_equal_i():
 
 
 def test_eigen_report_round_trip():
-    f = ev_sig(1, 3, 1, 3, 3, 1, 3, 1)
+    f = EightVertexSig(1, 3, 1, 3, 3, 1, 3, 1)
     p, eig = eigen_report(f)
 
     def mul(a, b):
@@ -232,6 +232,6 @@ def test_eigen_report_round_trip():
 
 
 def test_eigen_report_rejects_generic():
-    f = ev_sig(1, 2, 3, 4, 5, 6, 7, 8)
+    f = EightVertexSig(1, 2, 3, 4, 5, 6, 7, 8)
     with pytest.raises(ChainFormUnsupported):
         eigen_report(f)

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from eightvertex.numeric import ALPHA, Cyclo8, I, scalar
+from eightvertex.classify import STEP_MATRICES
+from eightvertex.numeric import ALPHA, SQRT2, Cyclo8, I, scalar
 from eightvertex.signatures import (
     Signature, EightVertexSig, eight_vertex_readoff, is_eight_vertex,
     apply_perm, pair_orbit, holographic_transform, half_diagonal,
     equality, disequality2, is_redundant, compressed_matrix,
-    OddSupportWithHalfTransform,
+    OddSupportWithHalfTransform, proportional,
 )
 
+from oracles import holographic_by_definition
 from util import ENTRY_POOL, random_signature, random_ev
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
@@ -114,55 +116,59 @@ def test_equality_disequality():
     assert eq4.support() == [0, 15]
 
 
-def test_proportional_to():
+def test_proportional():
+    """f = s * g for a nonzero scalar s: one arity, one zero pattern and
+    one ratio.  The scalar 0 does not count, so the all-zero signature is
+    proportional only to itself."""
     f = Signature(2, [0, 1, 2, 0])
-    assert f.scale(I).proportional_to(f) == I
-    assert f.proportional_to(Signature(2, [1, 1, 2, 0])) is None
+    for s in (I, scalar(Fraction(1, 3))):
+        assert proportional(f.scale(s), f)
+        assert proportional(f, f.scale(s))
+    # a zero-pattern mismatch, and one pattern with two ratios
+    assert not proportional(f, Signature(2, [1, 1, 2, 0]))
+    assert not proportional(Signature(2, [1, 1, 2, 0]), f)
+    assert not proportional(f, Signature(2, [0, 1, 3, 0]))
+    assert not proportional(f, Signature(1, [1, 2]))
     z = Signature(2, [0, 0, 0, 0])
-    assert z.proportional_to(z) == scalar(0)
-    assert f.proportional_to(Signature(1, [1, 2])) is None
-    # only one side zero
-    assert z.proportional_to(f) == scalar(0)
-    assert f.proportional_to(z) is None
-    assert Signature(2, [1, 0, 0, 0]).proportional_to(
-        Signature(2, [0, 0, 0, 1])) is None
-    # the first ratio is 0
+    assert proportional(z, z)
+    # zero against nonzero, either way
+    assert not proportional(z, f)
+    assert not proportional(f, z)
+    assert not proportional(Signature(2, [1, 0, 0, 0]),
+                            Signature(2, [0, 0, 0, 1]))
     g = Signature(2, [1, 1, 2, 3])
-    assert Signature(2, [0, 0, 0, 0]).proportional_to(g) == scalar(0)
-    assert Signature(2, [0, 1, 2, 3]).proportional_to(g) is None
-    assert Signature(2, [0, 0, 0, 5]).proportional_to(g) is None
+    assert not proportional(Signature(2, [0, 0, 0, 0]), g)
+    assert not proportional(Signature(2, [0, 1, 2, 3]), g)
+    assert not proportional(Signature(2, [0, 0, 0, 5]), g)
     # non-unit denominators
     h = Signature(2, [scalar(Fraction(1, 2)), 3 * I, 1 - I,
                       ALPHA / 5])
     for s in (scalar(Fraction(2, 3)), (1 - I) / 7, ALPHA / (2 + I)):
-        assert h.scale(s).proportional_to(h) == s
-        assert h.proportional_to(h.scale(s)) == 1 / s
+        assert proportional(h.scale(s), h)
+        assert proportional(h, h.scale(s))
     bent = Signature(2, [*h.values[:3], h.values[3] * Fraction(7, 8)])
-    assert bent.proportional_to(h) is None
-    assert h.proportional_to(bent) is None
+    assert not proportional(bent, h)
+    assert not proportional(h, bent)
 
 
-def test_proportional_to_matches_per_entry_ratios():
-    """Against the definition that divides at every nonzero entry of
-    other and requires one ratio, on seeded pairs with zeros, rescaled
+def test_proportional_matches_per_entry_ratios():
+    """Against the definition that divides at every nonzero entry of g
+    and requires one nonzero ratio, on seeded pairs with zeros, rescaled
     copies and one-entry changes."""
     def per_entry(f, g):
         if f.arity != g.arity:
-            return None
+            return False
         s = None
         for a, b in zip(f.values, g.values):
             if b.is_zero():
                 if not a.is_zero():
-                    return None
+                    return False
                 continue
             r = a / b
-            if s is None:
-                s = r
-            elif s != r:
-                return None
-        if s is None:
-            s = scalar(0) if f.is_zero() else None
-        return s
+            if r.is_zero() or (s is not None and s != r):
+                return False
+            s = r
+        return True
 
     pool = (scalar(0),) * 4 + ENTRY_POOL + (
         scalar(Fraction(1, 2)), 3 * I, 1 - I, ALPHA / 3, (2 + I) / 5)
@@ -179,8 +185,8 @@ def test_proportional_to_matches_per_entry_ratios():
         if rng.randrange(8) == 0:
             f, g = g, f
         want = per_entry(f, g)
-        assert f.proportional_to(g) == want
-        found += want is not None
+        assert proportional(f, g) == want
+        found += want
     assert 1000 < found < 2800
 
 
@@ -207,6 +213,30 @@ def test_holographic_inverse_round_trip():
                     (Fraction(1, 3), Fraction(-1, 3))))
     back = holographic_transform(holographic_transform(f, t), t_inv)
     assert back == f
+
+
+# entries with denominators 1, 2, 3 and sqrt2-halves, so that the
+# kernel's lcms, its D * E^n and its final reduction all do work
+MIXED = tuple(scalar(v) for v in (
+    0, 1, -2, Fraction(1, 2), Fraction(-1, 3), I, -I / 2, I / 3, ALPHA,
+    SQRT2 / 2, -SQRT2 / 2 * I, (1 + I) / 3, Fraction(5, 6) - ALPHA / 2))
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_holographic_transform_matches_definition(arity):
+    """The numerator-tuple kernel against the definition summed in Cyclo8
+    (``oracles.holographic_by_definition``), on every step matrix and its
+    dual and on seeded matrices with mixed denominators."""
+    rng = random.Random(2100 + arity)
+    mats = [m for pair in STEP_MATRICES.values() for m in pair]
+    mats += [tuple(tuple(rng.choice(MIXED) for _ in range(2))
+                   for _ in range(2)) for _ in range(16)]
+    for t in mats:
+        for pool in (ENTRY_POOL, MIXED):
+            f = Signature(arity, [rng.choice(pool)
+                                  for _ in range(1 << arity)])
+            assert holographic_transform(f, t) == \
+                holographic_by_definition(f, t), (t, f)
 
 
 def test_half_diag_matches_full_diag_on_even_support():

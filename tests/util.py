@@ -21,10 +21,6 @@ def random_ev(rng: random.Random) -> EightVertexSig:
     return EightVertexSig(*(rng.choice(ENTRY_POOL) for _ in range(8)))
 
 
-def ev_sig(a, b, c, d, w, z, y, x) -> Signature:
-    return EightVertexSig(a, b, c, d, w, z, y, x)
-
-
 def reorder(f: Signature, order) -> Signature:
     """The signature whose matrix is M_{x_i x_j, x_k x_l}(f) for
     order = (i, j, k, l)."""
