@@ -52,7 +52,12 @@ support must be an affine space, and its basis vectors must be pairwise
 disjoint.  Only then is f checked to be multiplicative over the blocks,
 along the hull's walk, as products of numerator tuples over one
 denominator (the kernel of ``numeric``: ``_over_lcm`` and ``_times``),
-with no gcd and no field element.
+with no gcd and no field element.  The decomposition it builds is
+re-checked by ``PDecomposition.check``, which recomputes lam times the
+product of the factors at every point of f from each factor's values,
+read once into one row per point: a row with a zero value needs f to be
+0 there and no product, and the other rows are compared with f's
+numerators times the common denominator, entry by entry.
 The alphaA and L tests twist f by powers of alpha, each a signed rotation
 of the coefficients (``Cyclo8.rotate``), and run the class-A test.
 """
@@ -458,28 +463,40 @@ class PDecomposition:
         raise AttributeError("PDecomposition is immutable")
 
     def check(self, f: Signature) -> bool:
+        """True iff the factors cover the variables 1..n of f once each,
+        lam times their product is f, and each factor is supported on at
+        most two complementary points.
+
+        Each factor's values are read once, over the lcm of its
+        denominators, into one row per point of f.  A row with a zero
+        value needs f to be 0 there; elsewhere lam times the row's
+        product must be f's numerators times the product D of all the
+        denominators, compared entry by entry."""
         n = f.arity
         covered = [v for vars_, _ in self.factors for v in vars_]
         if sorted(covered) != list(range(1, n + 1)):
             return False
-        # lam * (product of the factors) == f on numerator tuples, each
-        # signature over the lcm of its denominators, cross-multiplied
         den = self.lam.d
-        tables = []
+        columns = []    # columns[k][m]: factor k's numerators at point m
         for vars_, g in self.factors:
             d, nums = _over_lcm(g.values)
             den *= d
-            tables.append((vars_, nums))
+            subs = [0] * (1 << n)
+            for v in vars_:
+                shift = n - v
+                subs = [(sub << 1) | ((m >> shift) & 1)
+                        for m, sub in enumerate(subs)]
+            columns.append([nums[sub] for sub in subs])
         df, fnums = _over_lcm(f.values)
         lam = tuple(k * df for k in self.lam.n)
-        for m in range(1 << n):
-            prod = lam
-            for vars_, nums in tables:
-                sub = 0
-                for v in vars_:
-                    sub = (sub << 1) | ((m >> (n - v)) & 1)
-                prod = _times(prod, nums[sub])
-            if prod != tuple(k * den for k in fnums[m]):
+        for row, (f0, f1, f2, f3) in zip(zip(*columns), fnums):
+            if _ZERO4 in row:
+                if f0 or f1 or f2 or f3:
+                    return False
+                continue
+            p0, p1, p2, p3 = functools.reduce(_times, row, lam)
+            if (p0 != f0 * den or p1 != f1 * den or p2 != f2 * den
+                    or p3 != f3 * den):
                 return False
         for _, g in self.factors:
             if not _small_antipodal(g):

@@ -238,9 +238,41 @@ def _images(f: EightVertexSig, steps):
         return None
 
 
+# the membership of disequality images in target classes, keyed by the
+# image's (numerators, denominator) pairs and the target: hashing the
+# Cyclo8 values themselves builds Fractions for every value with a
+# denominator.  half_diag fixes the disequality itself (up to the scalar
+# it drops) and outer_rewrite touches no disequality, and in every
+# candidate here they come before the matrix steps, so the image depends
+# on the matrix steps alone.  Whatever the signature, the candidates meet
+# two images: the disequality (no matrix step: the fast path, B1, B6 and
+# B4's corner normalizations) and its z image (the symmetric chains of B4
+# and B5).  Other keys come only from certificates read from outside; the
+# table is emptied when full.
+_DISEQUALITY_MEMBER = {}
+_DISEQUALITY_MEMBER_MAX = 256
+
+
+def _disequality_in(b: Signature, target: str) -> bool:
+    """_in_class(b, target) for a disequality image b, read from the
+    table ``_DISEQUALITY_MEMBER`` when it is there."""
+    key = (tuple((c.n, c.d) for c in b.values), target)
+    member = _DISEQUALITY_MEMBER.get(key)
+    if member is None:
+        if len(_DISEQUALITY_MEMBER) >= _DISEQUALITY_MEMBER_MAX:
+            _DISEQUALITY_MEMBER.clear()
+        member = _DISEQUALITY_MEMBER[key] = _in_class(b, target)
+    return member
+
+
 def _search(f: EightVertexSig, candidates):
     """The certificate of the first candidate that carries f and the
-    disequality into its target class, or None."""
+    disequality into its target class, or None.
+
+    Both images are computed for every candidate (once per step list).
+    The image of f is tested for membership every time; the disequality
+    image only when f's is in the class, and then its answer is read from
+    a table keyed by the image's values and the target."""
     cache = {}
     for steps, target in candidates:
         if steps not in cache:
@@ -249,7 +281,7 @@ def _search(f: EightVertexSig, candidates):
         if pair is None:
             continue
         g, b = pair
-        if _in_class(g, target) and _in_class(b, target):
+        if _in_class(g, target) and _disequality_in(b, target):
             return Certificate(steps, target, g)
     return None
 
@@ -261,9 +293,11 @@ def make_certificate(f: EightVertexSig, steps, target: str):
 
 
 def check_certificate(f: EightVertexSig, cert: Certificate) -> bool:
-    """Independently re-apply the transform and re-run membership on
-    both sides, then compare the image of f with the certificate's
-    transformed signature up to a nonzero scalar (``proportional``, on
+    """Independently re-apply the transform to f and to the disequality
+    and re-run membership on the image of f (``_search``: the
+    disequality image's membership is read from its table), then compare
+    the image of f with the certificate's transformed signature up to a
+    nonzero scalar (``proportional``: equal values at once, else on
     numerator tuples with no field division).  The two must have the
     same zero pattern, so the certificate of a nonzero signature does
     not check against the all-zero signature."""

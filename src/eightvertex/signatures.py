@@ -85,12 +85,16 @@ class Signature:
 def proportional(f: Signature, g: Signature) -> bool:
     """True iff f = s * g for a nonzero scalar s.
 
-    f and g must have one arity and one zero pattern.  Each is put over
-    the lcm of its denominators, and with (A0, B0) the numerator tuples
-    of the first nonzero pair, A_m * B0 = B_m * A0 must hold at every
-    nonzero m, as products modulo x^4 + 1: no field division."""
+    f and g must have one arity and one zero pattern.  Equal values are
+    proportional at once (s = 1; the all-zero signature only to itself).
+    Otherwise each is put over the lcm of its denominators, and with
+    (A0, B0) the numerator tuples of the first nonzero pair,
+    A_m * B0 = B_m * A0 must hold at every nonzero m, as products modulo
+    x^4 + 1: no field division."""
     if f.arity != g.arity:
         return False
+    if f.values == g.values:
+        return True
     _, fs = _over_lcm(f.values)
     _, gs = _over_lcm(g.values)
     a0 = b0 = None

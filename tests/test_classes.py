@@ -11,7 +11,8 @@ from eightvertex.signatures import (
 )
 import eightvertex.classes as classes
 from eightvertex.classes import (
-    ACertificate, AffineSpace, AShape, in_A, in_P, in_L, in_alphaA,
+    ACertificate, AffineSpace, AShape, PDecomposition, in_A, in_P, in_L,
+    in_alphaA,
 )
 from eightvertex.evaluate import Grid, affine_eval, brute_force
 
@@ -89,8 +90,57 @@ def _one_entry_mutant(rng, f: Signature, m: int) -> Signature:
     return Signature(f.arity, vals)
 
 
+def _p_mutants(rng, f: Signature, dec: PDecomposition):
+    """Copies of f's decomposition dec that no longer describe f: each
+    nonzero factor value set to 0 and changed to another nonzero value
+    (when f is nonzero: the factors of 0 are free), lam changed, each
+    factor dropped, and the first factor, merged with the second if there
+    is one, given three support points."""
+    lam, factors = dec.lam, list(dec.factors)
+    out = [PDecomposition(rng.choice([v for v in NONZERO_POOL if v != lam]),
+                          dec.factors)]
+    for k, (vars_, g) in enumerate(factors):
+        out.append(PDecomposition(lam, tuple(factors[:k] + factors[k + 1:])))
+        if f.is_zero():
+            continue
+        for s in g.support():
+            other = rng.choice([v for v in NONZERO_POOL if v != g[s]])
+            for v in (scalar(0), other):
+                vals = list(g.values)
+                vals[s] = v
+                out.append(PDecomposition(lam, tuple(
+                    factors[:k] + [(vars_, Signature(g.arity, vals))]
+                    + factors[k + 1:])))
+    (vars_, g), rest = factors[0], factors[1:]
+    vals = list(g.values)
+    if rest:
+        (vars2, g2), rest = rest[0], rest[1:]
+        vars_ += vars2
+        vals = [a * b for a in g.values for b in g2.values]
+    supp = [m for m, v in enumerate(vals) if not v.is_zero()]
+    for m in supp[3:]:
+        vals[m] = scalar(0)
+    zeros = [m for m, v in enumerate(vals) if v.is_zero()]
+    for m in zeros[:max(0, 3 - len(supp))]:
+        vals[m] = scalar(1)
+    three = Signature(len(vars_), vals)
+    assert len(three.support()) == 3
+    out.append(PDecomposition(lam, ((vars_, three), *rest)))
+    return out
+
+
+def _assert_p_check_exact(rng, f: Signature):
+    """in_P(f)'s decomposition checks against f, and none of its
+    mutants does."""
+    dec = in_P(f)
+    assert dec.check(f), f
+    for bad in _p_mutants(rng, f, dec):
+        assert not bad.check(f), (f, bad.lam, bad.factors)
+
+
 def test_in_P_matches_oracle_at_arity_4():
     rng = random.Random(4444)
+    check_rng = random.Random(4445)     # the mutants of decompositions
     planted = [random_product_signature(rng, 4) for _ in range(60)]
     mutants = [_one_entry_mutant(rng, f, m) for f in planted
                for m in range(16)]
@@ -102,10 +152,13 @@ def test_in_P_matches_oracle_at_arity_4():
         sweep.choice(NONZERO_POOL)
     for f in planted:
         assert in_P(f) is not None and oracle_in_P(f), f
+        _assert_p_check_exact(check_rng, f)
     members = 0
     for f in mutants + swept:
         member = oracle_in_P(f)
         assert (in_P(f) is not None) == member, f
+        if member:
+            _assert_p_check_exact(check_rng, f)
         members += member
     # both answers occur among the mutants and the sweep
     assert 0 < members < len(mutants) + len(swept)
@@ -113,16 +166,20 @@ def test_in_P_matches_oracle_at_arity_4():
 
 def test_in_P_matches_oracle_at_arity_5_and_6():
     rng = random.Random(5656)
+    check_rng = random.Random(5657)     # the mutants of decompositions
     for n in (5, 6):
         planted = [random_product_signature(rng, n) for _ in range(8)]
         for f in planted:
             assert in_P(f) is not None and oracle_in_P(f), f
+            _assert_p_check_exact(check_rng, f)
         mutants = [_one_entry_mutant(rng, f, rng.randrange(1 << n))
                    for f in planted for _ in range(10)]
         members = 0
         for f in mutants:
             member = oracle_in_P(f)
             assert (in_P(f) is not None) == member, f
+            if member:
+                _assert_p_check_exact(check_rng, f)
             members += member
         # both answers occur among the mutants
         assert 0 < members < len(mutants), n

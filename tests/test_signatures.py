@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import eightvertex.signatures as signatures
 from eightvertex.classify import STEP_MATRICES
 from eightvertex.numeric import ALPHA, SQRT2, Cyclo8, I, scalar
 from eightvertex.signatures import (
@@ -151,10 +152,13 @@ def test_proportional():
     assert not proportional(h, bent)
 
 
-def test_proportional_matches_per_entry_ratios():
+def test_proportional_matches_per_entry_ratios(monkeypatch):
     """Against the definition that divides at every nonzero entry of g
     and requires one nonzero ratio, on seeded pairs with zeros, rescaled
-    copies and one-entry changes."""
+    copies and one-entry changes; then on identical pairs and equal
+    pairs of distinct objects, which take the shortcut with no cross
+    product, and on their rescaled copies, which take the cross
+    products."""
     def per_entry(f, g):
         if f.arity != g.arity:
             return False
@@ -188,6 +192,39 @@ def test_proportional_matches_per_entry_ratios():
         assert proportional(f, g) == want
         found += want
     assert 1000 < found < 2800
+
+    crossed = []
+    times = signatures._times
+    monkeypatch.setattr(signatures, "_times",
+                        lambda a, b: crossed.append(1) or times(a, b))
+    scales = [v for v in pool if not v.is_zero() and v != 1]
+    samples = [Signature(2, [0, 0, 0, 0]), Signature(3, [0] * 8),
+               Signature(2, [Fraction(1, 2), 3 * I, 1 - I, ALPHA / 5])]
+    for _ in range(300):
+        n = rng.choice((1, 2, 3))
+        samples.append(Signature(n, [rng.choice(pool)
+                                     for _ in range(1 << n)]))
+    for g in samples:
+        twin = Signature(g.arity, [Cyclo8(*v.coeffs) for v in g.values])
+        assert not any(a is b for a, b in zip(twin.values, g.values))
+        for f in (g, twin):
+            crossed.clear()
+            assert per_entry(f, g) and proportional(f, g)
+            assert per_entry(g, f) and proportional(g, f)
+            assert not crossed
+        scaled = g.scale(rng.choice(scales))
+        crossed.clear()
+        for f, h in ((scaled, g), (g, scaled)):
+            assert proportional(f, h) and per_entry(f, h)
+        # only a support of two or more points needs a cross product
+        assert bool(crossed) == (len(g.support()) >= 2)
+        if crossed:
+            vals = list(scaled.values)
+            m = g.support()[-1]
+            vals[m] = vals[m] * 2
+            bent = Signature(g.arity, vals)
+            for f, h in ((bent, g), (g, bent)):
+                assert not proportional(f, h) and not per_entry(f, h)
 
 
 def matrix(rows):
