@@ -23,10 +23,14 @@ cleared, and entries that then agree are merged (the transfer-matrix
 step of Baxter, *Exactly Solved Models in Statistical Mechanics*, 1982,
 ch. 10, on a greedy frontier).  The dict never holds more than
 2^(frontier width) entries, the port bits the open vertices hold, and
-does not grow with the edge count.  The sum runs over integer
-coefficient tuples: each signature's values are put over one common
-denominator first, products are the closed form modulo x^4 + 1 on four
-ints, and the sum is reduced to a field value once, at the end.  Only
+does not grow with the edge count.  The sum runs on one int per value:
+each signature's values are put over one common denominator first, and
+each numerator tuple is packed as its value at x = 2^K modulo
+2^(4K) + 1, which x^4 + 1 maps to 0 (Kronecker substitution), so a
+product is one int product and remainder and a merge one addition.  K is
+set from the input so that 2^K exceeds four times a bound on every
+coefficient of the result, which then unpacks exactly and is reduced to
+a field value once, at the end.  Only
 ``max_edges`` (a ``TooManyEdges`` error, exit 3 in the CLI) bounds the
 size of a grid.
 
@@ -52,7 +56,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
-                      ZERO, _ZERO4, _over_lcm, _reduced)
+                      ZERO, _ZERO4, _over_lcm, _pack, _reduced, _unpack)
 from .signatures import Signature, EightVertexSig
 from .classes import in_A
 
@@ -251,22 +255,42 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     (TooManyEdges, exit 3 in the CLI).
 
     Each signature's values are put over the lcm of their denominators
-    (``numeric._over_lcm``; a zero value becomes None), so the sum's denominator is the product of those of the vertices and
-    the sum adds and multiplies numerator tuples only.  The edge at each
-    port is read from the flat port table of :meth:`Grid.validate`."""
+    (``numeric._over_lcm``; a zero value becomes None), so the sum's
+    denominator is the product of those of the vertices.  Each numerator
+    tuple is packed into one int modulo M = 2^(4K) + 1
+    (``numeric._pack``), so a product is ``p * val % M`` and a merge one
+    addition.  K is set from a bound on the coefficients of the result,
+    so that the final residue unpacks to its numerators exactly
+    (``numeric._unpack``).  The edge at each port is read from the flat
+    port table of :meth:`Grid.validate`."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
     base, slot = grid.validate()
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
-    tables = {}     # signature name -> (denominator, numerators or None)
+    over = {}       # signature name -> (denominator, numerators, 1-norm)
     for name in set(grid.vertices):
         d, nums = _over_lcm(grid.signatures[name].values)
-        tables[name] = (d, [None if k == _ZERO4 else k for k in nums])
-    den = 1
+        over[name] = (d, nums, sum([abs(c) for n in nums for c in n]))
+    # Every coefficient of the sum, a numerator tuple in Z[x]/(x^4 + 1),
+    # is at most `norm`, the product over the vertices of the sum of the
+    # 1-norms of their numerators, since the 1-norm of a product is at
+    # most the product of the 1-norms.  The frontier works on packed
+    # numerators (numeric._pack) modulo M = 2^(4K) + 1 through ring maps
+    # alone, so its residue is the pack of the sum; with 2^K > 4 * norm,
+    # that residue unpacks to the sum itself.  No partial sum needs the
+    # bound.  An all-zero signature makes norm 0; K stays positive.
+    den = norm = 1
     for name in grid.vertices:
-        den *= tables[name][0]
+        d, _, size = over[name]
+        den *= d
+        norm *= size
+    K = (4 * max(norm, 1)).bit_length()
+    M = (1 << 4 * K) + 1
+    tables = {}     # signature name -> packed numerators, None for zero
+    for name, (_, nums, _) in over.items():
+        tables[name] = [None if n == _ZERO4 else _pack(n, K) for n in nums]
 
     names = grid.vertices
     arity = [grid.signatures[name].arity for name in names]
@@ -276,7 +300,7 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     free = []                       # offsets of closed vertices' fields
     width = 0                       # the next unused offset
     viable = {}             # (name, assigned) -> partial indexes kept
-    sums = {0: (1, 0, 0, 0)}
+    sums = {0: 1}
     for v in _placement_order(grid):
         placed[v] = True
         if free:
@@ -305,14 +329,14 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
                 name = names[u]
                 mask = assigned[u]
                 if mask == (1 << arity[u]) - 1:
-                    done.append((offset[u], tables[name][1]))
+                    done.append((offset[u], tables[name]))
                     keep &= ~(_FULL << offset[u])
                     free.append(offset[u])
                     continue
                 ok = viable.get((name, mask))
                 if ok is None:
                     ok = viable[(name, mask)] = {
-                        m & mask for m, b in enumerate(tables[name][1])
+                        m & mask for m, b in enumerate(tables[name])
                         if b is not None}
                 # a check that every partial index passes is left out
                 if len(ok) < 1 << bin(mask).count("1"):
@@ -321,34 +345,23 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
 
             out = {}
             get = out.get
-            for key, (a0, a1, a2, a3) in sums.items():
+            for key, a in sums.items():
                 for k in (key | first, key | second):
                     for off, ok in checks:
                         if (k >> off) & _FULL not in ok:
                             break
                     else:
-                        p0, p1, p2, p3 = a0, a1, a2, a3
+                        p = a
                         for off, nums in done:
                             val = nums[(k >> off) & _FULL]
                             if val is None:
                                 break
-                            b0, b1, b2, b3 = val
-                            # the product modulo x^4 + 1, as in numeric._mul
-                            p0, p1, p2, p3 = (
-                                p0 * b0 - p1 * b3 - p2 * b2 - p3 * b1,
-                                p0 * b1 + p1 * b0 - p2 * b3 - p3 * b2,
-                                p0 * b2 + p1 * b1 + p2 * b0 - p3 * b3,
-                                p0 * b3 + p1 * b2 + p2 * b1 + p3 * b0)
+                            p = p * val % M
                         else:
                             k &= keep
-                            s = get(k)
-                            if s is None:
-                                out[k] = (p0, p1, p2, p3)
-                            else:
-                                out[k] = (s[0] + p0, s[1] + p1, s[2] + p2,
-                                          s[3] + p3)
+                            out[k] = get(k, 0) + p
             sums = out
-    t0, t1, t2, t3 = sums.get(0, (0, 0, 0, 0))
+    t0, t1, t2, t3 = _unpack(sums.get(0, 0), K)
     return _reduced(t0, t1, t2, t3, den)
 
 

@@ -23,13 +23,18 @@ The integer-numerator kernel does field arithmetic on many values with
 no Cyclo8 per step: :func:`_over_lcm` puts a sequence of values over the
 lcm of their denominators as numerator tuples, :func:`_times` multiplies
 two tuples modulo x^4 + 1 with no denominator and no gcd, and
-:func:`_reduced` makes a field value of a tuple once, at the end.  It
-has four users: ``signatures.holographic_transform`` (the slot passes),
+:func:`_reduced` makes a field value of a tuple once, at the end.
+:func:`_pack` turns a tuple into one int, its value at x = 2^k modulo
+2^(4k) + 1; since (2^k)^4 = -1 there, products and sums of packed ints
+are packs of the tuples' products and sums (Kronecker substitution), and
+:func:`_unpack` recovers a tuple whose coefficients lie below 2^(k-1) in
+absolute value.  The kernel has four users:
+``signatures.holographic_transform`` (the slot passes),
 ``signatures.proportional``, through which ``classify.check_certificate``
 compares a re-derived image with the certificate's, ``classes.in_P``
 with ``PDecomposition.check`` (multiplicativity), and
-``evaluate.brute_force`` (its per-signature tables; its frontier writes
-the product out inline).
+``evaluate.brute_force``, whose frontier sum runs on packed ints with k
+chosen from a bound on its result's coefficients.
 
 Cyclo8 is the one value type of the package: signature entries,
 certificate entries and Holant sums are all Cyclo8s, and only ints and
@@ -251,10 +256,13 @@ class Cyclo8:
         return self.d == o.d and self.n == o.n
 
     def __hash__(self):
-        # equal to hash(self.coeffs), since hash(Fraction(k)) == hash(k)
-        if self.d == 1:
-            return hash(self.n)
-        return hash(self.coeffs)
+        # a rational value equals its int or Fraction, so it hashes as
+        # one; any other value equals no int or Fraction, and its lowest
+        # terms are unique
+        n0, n1, n2, n3 = self.n
+        if n1 or n2 or n3:
+            return hash((self.n, self.d))
+        return hash(n0) if self.d == 1 else hash(Fraction(n0, self.d))
 
     def __bool__(self):
         return any(self.n)
@@ -354,6 +362,38 @@ def _times(a: tuple, b: tuple) -> tuple:
             a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
             a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+
+
+def _pack(n: tuple, k: int) -> int:
+    """The numerator tuple n as one int: n0 + n1*2^k + n2*2^(2k) +
+    n3*2^(3k) modulo 2^(4k) + 1.  Since (2^k)^4 = -1 modulo 2^(4k) + 1,
+    x -> 2^k is a ring map from Z[x]/(x^4 + 1), so the product of two
+    packed values modulo 2^(4k) + 1 is the pack of ``_times`` of their
+    tuples, and their sum is the pack of the sum (Kronecker substitution;
+    Harvey, J. Symb. Comput. 44, 2009)."""
+    n0, n1, n2, n3 = n
+    return ((n0 + (n1 << k) + (n2 << 2 * k) + (n3 << 3 * k))
+            % ((1 << 4 * k) + 1))
+
+
+def _unpack(r: int, k: int) -> tuple:
+    """The numerator tuple whose pack is r, for k >= 1 and every
+    coefficient of absolute value below 2^(k-1): the residue of r nearest
+    zero, split into balanced base-2^k digits.  That residue is
+    n0 + n1*2^k + n2*2^(2k) + n3*2^(3k) exactly, since the coefficient
+    bound keeps the sum below 2^(4k-1) in absolute value."""
+    m = (1 << 4 * k) + 1
+    r %= m
+    if r > m >> 1:
+        r -= m
+    half = 1 << (k - 1)
+    low = (1 << k) - 1
+    n0 = ((r + half) & low) - half
+    r = (r - n0) >> k
+    n1 = ((r + half) & low) - half
+    r = (r - n1) >> k
+    n2 = ((r + half) & low) - half
+    return (n0, n1, n2, (r - n2) >> k)
 
 
 ZERO = Cyclo8(0)

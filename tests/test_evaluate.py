@@ -104,6 +104,48 @@ def test_brute_force_matches_enumeration(grid):
     assert brute_force(grid) == oracles.holant_by_enumeration(grid)
 
 
+# all four zeta coefficients of magnitude 10^6 and more, of either sign,
+# over denominators that differ within and across values
+WIDE_COEFFS = st.builds(
+    Fraction,
+    st.one_of(st.integers(10 ** 6, 10 ** 15),
+              st.integers(-10 ** 15, -10 ** 6)),
+    st.sampled_from((1, 2, 3, 7, 16, 10 ** 6 + 3)))
+WIDE_VALUES = st.builds(Cyclo8, WIDE_COEFFS, WIDE_COEFFS, WIDE_COEFFS,
+                        WIDE_COEFFS)
+
+
+@given(small_grids(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_brute_force_matches_enumeration_on_wide_values(grid, data):
+    """The shape of a small grid with wide values drawn afresh.  Sometimes
+    one name carried by an odd number of vertices is made odd under
+    complementing its index, f(~m) = -f(m), and every other name even;
+    then the sum cancels to 0, since reversing every edge complements
+    every index and pairs each term with its negative."""
+    counts = Counter(grid.vertices)
+    odd = data.draw(st.sampled_from(
+        [None] + sorted(name for name, c in counts.items() if c % 2)))
+    sigs = {}
+    for name, f in grid.signatures.items():
+        n = f.arity
+        if odd is None:
+            sigs[name] = Signature(n, data.draw(st.lists(
+                WIDE_VALUES, min_size=1 << n, max_size=1 << n)))
+            continue
+        low = data.draw(st.lists(WIDE_VALUES, min_size=1 << (n - 1),
+                                 max_size=1 << (n - 1)))
+        sign = -1 if name == odd else 1
+        full = (1 << n) - 1
+        sigs[name] = Signature(n, low + [sign * low[full ^ m]
+                                         for m in range(1 << (n - 1), 1 << n)])
+    wide = Grid(sigs, grid.vertices, grid.edges)
+    value = brute_force(wide)
+    assert value == oracles.holant_by_enumeration(wide)
+    if odd is not None:
+        assert value.is_zero()
+
+
 @given(small_grids(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_brute_force_ignores_numbering(grid, data):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import random
 import re
@@ -142,6 +143,59 @@ def test_unit_modulus():
 @given(cyclos)
 def test_format_parse_round_trip(x):
     assert parse_cyclo8(format_cyclo8(x)) == x
+
+
+def test_equal_values_hash_equal():
+    """A rational Cyclo8 equals its int or Fraction, so it hashes like
+    it and is found in a set or dict keyed by it, and the other way
+    round."""
+    for x, q in ((Cyclo8(3), 3), (ZERO, 0), (Cyclo8(-1), -1),
+                 (parse_cyclo8("1/2"), Fraction(1, 2)),
+                 (Cyclo8(Fraction(-2, 3)), Fraction(-2, 3))):
+        assert x == q and hash(x) == hash(q)
+        assert q in {x} and x in {q}
+        assert {q: "v"}[x] == "v"
+    y = Cyclo8(Fraction(1, 2), 0, Fraction(3, 2), 0)
+    assert hash(y) == hash(parse_cyclo8("1/2+3/2i"))
+    assert hash(I + 1) == hash(Cyclo8(1, 0, 1, 0))
+
+
+@pytest.mark.parametrize("k", [3, 4, 8, 17, 64])
+def test_pack_round_trip_at_the_bound(k):
+    """Every tuple of coefficients in {-c, 0, c}, c = 2^k/4 - 1, zero
+    among them, unpacks to itself."""
+    c = (1 << k) // 4 - 1
+    m = (1 << 4 * k) + 1
+    for n in itertools.product((-c, 0, c), repeat=4):
+        r = numeric._pack(n, k)
+        assert 0 <= r < m
+        assert numeric._unpack(r, k) == n
+        assert numeric._unpack(r + 5 * m, k) == n
+
+
+@st.composite
+def packed_pairs(draw):
+    """k and two tuples whose product's coefficients stay below 2^k/4."""
+    k = draw(st.integers(4, 80))
+    # each coefficient of a * b is at most 16 * b^2 in absolute value
+    b = math.isqrt(((1 << k) // 4 - 1) // 16)
+    coeff = st.integers(-b, b)
+    a = tuple(draw(st.lists(coeff, min_size=4, max_size=4)))
+    c = tuple(draw(st.lists(coeff, min_size=4, max_size=4)))
+    return k, a, c
+
+
+@given(packed_pairs())
+def test_pack_is_a_ring_map(case):
+    k, a, b = case
+    m = (1 << 4 * k) + 1
+    ab = numeric._times(a, b)
+    assert numeric._pack(a, k) * numeric._pack(b, k) % m \
+        == numeric._pack(ab, k)
+    assert (numeric._pack(a, k) + numeric._pack(b, k)) % m \
+        == numeric._pack(tuple(x + y for x, y in zip(a, b)), k)
+    assert numeric._unpack(numeric._pack(a, k) * numeric._pack(b, k), k) \
+        == ab
 
 
 def test_parse_scalar_forms():
@@ -300,8 +354,11 @@ def _check_canonical(x):
     if not any(x.n):
         assert x.n == (0, 0, 0, 0) and x.d == 1
     assert x.coeffs == tuple(Fraction(k, x.d) for k in x.n)
-    assert hash(x) == hash(x.coeffs)
-    assert x == Cyclo8(*x.coeffs)
+    y = Cyclo8(*x.coeffs)
+    assert x == y and hash(x) == hash(y)
+    if x.is_rational():
+        q = x.coeffs[0]
+        assert x == q and hash(x) == hash(q)
 
 
 @settings(max_examples=40, deadline=None)
