@@ -75,6 +75,13 @@ from .classes import in_A, in_L, in_P, in_alphaA
 # (the contravariant side of a holographic transformation); for
 # half_diag that is diag(1, 1/gamma).  Proportional rescalings are
 # dropped throughout; class membership is scale free.
+#
+# A half_diag on an eight-vertex f (no matrix step before it, as in every
+# candidate list here) scales the eight entries and builds the image with
+# EightVertexSig._of_entries, which takes them as they are.  The other
+# constructors still pass every value through scalar(): Signature (so
+# holographic_transform's images, half_diag after a matrix step, and each
+# disequality image) and EightVertexSig itself (so outer_rewrite).
 
 
 def _matrix(rows):
@@ -207,8 +214,11 @@ class Certificate:
                                   for k in STEP_FIELDS.get(kind, ()))))
         vals = [_cert_scalar(v) for v in _cert_field(
             data["transformed"], list, "transformed is a list")]
+        arity = len(vals).bit_length() - 1
+        if not (1 <= arity <= 6 and len(vals) == 1 << arity):
+            raise ValueError("bad certificate: transformed has 2^n values "
+                             f"for n in 1..6, got {len(vals)}")
         target = _cert_field(data["target"], str, "target is a string")
-        arity = (len(vals) - 1).bit_length()
         return Certificate(tuple(steps), target, Signature(arity, vals))
 
 

@@ -458,6 +458,19 @@ def test_defect_a_certificate_checks(sig, gamma_sq):
     assert check_certificate(f, cert)
 
 
+def test_half_diag_certificate_json_of_non_unit_gamma_sq():
+    # the literal was recorded before half_diagonal took its eight-entry
+    # path; classify itself never makes a non-unit gamma_sq
+    f = parse(DEFECT_A[0][0])
+    cert = make_certificate(f, (("half_diag", scalar(4)),), "A")
+    assert cert.to_json_dict() == {
+        "steps": [{"kind": "half_diag", "gamma_sq": "4"}],
+        "target": "A",
+        "transformed": ["32", "0", "0", "0", "0", "0", "32", "0",
+                        "0", "-32i", "0", "0", "0", "0", "0", "32i"]}
+    assert make_certificate(f, (("half_diag", scalar(0)),), "A") is None
+
+
 @pytest.mark.xfail(strict=True, reason="Defect A: classify calls these "
                    "tractable signatures hard (B2 or B6)")
 @pytest.mark.parametrize("sig, gamma_sq", DEFECT_A)

@@ -438,6 +438,8 @@ def test_check_cert_verdict_without_certificate(runner, tmp_path, sig, kind):
      "target is a string"),
     ({"verdict": "tractable", "certificate": [1]},
      "a certificate is an object"),
+    *(({"steps": [], "target": "A", "transformed": ["1"] * n},
+       "transformed has 2^n values for n in 1..6") for n in (0, 1, 5)),
 ])
 def test_check_cert_malformed_exit_2(runner, tmp_path, cert, rule):
     p = tmp_path / "cert.json"

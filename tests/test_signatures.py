@@ -317,6 +317,45 @@ def test_half_diag_rejects_zero_gamma_sq():
         half_diagonal(equality(2), 0)
 
 
+def _wide_entry(rng):
+    """0, or a value with numerators up to 10^12 over a denominator
+    in {1, 2, 3, 7, 10^6}, times 1, i, alpha or alpha^3."""
+    if rng.random() < 0.25:
+        return scalar(0)
+    num = [rng.randint(-10 ** 12, 10 ** 12) if rng.random() < 0.6 else 0
+           for _ in range(4)]
+    num[rng.randrange(4)] = rng.randint(1, 10 ** rng.choice((1, 6, 12)))
+    v = Cyclo8(*(Fraction(k, rng.choice((1, 2, 3, 7, 10 ** 6)))
+                 for k in num))
+    return v * rng.choice((1, I, ALPHA, ALPHA * I))
+
+
+HALF_GAMMA_SQ = (*(I ** k for k in range(4)),
+                 *(ALPHA * I ** k for k in range(4)),
+                 scalar(2), scalar(Fraction(1, 3)), (1 + I) / 2,
+                 scalar(10 ** 9 + 7))
+
+
+def test_half_diag_eight_vertex_path_matches_general_path():
+    # an EightVertexSig takes the eight-entry path; the plain Signature
+    # copy of its sixteen values the general one
+    rng = random.Random(2424)
+    sigs = [EightVertexSig(*[0] * 8)] + [
+        EightVertexSig(*(_wide_entry(rng) for _ in range(8)))
+        for _ in range(150)]
+    for f in sigs:
+        plain = Signature(4, f.values)
+        for g in HALF_GAMMA_SQ:
+            fast, general = half_diagonal(f, g), half_diagonal(plain, g)
+            assert type(fast) is EightVertexSig
+            assert type(general) is Signature
+            assert [(v.n, v.d) for v in fast.values] == \
+                [(v.n, v.d) for v in general.values], (f, g)
+    for sig in (f, plain):
+        with pytest.raises(ValueError, match="gamma_sq must be nonzero"):
+            half_diagonal(sig, 0)
+
+
 def test_redundant_and_compressed():
     vals = [scalar(0)] * 16
     f = EightVertexSig(1, 2, 3, 3, 3, 3, 2, 1)
