@@ -203,22 +203,28 @@ class Certificate:
     @staticmethod
     def from_json_dict(data: dict) -> "Certificate":
         """The certificate of a to_json_dict object.  Input of the wrong
-        shape raises ValueError (KeyError for a missing field)."""
+        shape, or with a field missing, raises ValueError naming the
+        fault."""
         _cert_field(data, dict, "a certificate is an object")
         steps = []
-        for enc in _cert_field(data["steps"], list, "steps is a list"):
-            kind = _cert_field(enc, dict, "a step is an object")["kind"]
+        for enc in _cert_field(_cert_key(data, "steps", "the certificate"),
+                               list, "steps is a list"):
+            _cert_field(enc, dict, "a step is an object")
+            kind = _cert_key(enc, "kind", "a step")
             if kind not in STEP_KINDS:
                 raise ValueError(f"unknown step kind {kind!r}")
-            steps.append((kind, *(_cert_scalar(enc[k])
+            owner = f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} step"
+            steps.append((kind, *(_cert_scalar(_cert_key(enc, k, owner))
                                   for k in STEP_FIELDS.get(kind, ()))))
         vals = [_cert_scalar(v) for v in _cert_field(
-            data["transformed"], list, "transformed is a list")]
+            _cert_key(data, "transformed", "the certificate"), list,
+            "transformed is a list")]
         arity = len(vals).bit_length() - 1
         if not (1 <= arity <= 6 and len(vals) == 1 << arity):
             raise ValueError("bad certificate: transformed has 2^n values "
                              f"for n in 1..6, got {len(vals)}")
-        target = _cert_field(data["target"], str, "target is a string")
+        target = _cert_field(_cert_key(data, "target", "the certificate"),
+                             str, "target is a string")
         return Certificate(tuple(steps), target, Signature(arity, vals))
 
 
@@ -232,6 +238,14 @@ def _cert_field(value, kind, rule: str):
     if isinstance(value, kind):
         return value
     raise ValueError(f"bad certificate: {rule}, got {value!r:.40}")
+
+
+def _cert_key(obj: dict, key: str, owner: str):
+    """obj[key]; a missing key raises ValueError naming it and its
+    owner."""
+    if key in obj:
+        return obj[key]
+    raise ValueError(f"bad certificate: {owner} has no {key!r} field")
 
 
 def _cert_scalar(value) -> Cyclo8:

@@ -6,6 +6,10 @@ check-cert, demo-interp.  JSON output is the machine interface
 Options are never abbreviated, and an option's value is the argument
 after it even when that starts with '-' (``--sig -i,1,1,1,1,1,1,-i``).
 
+Each handler is a plain function of its options' values: it returns
+(payload, text), the object printed under --json and the human-readable
+text, and raises on bad input.  Only main prints or exits.
+
 Exit codes: 0 on success (a hard verdict is data, not an error),
 2 on input errors and usage errors, 3 on size-limit violations.
 """
@@ -20,11 +24,9 @@ from .numeric import DivisionByZero, parse_cyclo8
 from .signatures import EightVertexSig, Signature
 from .classify import Certificate, check_certificate, classify as classify_sig
 from .evaluate import (
-    DanglingPort,
     Graph,
     Grid,
     NotAffineSignature,
-    NotRepresentable,
     TooManyEdges,
     affine_eval,
     brute_force,
@@ -42,21 +44,11 @@ PRESETS = {
     "sample-tractable": "1,1,1,0,0,1,1,0",
 }
 
-_INPUT_ERRORS = (ValueError, KeyError, DivisionByZero, NotRepresentable,
-                 NotAffineSignature, DanglingPort, json.JSONDecodeError,
-                 OSError)
-
-
-def _fail(msg: str, code: int = 2):
-    print(f"error: {msg}", file=sys.stderr)
-    sys.exit(code)
-
 
 def _sig_from_options(sig, preset) -> EightVertexSig:
     if (sig is None) == (preset is None):
-        _fail("exactly one of --sig and --preset is required")
-    text = sig if sig is not None else PRESETS[preset]
-    return EightVertexSig.parse(text)
+        raise ValueError("exactly one of --sig and --preset is required")
+    return EightVertexSig.parse(sig if sig is not None else PRESETS[preset])
 
 
 def _load_grid(path: str) -> Grid:
@@ -69,17 +61,16 @@ def _load_graph(path: str) -> Graph:
         return Graph.parse(fh.read())
 
 
-def _print_value(val, as_json: bool):
+def _value(val):
+    """The (payload, text) of a field value."""
     z = val.to_complex()
-    if as_json:
-        print(json.dumps({"approx": [z.real, z.imag], "exact": str(val)}))
-    else:
-        print(f"{val}  (~ {z.real:g} {z.imag:+g}i)")
+    return ({"approx": [z.real, z.imag], "exact": str(val)},
+            f"{val}  (~ {z.real:g} {z.imag:+g}i)")
 
 
 # (name, handler, options) of each subcommand, in the order of the help;
 # an option is (flag, keywords of add_argument), and the handler takes
-# the options' values as keywords
+# the options' values, all but --json, as keywords
 _COMMANDS = []
 
 
@@ -96,23 +87,16 @@ _PRESET = ("--preset", {"choices": sorted(PRESETS)})
 
 
 @_command("classify", _SIG, _PRESET, _JSON)
-def classify_cmd(sig, preset, as_json):
+def classify_cmd(sig, preset):
     """Classify a signature as hard, tractable, or vanishing."""
-    try:
-        f = _sig_from_options(sig, preset)
-        verdict = classify_sig(f)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    if as_json:
-        print(json.dumps(verdict.to_json_dict()))
-        return
-    print(f"verdict: {verdict.kind}  (branch {verdict.branch})")
-    for rule, detail in verdict.trace:
-        print(f"  {rule}: {detail}")
+    verdict = classify_sig(_sig_from_options(sig, preset))
+    lines = [f"verdict: {verdict.kind}  (branch {verdict.branch})",
+             *(f"  {rule}: {detail}" for rule, detail in verdict.trace)]
     if verdict.certificate is not None:
-        print(f"  certificate: {verdict.certificate.describe()}")
+        lines.append(f"  certificate: {verdict.certificate.describe()}")
     if verdict.reason is not None:
-        print(f"  reason: {verdict.reason}")
+        lines.append(f"  reason: {verdict.reason}")
+    return verdict.to_json_dict(), "\n".join(lines)
 
 
 @_command("eval",
@@ -123,75 +107,55 @@ def classify_cmd(sig, preset, as_json):
           _PRESET, _JSON,
           ("--max-edges", {"type": int, "default": 28,
                            "help": "(default: %(default)s)"}))
-def eval_cmd(grid_path, graph_path, sig, preset, as_json, max_edges):
+def eval_cmd(grid_path, graph_path, sig, preset, max_edges):
     """Evaluate a Holant partition function exactly: as a Gauss sum when
     every vertex signature is in class A, by brute force otherwise."""
-    try:
-        if grid_path is not None:
-            grid = _load_grid(grid_path)
-        elif graph_path is not None:
-            f = _sig_from_options(sig, preset)
-            grid = grid_from_graph(_load_graph(graph_path), f, "f")
-        else:
-            _fail("one of --grid or --graph is required")
-        # max_edges bounds both paths: over it, brute_force raises
-        # TooManyEdges.  affine_eval tests each signature name for class A
-        # once and raises NotAffineSignature at the first that is not
-        if len(grid.edges) > max_edges:
+    if max_edges < 0:
+        raise ValueError("--max-edges must be at least 0")
+    if grid_path is not None:
+        grid = _load_grid(grid_path)
+    elif graph_path is not None:
+        f = _sig_from_options(sig, preset)
+        grid = grid_from_graph(_load_graph(graph_path), f, "f")
+    else:
+        raise ValueError("one of --grid or --graph is required")
+    # max_edges bounds both paths: over it, brute_force raises
+    # TooManyEdges.  affine_eval tests each signature name for class A
+    # once and raises NotAffineSignature at the first that is not
+    if len(grid.edges) > max_edges:
+        val = brute_force(grid, max_edges=max_edges)
+    else:
+        try:
+            val = affine_eval(grid)
+        except NotAffineSignature:
             val = brute_force(grid, max_edges=max_edges)
-        else:
-            try:
-                val = affine_eval(grid)
-            except NotAffineSignature:
-                val = brute_force(grid, max_edges=max_edges)
-    except TooManyEdges as e:
-        _fail(str(e), code=3)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    _print_value(val, as_json)
+    return _value(val)
 
 
 @_command("eval-affine",
           ("--grid", {"dest": "grid_path", "required": True,
                       "help": "grid JSON file"}),
           _JSON)
-def eval_affine_cmd(grid_path, as_json):
+def eval_affine_cmd(grid_path):
     """Evaluate an all-affine grid through the polynomial-time path."""
-    try:
-        val = affine_eval(_load_grid(grid_path))
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    _print_value(val, as_json)
+    return _value(affine_eval(_load_grid(grid_path)))
 
 
 @_command("eo", ("--graph", {"dest": "graph_path", "required": True}), _JSON)
-def eo_cmd(graph_path, as_json):
+def eo_cmd(graph_path):
     """Count Eulerian orientations of a 4-regular graph."""
-    try:
-        n = eo_count(_load_graph(graph_path))
-    except TooManyEdges as e:
-        _fail(str(e), code=3)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    print(json.dumps({"count": n}) if as_json else str(n))
+    n = eo_count(_load_graph(graph_path))
+    return {"count": n}, str(n)
 
 
 @_command("tutte33",
           ("--graph", {"dest": "graph_path", "required": True,
                        "help": "planar graph file with rotation lines"}),
           _JSON)
-def tutte33_cmd(graph_path, as_json):
+def tutte33_cmd(graph_path):
     """Evaluate T(G; 3, 3) through the medial-graph Holant."""
-    try:
-        val = tutte33_value(_load_graph(graph_path))
-    except TooManyEdges as e:
-        _fail(str(e), code=3)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    if as_json:
-        print(json.dumps({"value": str(val)}))
-    else:
-        print(str(val))
+    val = str(tutte33_value(_load_graph(graph_path)))
+    return {"value": val}, val
 
 
 @_command("ising",
@@ -200,18 +164,13 @@ def tutte33_cmd(graph_path, as_json):
           ("--approx", {"action": "store_true", "help": "allow energies "
                         "off the i*pi/4 lattice (float weights)"}),
           _JSON)
-def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
+def ising_cmd(jh, jv, j, jp, jpp, approx):
     """Build the eight-vertex signature of an Ising-type energy
     function (couplings in units of i*pi/4) and classify it; with
     --approx, print its float weights instead."""
-    try:
-        params = [_coupling(flag, v) for flag, v in
-                  zip(("--jh", "--jv", "--j", "--jp", "--jpp"),
-                      (jh, jv, j, jp, jpp))]
-        if not approx:
-            f = ising_signature(*params)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
+    params = [_coupling(flag, v) for flag, v in
+              zip(("--jh", "--jv", "--j", "--jp", "--jpp"),
+                  (jh, jv, j, jp, jpp))]
     if approx:
         # the real weights e^{-energy}, written as Python complexes
         energies = ising_energies(*params)
@@ -220,18 +179,14 @@ def ising_cmd(jh, jv, j, jp, jpp, approx, as_json):
             try:
                 weights.append(math.exp(-float(energies[k])))
             except OverflowError:
-                _fail(f"the weight of entry {k} (energy {energies[k]}) "
-                      "overflows a float")
-        payload = {"signature": ";".join(f"{w}+0.0j" for w in weights)}
-    else:
-        payload = {"signature": str(f),
-                   "classification": classify_sig(f).to_json_dict()}
-    if as_json:
-        print(json.dumps(payload))
-    else:
-        print(f"signature: {payload['signature']}")
-        if "classification" in payload:
-            print(f"verdict: {payload['classification']['verdict']}")
+                raise ValueError(f"the weight of entry {k} (energy "
+                                 f"{energies[k]}) overflows a float") from None
+        text = ";".join(f"{w}+0.0j" for w in weights)
+        return {"signature": text}, f"signature: {text}"
+    f = ising_signature(*params)
+    verdict = classify_sig(f).to_json_dict()
+    return ({"signature": str(f), "classification": verdict},
+            f"signature: {f}\nverdict: {verdict['verdict']}")
 
 
 def _coupling(flag: str, text: str) -> Fraction:
@@ -248,22 +203,18 @@ def _coupling(flag: str, text: str) -> Fraction:
                       "help": "certificate JSON file (as emitted by "
                               "classify)"}),
           _JSON)
-def check_cert_cmd(sig, cert_path, as_json):
+def check_cert_cmd(sig, cert_path):
     """Re-verify a tractability certificate."""
-    try:
-        f = EightVertexSig.parse(sig)
-        with open(cert_path) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict) and "verdict" in data:
-            if "certificate" not in data:
-                raise ValueError(f"a {data['verdict']} verdict carries no "
-                                 "certificate")
-            data = data["certificate"]
-        cert = Certificate.from_json_dict(data)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    ok = check_certificate(f, cert)
-    print(json.dumps({"valid": ok}) if as_json else str(ok).lower())
+    f = EightVertexSig.parse(sig)
+    with open(cert_path) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and "verdict" in data:
+        if "certificate" not in data:
+            raise ValueError(f"a {data['verdict']} verdict carries no "
+                             "certificate")
+        data = data["certificate"]
+    ok = check_certificate(f, Certificate.from_json_dict(data))
+    return {"valid": ok}, str(ok).lower()
 
 
 def _demo_grid() -> Grid:
@@ -279,31 +230,25 @@ def _demo_grid() -> Grid:
           ("--lambdas", {"default": "0,3,-1",
                          "help": "(default: %(default)s)"}),
           _JSON)
-def demo_interp_cmd(grid_path, t, lambdas, as_json):
+def demo_interp_cmd(grid_path, t, lambdas):
     """Interpolation demo: recover slot-family Holant values from
     chain-gadget evaluations and compare with direct evaluation."""
-    try:
-        grid = _load_grid(grid_path) if grid_path else _demo_grid()
-        tval = parse_cyclo8(t)
-        lams = [parse_cyclo8(p.strip()) for p in lambdas.split(",")]
-        report = interpolation_demo(grid, tval, lams)
-    except TooManyEdges as e:
-        _fail(str(e), code=3)
-    except _INPUT_ERRORS as e:
-        _fail(str(e))
-    if as_json:
-        print(json.dumps({
-            "slots": report["slots"],
-            "channel_sums": [str(v) for v in report["channel_sums"]],
-            "values": {k: str(v) for k, v in report["values"].items()},
-            "direct": {k: str(v) for k, v in report["direct"].items()},
-            "agrees": report["agrees"],
-        }))
-        return
-    print(f"slots: {report['slots']}")
-    for k, v in report["values"].items():
-        print(f"lambda={k}: {v}  direct={report['direct'][k]}")
-    print(f"agrees: {report['agrees']}")
+    grid = _load_grid(grid_path) if grid_path else _demo_grid()
+    tval = parse_cyclo8(t)
+    lams = [parse_cyclo8(p.strip()) for p in lambdas.split(",")]
+    report = interpolation_demo(grid, tval, lams)
+    values, direct = report["values"], report["direct"]
+    payload = {
+        "slots": report["slots"],
+        "channel_sums": [str(v) for v in report["channel_sums"]],
+        "values": {k: str(v) for k, v in values.items()},
+        "direct": {k: str(v) for k, v in direct.items()},
+        "agrees": report["agrees"],
+    }
+    return payload, "\n".join([
+        f"slots: {report['slots']}",
+        *(f"lambda={k}: {v}  direct={direct[k]}" for k, v in values.items()),
+        f"agrees: {report['agrees']}"])
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -340,12 +285,21 @@ def _joined(argv) -> list:
 
 
 def main(argv=None):
-    """Run the command line argv (default: the process's arguments).
-    Errors end the process through SystemExit with code 2 or 3."""
+    """Run the command line argv (default: the process's arguments) and
+    print its result.  Bad input and size limits end the process through
+    SystemExit with code 2 or 3, after one 'error:' line on stderr; a
+    usage error ends it with code 2 after argparse's usage message."""
     args = vars(_parser().parse_args(
         _joined(sys.argv[1:] if argv is None else argv)))
     del args["command"]
-    args.pop("handler")(**args)
+    handler, as_json = args.pop("handler"), args.pop("as_json")
+    try:
+        payload, text = handler(**args)
+    except (ValueError, DivisionByZero, OSError) as e:
+        # bad input, or over a size limit (TooManyEdges is a ValueError)
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(3 if isinstance(e, TooManyEdges) else 2)
+    print(json.dumps(payload) if as_json else text)
 
 
 if __name__ == "__main__":

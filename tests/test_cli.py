@@ -207,6 +207,46 @@ def test_eval_max_edges_exit_3(runner, tmp_path):
     assert r.exit_code == 3
 
 
+def test_eval_negative_max_edges_exit_2(runner, tmp_path):
+    # a negative limit is bad input, not a size limit that was hit
+    p = tmp_path / "grid.json"
+    p.write_text(GRID_JSON)
+    for value in ("-1", "-28"):
+        r = invoke(runner, "eval", "--grid", str(p), "--max-edges", value)
+        assert (r.exit_code, r.stdout) == (2, ""), r.output
+        assert r.stderr == "error: --max-edges must be at least 0\n"
+
+
+TORUS5_TEXT = "".join(
+    f"{v} {v // 5 * 5 + (v % 5 + 1) % 5}\n{v} {(v // 5 + 1) % 5 * 5 + v % 5}\n"
+    for v in range(25))
+
+CYCLE15_TEXT = "".join(f"{v} {(v + 1) % 15}\n" for v in range(15))
+
+# 15 slot vertices in a ring, each joined to the next by two edges
+SLOT_RING_JSON = json.dumps({
+    "signatures": {"SLOT": {"arity": 4, "values": [0] * 16}},
+    "vertices": [{"sig": "SLOT"}] * 15,
+    "edges": [[[v, 3 + k], [(v + 1) % 15, 1 + k]]
+              for v in range(15) for k in (0, 1)],
+})
+
+
+@pytest.mark.parametrize("command, flag, text, edges", [
+    ("eo", "--graph", TORUS5_TEXT, 50),
+    ("tutte33", "--graph", CYCLE15_TEXT, 30),
+    ("demo-interp", "--grid", SLOT_RING_JSON, 30),
+], ids=["eo-torus5", "tutte33-cycle15", "demo-interp-slot-ring"])
+def test_size_limit_exit_3(runner, tmp_path, command, flag, text, edges):
+    # every command that sums over orientations stops at 28 edges
+    p = tmp_path / "input"
+    p.write_text(text)
+    for extra in ((), ("--json",)):
+        r = invoke(runner, command, flag, str(p), *extra)
+        assert (r.exit_code, r.stdout) == (3, ""), r.output
+        assert r.stderr == f"error: {edges} edges exceeds 28\n"
+
+
 def test_eval_class_a_grid_takes_affine_path(runner, tmp_path, monkeypatch):
     # a 48-edge prism of full-support class-A signatures: eval gives
     # brute_force's value without running the exponential sum
@@ -450,6 +490,40 @@ def test_check_cert_malformed_exit_2(runner, tmp_path, cert, rule):
     assert r.output.startswith(f"error: bad certificate: {rule}, got ")
 
 
+_T16 = ["1"] + ["0"] * 15
+
+
+@pytest.mark.parametrize("cert, message", [
+    ({"target": "A", "transformed": _T16},
+     "the certificate has no 'steps' field"),
+    ({"steps": [], "transformed": _T16},
+     "the certificate has no 'target' field"),
+    ({"steps": [], "target": "A"},
+     "the certificate has no 'transformed' field"),
+    ({"steps": [{}], "target": "A", "transformed": _T16},
+     "a step has no 'kind' field"),
+    ({"steps": [{"kind": "half_diag"}], "target": "A", "transformed": _T16},
+     "a half_diag step has no 'gamma_sq' field"),
+    ({"steps": [{"kind": "outer_rewrite", "x": "1"}], "target": "A",
+      "transformed": _T16},
+     "an outer_rewrite step has no 'a' field"),
+    ({"steps": [{"kind": "outer_rewrite", "a": "1"}], "target": "A",
+      "transformed": _T16},
+     "an outer_rewrite step has no 'x' field"),
+    ({"verdict": "tractable", "certificate": {"target": "A",
+                                              "transformed": _T16}},
+     "the certificate has no 'steps' field"),
+], ids=["steps", "target", "transformed", "kind", "gamma_sq", "a", "x",
+        "verdict-steps"])
+def test_check_cert_missing_field_exit_2(runner, tmp_path, cert, message):
+    p = tmp_path / "cert.json"
+    p.write_text(json.dumps(cert))
+    r = invoke(runner, "check-cert", "--sig", "1,1,1,0,0,1,1,0",
+               "--cert", str(p))
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr == f"error: bad certificate: {message}\n"
+
+
 def test_check_cert_zero_gamma_sq_is_false(runner, tmp_path):
     p = tmp_path / "cert.json"
     p.write_text(json.dumps({
@@ -596,6 +670,47 @@ def test_usage_errors_exit_2(runner, args):
     assert r.exit_code == 2, r.output
     assert r.stdout == ""
     assert "usage: eightvertex" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--sig", "1,2,3"],
+    ["eval", "--grid", "/nonexistent/grid.json"],
+    ["eval-affine", "--grid", "GRID"],
+    ["eo", "--graph", "GRAPH"],
+    ["tutte33", "--graph", "GRAPH"],
+    ["ising", "--jh", "x", "--jv", "0", "--j", "0", "--jp", "0",
+     "--jpp", "0"],
+    ["check-cert", "--sig", "1,1,1,0,0,1,1,0", "--cert", "GRID"],
+    ["demo-interp", "--lambdas", "1,zzz"],
+], ids=lambda a: a[0])
+def test_bad_input_exit_2(runner, tmp_path, args):
+    # a grid whose signature is not in class A, a graph with a self-loop
+    # and no 4-regular vertex, and a grid file that is no certificate:
+    # one line on stderr
+    grid = tmp_path / "grid.json"
+    grid.write_text(_grid_with(signatures={
+        "F": {"eightvertex": "1,2,3,1,1,2,1,3"}}))
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 0\n0 1\n")
+    args = [{"GRID": str(grid), "GRAPH": str(graph)}.get(a, a) for a in args]
+    for extra in ((), ("--json",)):
+        r = invoke(runner, *args, *extra)
+        assert (r.exit_code, r.stdout) == (2, ""), r.output
+        assert r.stderr.startswith("error: ")
+        assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+
+
+def test_handlers_return_without_printing(tmp_path, capsys):
+    # a handler returns (payload, text) and leaves printing to main
+    p = tmp_path / "dipole.txt"
+    p.write_text(DIPOLE_TEXT)
+    assert cli.eo_cmd(str(p)) == ({"count": 6}, "6")
+    payload, text = cli.classify_cmd(sig=None, preset="eo")
+    assert payload["verdict"] == "hard"
+    assert text.startswith("verdict: hard")
+    with pytest.raises(ValueError, match="exactly one of --sig"):
+        cli.classify_cmd(sig=None, preset=None)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("command", [
