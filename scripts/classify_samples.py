@@ -42,7 +42,7 @@ def main():
     for name, text in NAMED:
         f = EightVertexSig.parse(text)
         v = classify(f)
-        cert = v.certificate.describe() if v.certificate else ""
+        cert = v.certificate.describe() if v.certificate is not None else ""
         print(f"{name:28s} {v.kind:10s} {v.branch:18s} {cert}")
         if v.kind == "tractable":
             assert check_certificate(f, v.certificate)

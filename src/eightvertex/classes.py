@@ -67,6 +67,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .numeric import Cyclo8, ONE, ZERO, _ZERO4, _over_lcm, _times
 from .signatures import Signature
@@ -231,19 +232,13 @@ def _quarter_turns(c: Cyclo8) -> tuple:
             (-a0, -a1, -a2, -a3), (a2, a3, -a0, -a1))
 
 
-class ACertificate:
+class ACertificate(NamedTuple):
     """A witness f(x) = lam * i^Q(x) on an affine space, 0 elsewhere: lam
     and the ``AShape`` of the space and Q, which ``in_A`` shares between
-    every certificate of one shape.  Immutable, like the record."""
+    every certificate of one shape."""
 
-    __slots__ = ("lam", "shape")
-
-    def __init__(self, lam: Cyclo8, shape: AShape):
-        _set_lam(self, lam)
-        _set_shape(self, shape)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ACertificate is immutable")
+    lam: Cyclo8
+    shape: AShape
 
     @property
     def space(self) -> AffineSpace:
@@ -285,30 +280,20 @@ class ACertificate:
         return True
 
 
-_set_lam = ACertificate.lam.__set__
-_set_shape = ACertificate.shape.__set__
-
-
-class AShape:
+class AShape(NamedTuple):
     """The class-A structure shared by every signature lam * i^Q of one
     (space, Q): the space, Q's terms by 1-based variable as read-only
     mappings, lin with values in Z4 and quad (the cross terms 2 x_i x_j)
     with values in Z2, and the exponent table, Q mod 4 at each point and
-    None off the space.  ``in_A`` hands out one record per shape from its
-    memo to every certificate of that shape, so a record is immutable, and
-    compares and hashes by identity."""
+    None off the space.  A record compares by value, and its space and
+    mappings make it unhashable; ``in_A`` still hands out the one record
+    of its memo to every certificate of a shape, so those share it
+    (``is``)."""
 
-    __slots__ = ("space", "lin", "quad", "table")
-
-    def __init__(self, space: AffineSpace, lin: Mapping, quad: Mapping,
-                 table: tuple):
-        _set_space(self, space)
-        _set_lin(self, lin)
-        _set_quad(self, quad)
-        _set_table(self, table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AShape is immutable")
+    space: AffineSpace
+    lin: Mapping
+    quad: Mapping
+    table: tuple
 
     @classmethod
     def of(cls, space: AffineSpace, lin: Mapping, quad: Mapping) -> "AShape":
@@ -334,12 +319,6 @@ class AShape:
                 table[m] = q % 4
         return cls(space, MappingProxyType(lin), MappingProxyType(quad),
                    tuple(table))
-
-
-_set_space = AShape.space.__set__
-_set_lin = AShape.lin.__set__
-_set_quad = AShape.quad.__set__
-_set_table = AShape.table.__set__
 
 
 # the affine hull of a support, keyed by (support points, arity).  in_A
@@ -448,19 +427,13 @@ def in_A(f: Signature):
 
 # -- class P -----------------------------------------------------------
 
-class PDecomposition:
+class PDecomposition(NamedTuple):
     """f = lam * tensor product of factors; each factor covers the listed
     1-based variables and has support in at most two complementary
-    points.  Immutable."""
+    points."""
 
-    __slots__ = ("lam", "factors")
-
-    def __init__(self, lam: Cyclo8, factors: tuple):
-        _set_p_lam(self, lam)
-        _set_factors(self, factors)   # of (vars tuple, Signature)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PDecomposition is immutable")
+    lam: Cyclo8
+    factors: tuple      # of (vars tuple, Signature)
 
     def check(self, f: Signature) -> bool:
         """True iff the factors cover the variables 1..n of f once each,
@@ -502,10 +475,6 @@ class PDecomposition:
             if not _small_antipodal(g):
                 return False
         return True
-
-
-_set_p_lam = PDecomposition.lam.__set__
-_set_factors = PDecomposition.factors.__set__
 
 
 def _small_antipodal(g: Signature) -> bool:

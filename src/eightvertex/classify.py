@@ -30,6 +30,8 @@ produces a wrong Tractable verdict.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .numeric import (
     ALPHA,
     ONE,
@@ -169,20 +171,13 @@ def _in_class(sig: Signature, target: str) -> bool:
     raise ValueError(f"unknown target class {target!r}")
 
 
-class Certificate:
+class Certificate(NamedTuple):
     """A verified tractability witness: transform steps, the target
-    class, and the transformed signature the checker compares against.
-    Immutable."""
+    class, and the transformed signature the checker compares against."""
 
-    __slots__ = ("steps", "target", "transformed")
-
-    def __init__(self, steps: tuple, target: str, transformed: Signature):
-        _set_steps(self, steps)
-        _set_target(self, target)
-        _set_transformed(self, transformed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Certificate is immutable")
+    steps: tuple
+    target: str
+    transformed: Signature
 
     def describe(self) -> str:
         parts = [f"{kind}({', '.join(map(str, args))})" if args else kind
@@ -226,11 +221,6 @@ class Certificate:
         target = _cert_field(_cert_key(data, "target", "the certificate"),
                              str, "target is a string")
         return Certificate(tuple(steps), target, Signature(arity, vals))
-
-
-_set_steps = Certificate.steps.__set__
-_set_target = Certificate.target.__set__
-_set_transformed = Certificate.transformed.__set__
 
 
 def _cert_field(value, kind, rule: str):
@@ -334,27 +324,20 @@ def check_certificate(f: EightVertexSig, cert: Certificate) -> bool:
 
 # -- verdicts --------------------------------------------------------------
 
-class Verdict:
+class Verdict(NamedTuple):
     """Classification outcome.
 
     kind is "hard", "tractable", or "vanishing"; branch names the
     decision-tree branch; trace is a tuple of (rule, detail) pairs for
     hard outcomes; certificate is set for tractable outcomes; reason
-    describes vanishing outcomes.  Immutable.
+    describes vanishing outcomes.
     """
 
-    __slots__ = ("kind", "branch", "trace", "certificate", "reason")
-
-    def __init__(self, kind: str, branch: str, trace: tuple = (),
-                 certificate: Certificate = None, reason: str = None):
-        _set_kind(self, kind)
-        _set_branch(self, branch)
-        _set_trace(self, trace)
-        _set_certificate(self, certificate)
-        _set_reason(self, reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Verdict is immutable")
+    kind: str
+    branch: str
+    trace: tuple = ()
+    certificate: Certificate = None
+    reason: str = None
 
     @staticmethod
     def hard(branch: str, *trace) -> "Verdict":
@@ -378,13 +361,6 @@ class Verdict:
         if self.reason is not None:
             out["reason"] = self.reason
         return out
-
-
-_set_kind = Verdict.kind.__set__
-_set_branch = Verdict.branch.__set__
-_set_trace = Verdict.trace.__set__
-_set_certificate = Verdict.certificate.__set__
-_set_reason = Verdict.reason.__set__
 
 
 # -- candidate transforms ---------------------------------------------------

@@ -53,7 +53,10 @@ import itertools
 import json
 import re
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
                       ZERO, _ZERO4, _over_lcm, _pack, _reduced, _unpack)
@@ -79,13 +82,10 @@ class NotAffineSignature(ValueError):
 
 # -- grids ----------------------------------------------------------------
 
-class Grid:
-    __slots__ = ("signatures", "vertices", "edges")
-
-    def __init__(self, signatures: dict, vertices: list, edges: list):
-        self.signatures = signatures    # name -> Signature
-        self.vertices = vertices        # vertex index -> signature name
-        self.edges = edges              # ((v, p), (w, q)) with 1-based ports
+class Grid(NamedTuple):
+    signatures: dict    # name -> Signature
+    vertices: list      # vertex index -> signature name
+    edges: list         # ((v, p), (w, q)) with 1-based ports
 
     def validate(self) -> tuple:
         """Check that the edges join every port of every vertex exactly
@@ -549,16 +549,12 @@ def affine_eval(grid: Grid) -> Cyclo8:
 
 # -- graphs with rotation systems ------------------------------------------
 
-class Graph:
+class Graph(NamedTuple):
     """A multigraph given as an edge list, optionally with a counter
     clockwise rotation (edge indices) around each vertex."""
 
-    __slots__ = ("edges", "rotations")
-
-    def __init__(self, edges: list, rotations: dict = None):
-        self.edges = edges              # (u, v) pairs
-        # vertex -> [edge ids]
-        self.rotations = {} if rotations is None else rotations
+    edges: list                                 # (u, v) pairs
+    rotations: Mapping = MappingProxyType({})   # vertex -> [edge ids]
 
     @property
     def vertices(self):
@@ -610,9 +606,10 @@ def eo_signature() -> Signature:
 
 
 def grid_from_graph(graph: Graph, sig: Signature, sig_name: str) -> Grid:
-    """Place one copy of sig on every vertex of a d-regular graph, with
-    ports numbered by order of incidence, and join them by the graph
-    edges."""
+    """Place one copy of sig on every vertex of a graph, with ports
+    numbered by order of incidence, and join them by the graph edges.  A
+    vertex whose degree (a loop counts twice) is not sig's arity raises
+    ValueError naming the vertex as the graph labels it."""
     vs = graph.vertices
     vindex = {v: k for k, v in enumerate(vs)}
     next_port = {v: 1 for v in vs}
@@ -623,14 +620,15 @@ def grid_from_graph(graph: Graph, sig: Signature, sig_name: str) -> Grid:
         pv = next_port[v]
         next_port[v] += 1
         ends.append(((vindex[u], pu), (vindex[v], pv)))
+    for v in vs:
+        if next_port[v] != sig.arity + 1:
+            raise ValueError(f"vertex {v} has degree {next_port[v] - 1}, "
+                             f"but the signature has arity {sig.arity}")
     return Grid({sig_name: sig}, [sig_name] * len(vs), ends)
 
 
 def eo_count(graph: Graph) -> int:
     """The number of Eulerian orientations of a 4-regular graph."""
-    for v in graph.vertices:
-        if len(graph.incident(v)) != 4:
-            raise ValueError(f"vertex {v} is not 4-regular")
     grid = grid_from_graph(graph, eo_signature(), "eo")
     val = brute_force(grid)
     assert val.is_rational() and val.d == 1

@@ -10,6 +10,8 @@ fixed points.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .numeric import (Cyclo8, ONE, SQRT2, mat_mul, mat_pow, scalar,
                       sqrt_in_field, unit_modulus)
 
@@ -18,25 +20,11 @@ class NotInField(ValueError):
     """A requested value (e.g. a fixed point) does not lie in Q(zeta8)."""
 
 
-class ExtComplex:
-    """A point of the extended plane: a field element or infinity.
-    Immutable, and equal to a point of the same value."""
+class ExtComplex(NamedTuple):
+    """A point of the extended plane: a field element or infinity,
+    equal to a point of the same value."""
 
-    __slots__ = ("value",)
-
-    def __init__(self, value: Cyclo8 = None):   # None encodes infinity
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtComplex is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtComplex):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
+    value: Cyclo8 = None        # None encodes infinity
 
     @property
     def is_infinity(self) -> bool:

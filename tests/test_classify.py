@@ -17,6 +17,7 @@ from eightvertex.signatures import (
     OddSupportWithHalfTransform, Signature, disequality2, proportional,
 )
 from eightvertex.classes import AffineSpace, in_P
+from eightvertex.evaluate import Graph, Grid
 from eightvertex.mobius import ExtComplex
 
 from util import NONZERO_POOL, random_ev
@@ -419,14 +420,16 @@ def test_zero_gamma_sq_certificate_rejected():
 
 
 def test_records_are_immutable():
-    # verdicts, certificates, signatures and the class witnesses refuse
-    # every assignment, to a field or to a new name
+    # verdicts, certificates, signatures, the class witnesses, grids and
+    # graphs refuse every assignment, to a field or to a new name
     v = classify(parse("1,1,1,0,0,1,1,0"))
     f = parse("0,1,1,1,1,1,1,0")
     dec = in_P(Signature(2, [1, 0, 0, 1]))
+    grid = Grid({"f": f}, ["f"], [((0, 1), (0, 2)), ((0, 3), (0, 4))])
     for obj, field in ((v, "kind"), (v.certificate, "target"), (f, "a"),
                        (AffineSpace.full(2), "offset"), (dec, "lam"),
-                       (ExtComplex(I), "value")):
+                       (ExtComplex(I), "value"), (grid, "edges"),
+                       (Graph([(0, 0), (0, 0)]), "rotations")):
         for name in (field, "other"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, field))

@@ -581,6 +581,25 @@ def test_tutte33_bad_rotation_exit_2(runner, tmp_path, text, vertex, edges):
                         f"permutation of its edges {edges}\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "eo"])
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n1 2\n", "vertex 0 has degree 1"),
+    ("0 0\n0 1\n", "vertex 0 has degree 3"),
+    ("10 20\n10 20\n10 20\n10 20\n20 30\n", "vertex 20 has degree 5"),
+], ids=["path", "loop", "labels"])
+def test_graph_degree_mismatch_exit_2(runner, tmp_path, command, text,
+                                      message):
+    # the graph's own vertex label and degree, where the generated grid
+    # would name one of its ports; a loop counts twice
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    preset = ("--preset", "eo") if command == "eval" else ()
+    r = invoke(runner, command, "--graph", str(p), *preset)
+    assert r.exit_code == 2, r.output
+    assert r.output == (f"error: {message}, but the signature has "
+                        "arity 4\n")
+
+
 def test_tutte33_dipole_rotations(runner, tmp_path):
     # four parallel edges listed in the same order around both ends wrap
     # the dipole around a torus (2 faces); reversed at one end, it is
