@@ -375,17 +375,25 @@ def _i_pow(k: int) -> Cyclo8:
     return I ** (k % 4)
 
 
-# the fast path: direct or lightly twisted membership
+# the fast path: direct or lightly twisted membership; half_diag(i) -> A
+# is the alphaA test, as it scales f by alpha^wt(x) just as in_alphaA does
 FAST_CANDIDATES = (
     ((), "P"),
     ((), "A"),
     *(((("half_diag", _i_pow(k)),), "A") for k in (1, 2, 3)),
     *(((("half_diag", ALPHA * _i_pow(k)),), "A") for k in range(4)),
-    ((), "alphaA"),
 )
 
 # the targets tried, in order, after the symmetrizing z step of B4 and B5
 _SYMMETRIC_TARGETS = ("A", "P", "alphaA", "L")
+
+
+def _z_route(prod: Cyclo8, g: Cyclo8) -> list:
+    """The symmetric chains of B4 and B5: corners (1, prod), then
+    half_diag(g i^k) and z for k = 0..3, each against every target."""
+    flat = ("outer_rewrite", ONE, prod)
+    return [((flat, ("half_diag", g * _i_pow(k)), ("z",)), t)
+            for k in range(4) for t in _SYMMETRIC_TARGETS]
 
 
 # -- branch deciders -------------------------------------------------------
@@ -423,8 +431,8 @@ def _spin_classify(f: EightVertexSig) -> Verdict:
     binary signature on the corner entries and the surviving pair.
 
     Reached only after the fast path failed; its candidates certify every
-    tractable core, so a core in P, A or alphaA means a certificate is
-    missing."""
+    tractable core (alphaA through half_diag(i) -> A), so a core in P, A
+    or alphaA means a certificate is missing."""
     pair = next(((p, q) for p, q in f.pairs()
                  if not (p.is_zero() and q.is_zero())), None)
     if pair is None:
@@ -442,7 +450,10 @@ def _spin_classify(f: EightVertexSig) -> Verdict:
 
 
 def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
-    """No zero entries, (y, z, w) = eps (b, c, d) with eps = +-1."""
+    """No zero entries, (y, z, w) = eps (b, c, d) with eps = +-1.
+
+    A half_diag(i^k) after the corner normalization would repeat its A or
+    alphaA test, and one before it gives i times the same images."""
     if eps == 1:
         bp, cp, dp = f.b, f.c, f.d
     else:
@@ -467,19 +478,9 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
             ("corner normalization",
              "the corner product has no square root in Q(zeta_8), which "
              "every symmetric membership route requires"))
-    candidates = []
-    half_i = ("half_diag", I)
-    for pre, prod, root in (((), s, mu), ((half_i,), -s, I * mu)):
-        norm = ("outer_rewrite", root, root)
-        candidates.append((pre + (norm,), "A"))
-        candidates.append((pre + (norm,), "alphaA"))
-        for k in (1, 2, 3):
-            candidates.append((pre + (norm, ("half_diag", _i_pow(k))), "A"))
-        flat = ("outer_rewrite", ONE, prod)
-        for k in range(4):
-            sym = pre + (flat, ("half_diag", _i_pow(k) / root), ("z",))
-            candidates += [(sym, t) for t in _SYMMETRIC_TARGETS]
-    cert = _search(f, candidates)
+    norm = (("outer_rewrite", mu, mu),)
+    cert = _search(f, ((norm, "A"), (norm, "alphaA"),
+                       *_z_route(s, ONE / mu)))
     if cert is not None:
         return Verdict.tractable("B4", cert)
     return Verdict.hard(
@@ -497,13 +498,7 @@ def _b5_classify(f: EightVertexSig) -> Verdict:
             ("pair products",
              "by = cz = dw differs from the corner product, enabling the "
              "interpolation gadget"))
-    flat = ("outer_rewrite", ONE, ax)
-    base = f.b * f.c * f.d / (ax * ax)
-    candidates = []
-    for k in range(4):
-        sym = (flat, ("half_diag", base * _i_pow(k)), ("z",))
-        candidates += [(sym, t) for t in _SYMMETRIC_TARGETS]
-    cert = _search(f, candidates)
+    cert = _search(f, _z_route(ax, f.b * f.c * f.d / (ax * ax)))
     if cert is not None:
         return Verdict.tractable("B5", cert)
     return Verdict.hard(

@@ -587,13 +587,15 @@ class Graph(NamedTuple):
             if not line:
                 continue
             m = re.match(r"^rot\s+(\d+)\s*:\s*(.*)$", line)
-            if m:
-                rotations[int(m.group(1))] = [int(t) for t in m.group(2).split()]
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"bad graph line: {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:   # a label that is no integer, or an edge of other length
+                labels = [int(t) for t in (m.group(2) if m else line).split()]
+                if m:
+                    rotations[int(m.group(1))] = labels
+                    continue
+                u, v = labels
+            except ValueError:
+                raise ValueError(f"bad graph line: {line!r}") from None
+            edges.append((u, v))
         return Graph(edges, rotations)
 
 

@@ -548,7 +548,8 @@ def solve(a, b):
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _RE_RATIONAL = re.compile(rf"^({_RAT})$")
 _RE_IMAG = re.compile(rf"^({_RAT})i$")
-_RE_COMPLEX = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)i$")
+# p+qi; a unit q may be left out, as in 1-i
+_RE_COMPLEX = re.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)?i$")
 # plain integer text, which int() reads faster than Fraction() and to the
 # same value; "_" separators, non-ASCII digits, decimals and exponents go
 # through Fraction()
@@ -592,7 +593,8 @@ def _parse_cyclo8(text: str) -> Cyclo8:
         return Cyclo8(0, 0, Fraction(m.group(1)), 0)
     m = _RE_COMPLEX.match(t)
     if m:
-        return Cyclo8(Fraction(m.group(1)), 0, Fraction(m.group(2)), 0)
+        im = Fraction(m.group(2) + (m.group(3) or "1"))
+        return Cyclo8(Fraction(m.group(1)), 0, im, 0)
     raise ValueError(f"cannot parse scalar: {text!r}")
 
 

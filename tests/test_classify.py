@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eightvertex.numeric import Cyclo8, scalar, I, ALPHA, parse_cyclo8
-from eightvertex.signatures import EightVertexSig, pair_orbit
+from eightvertex.numeric import (
+    Cyclo8, scalar, I, ALPHA, parse_cyclo8, sqrt_in_field,
+)
+from eightvertex.signatures import EightVertexSig, half_diagonal, pair_orbit
 import eightvertex.classify as classify_mod
 from eightvertex.classify import (
     classify, Certificate, Verdict, make_certificate, check_certificate,
@@ -14,13 +16,16 @@ from eightvertex.classify import (
     STEP_FIELDS, STEP_KINDS, STEP_MATRICES,
 )
 from eightvertex.signatures import (
-    OddSupportWithHalfTransform, Signature, disequality2, proportional,
+    OddSupportWithHalfTransform, Signature, disequality2,
+    eight_vertex_readoff, proportional,
 )
-from eightvertex.classes import AffineSpace, in_P
+from eightvertex.classes import AffineSpace, in_A, in_P, in_alphaA
 from eightvertex.evaluate import Graph, Grid
 from eightvertex.mobius import ExtComplex
 
-from util import NONZERO_POOL, random_ev
+from util import (
+    NONUNIT_POOL, NONZERO_POOL, random_affine_signature, random_b4, random_ev,
+)
 
 rng_seed = st.integers(min_value=0, max_value=10 ** 9)
 
@@ -407,6 +412,116 @@ def test_disequality_outside_target_fails_certificate():
         assert not check_certificate(f, Certificate((), "L", f))
         assert check_certificate(f, Certificate((), "P", f))
     assert make_certificate(f, (), "L") is None
+
+
+# -- subsumed candidates ----------------------------------------------------
+#
+# A chain can go from a candidate list when an earlier chain of the same
+# list certifies exactly when it does.  half_diag and outer_rewrite leave
+# the disequality's image as it is, so that is decided on f's image.
+
+def nonunit_eight_vertex(seed: int, count: int):
+    """Eight-vertex signatures times a non-unit scale: random_ev draws,
+    class-A members, and members of alphaA, alternating with random_b4
+    draws."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 3 == 0:
+            values = random_ev(rng).values
+        else:   # g in A, then (k % 3 == 2) alpha^-wt(x) g(x) in alphaA
+            twist = -(k % 3 - 1)
+            values = [v * ALPHA ** (twist * m.bit_count()) for m, v
+                      in enumerate(random_affine_signature(rng, 4).values)]
+        f = eight_vertex_readoff(Signature(4, values))
+        if f is not None:
+            scale = rng.choice(NONUNIT_POOL)
+            yield EightVertexSig(*(v * scale for v in f.entries()))
+        yield random_b4(rng)
+
+
+def test_half_diag_i_is_the_alpha_twist():
+    # I1: half_diag(i) scales f(x) by alpha^wt(x) (i at weight 2, -1 at
+    # weight 4), the signature in_alphaA tests, so half_diag(i) -> A
+    # stands for f -> alphaA
+    members = 0
+    for f in nonunit_eight_vertex(1717, 400):
+        image = half_diagonal(f, I)
+        assert image.values == tuple(v * ALPHA ** m.bit_count()
+                                     for m, v in enumerate(f.values))
+        member = in_alphaA(f) is not None
+        assert (in_A(image) is not None) == member
+        members += member
+    assert members > 20
+
+
+def test_half_diag_sign_twins_agree_on_A():
+    # I2: half_diag(-g) is half_diag(g) times i^(x1+x2+x3+x4), under which
+    # A is closed
+    members = 0
+    for f in nonunit_eight_vertex(1818, 300):
+        for g in (scalar(1), scalar(I), scalar(ALPHA), ALPHA * I):
+            member = in_A(half_diagonal(f, g)) is not None
+            assert (in_A(half_diagonal(f, -g)) is not None) == member
+            members += member
+    assert members > 20
+
+
+def test_b4_half_diag_prefix_repeats_its_images():
+    # I3: half_diag(i) ahead of outer_rewrite(i mu, i mu) gives i times
+    # the image of outer_rewrite(mu, mu), and ahead of the z chain of
+    # corner product -ax it gives the z chain's image itself
+    one, half_i = scalar(1), ("half_diag", scalar(I))
+    checked = 0
+    rng = random.Random(1919)
+    for _ in range(300):
+        f = random_b4(rng)
+        s = f.a * f.x
+        mu = sqrt_in_field(s)
+        if mu is None:
+            continue
+        for k in range(4):
+            twist = (("half_diag", I ** k),) if k else ()
+            pairs = (   # (kept chain, deleted twin, image ratio)
+                ((("outer_rewrite", mu, mu),) + twist,
+                 (half_i, ("outer_rewrite", I * mu, I * mu)) + twist, I),
+                ((("outer_rewrite", one, s), ("half_diag", I ** k / mu),
+                  ("z",)),
+                 (half_i, ("outer_rewrite", one, -s),
+                  ("half_diag", I ** k / (I * mu)), ("z",)), one))
+            for kept, gone, factor in pairs:
+                assert apply_steps_signature(f, gone).values == tuple(
+                    factor * v
+                    for v in apply_steps_signature(f, kept).values)
+                assert (transform_disequality(gone)
+                        == transform_disequality(kept))
+        checked += 1
+    assert checked > 100
+
+
+def test_candidate_lists_hold_no_subsumed_chain(monkeypatch):
+    # the fast path tests alphaA only through half_diag(i) -> A, B4
+    # searches its two corner normalizations and 16 z chains, and B5 its
+    # 16 z chains; B4 and B5 build those chains the same way
+    assert len(FAST_CANDIDATES) == 9
+    assert all(target != "alphaA" for _, target in FAST_CANDIDATES)
+    # ax = 1, so mu = 1, for B4; ax = i and bcd / (ax)^2 = 1 for B5
+    b4, b5 = parse("2;i;-i;-i;i;i;-i;1/2"), parse("2i,1,1,-1,-i,i,i,1/2")
+    assert classify(b4).branch == "B4" and classify(b5).branch == "B5"
+    searched = []
+    search = classify_mod._search
+    monkeypatch.setattr(classify_mod, "_search", lambda f, candidates: (
+        searched.append(list(candidates)) or search(f, candidates)))
+
+    def z_route(prod):
+        return [((("outer_rewrite", 1, prod), ("half_diag", I ** k),
+                  ("z",)), target)
+                for k in range(4) for target in ("A", "P", "alphaA", "L")]
+
+    norm = (("outer_rewrite", 1, 1),)
+    classify(b4)
+    assert searched[-1] == [(norm, "A"), (norm, "alphaA"), *z_route(1)]
+    classify(b5)
+    assert searched[-1] == z_route(I)
 
 
 def test_zero_gamma_sq_certificate_rejected():

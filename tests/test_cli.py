@@ -95,6 +95,15 @@ def test_classify_bad_sig_exits_2(runner):
     assert r.exit_code == 2
 
 
+def test_classify_gaussian_entry_with_unit_imaginary_part(runner):
+    r = invoke(runner, "classify", "--sig", "1-i,1,1,1,1,1,1,1")
+    assert r.exit_code == 0, r.output
+    for text in ("1+", "1+-i", "i1"):
+        r = invoke(runner, "classify", "--sig", f"{text},1,1,1,1,1,1,1")
+        assert r.exit_code == 2
+        assert r.output == f"error: cannot parse scalar: {text!r}\n"
+
+
 def test_classify_requires_one_source(runner):
     assert invoke(runner, "classify").exit_code == 2
     r = invoke(runner, "classify", "--sig", "0,1,1,1,1,1,1,0",
@@ -598,6 +607,17 @@ def test_graph_degree_mismatch_exit_2(runner, tmp_path, command, text,
     assert r.exit_code == 2, r.output
     assert r.output == (f"error: {message}, but the signature has "
                         "arity 4\n")
+
+
+@pytest.mark.parametrize("command", ["eo", "tutte33"])
+@pytest.mark.parametrize("line", ["0 x", "rot 0: 0 1 2 x", "0 1 2"])
+def test_graph_bad_line_exit_2(runner, tmp_path, command, line):
+    # a label that is no integer is reported like an edge of wrong length
+    p = tmp_path / "g.txt"
+    p.write_text(f"0 1\n{line}  # comment\n")
+    r = invoke(runner, command, "--graph", str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output == f"error: bad graph line: {line!r}\n"
 
 
 def test_tutte33_dipole_rotations(runner, tmp_path):

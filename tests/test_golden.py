@@ -17,6 +17,11 @@ certificate in closed form: the 46 B6 signatures whose search used to
 raise AssertionError now get tractable verdicts, and the other 454
 outcomes are those recorded before the step matrices became constants.
 
+``B4_ZONE`` covers 500 ``random_b4`` signatures (seed 2727), with
+non-unit corners and inner entries, that reach branch B4's candidate
+search or the fast path.  It was recorded before the candidates that an
+earlier candidate of the same list subsumes were dropped.
+
 ``A_CERTS`` covers ``in_A`` alone: the certificate's lam, offset, basis,
 linear and cross terms (or None) for 1000 ``random_affine_signature``
 draws of arity 1-5, each times an entry of ``NONZERO_POOL``, a one-entry
@@ -62,13 +67,14 @@ from eightvertex.signatures import (
 
 from util import (
     ENTRY_POOL, NONZERO_POOL, quadratic_signature, random_affine_signature,
-    random_ev, random_grid,
+    random_b4, random_ev, random_grid,
 )
 
 GOLDEN = "5432e06ea835abbd1a0604d8ce78e6f4bf52bdd64d4979f04eb97ca524aeaffa"
 PLANTED = "eda3605efe77ad9692053f7082238fd0901eebe36e3e0d83532eaf0e4b632f74"
 A_CERTS = "f2a0c10621e9d2699f75162f286cb43fffd79be2e4f360f019dcc77e64011210"
 EVAL = "cb736bed61197cd3c9fb7bddbd1a64f48dc4dfc58bc18acaf1561cc509db6dd6"
+B4_ZONE = "86fffa59d4b7de21137a70288e19db20596aac169636ddcebf0c7ff23d887d33"
 
 
 def sweep_corpus():
@@ -123,6 +129,16 @@ def test_classify_golden_digest():
 
 def test_planted_certificate_digest():
     assert corpus_digest(planted_corpus()) == PLANTED
+
+
+def b4_corpus():
+    rng = random.Random(2727)
+    for _ in range(500):
+        yield random_b4(rng)
+
+
+def test_b4_zone_digest():
+    assert corpus_digest(b4_corpus()) == B4_ZONE
 
 
 # the eight odd-weight positions, where an eight-vertex signature is 0

@@ -208,6 +208,18 @@ def test_parse_scalar_forms():
         parse_cyclo8("one")
 
 
+def test_parse_gaussian_with_unit_imaginary_part():
+    # p+qi may leave out a unit q; the output form is unchanged
+    assert parse_cyclo8("1+i") == parse_cyclo8("1+1i") == ONE + I
+    assert parse_cyclo8("1-i") == ONE - I
+    assert parse_cyclo8("3/2-i") == Cyclo8(Fraction(3, 2)) - I
+    assert parse_cyclo8("-1/2+i") == I - Cyclo8(Fraction(1, 2))
+    assert format_cyclo8(ONE - I) == "1-1i"
+    for text in ("1+", "1+-i", "i1", "1--i", "1+i/2"):
+        with pytest.raises(ValueError, match="cannot parse scalar"):
+            parse_cyclo8(text)
+
+
 def _parsed(text):
     """parse_cyclo8's value, or the type and message of what it raised."""
     try:

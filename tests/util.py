@@ -12,6 +12,11 @@ ENTRY_POOL = tuple(scalar(v) for v in (0, 1, -1, 2, -2, I, -I, ALPHA, -ALPHA))
 
 NONZERO_POOL = ENTRY_POOL[1:]
 
+# nonzero values whose modulus is not 1 or that have a denominator
+NONUNIT_POOL = tuple(scalar(v) for v in (
+    2, -3, Fraction(1, 2), Fraction(-3, 2), 1 + I, 1 - I, Fraction(3, 2) - I,
+    3 * ALPHA, 2 * I))
+
 
 def random_signature(rng: random.Random, arity: int) -> Signature:
     return Signature(arity, [rng.choice(ENTRY_POOL) for _ in range(1 << arity)])
@@ -19,6 +24,21 @@ def random_signature(rng: random.Random, arity: int) -> Signature:
 
 def random_ev(rng: random.Random) -> EightVertexSig:
     return EightVertexSig(*(rng.choice(ENTRY_POOL) for _ in range(8)))
+
+
+def random_b4(rng: random.Random) -> EightVertexSig:
+    """A signature of branch B4's zone: no zero entry and
+    (y, z, w) = eps (b, c, d).  b, c, d are u i^k for one u and
+    ax = eps u^2 i^j, so the rotational gadgets often degenerate and the
+    candidate search decides; u and a come from NONZERO_POOL and
+    NONUNIT_POOL."""
+    pool = NONZERO_POOL + NONUNIT_POOL
+    eps = rng.choice((1, -1))
+    u = rng.choice(pool)
+    b, c, d = (u * I ** rng.randrange(4) for _ in range(3))
+    a = rng.choice(pool)
+    x = eps * u * u * I ** rng.randrange(4) / a
+    return EightVertexSig(a, b, c, d, eps * d, eps * c, eps * b, x)
 
 
 def reorder(f: Signature, order) -> Signature:
