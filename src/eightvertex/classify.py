@@ -77,13 +77,6 @@ from .classes import in_A, in_L, in_P, in_alphaA
 # (the contravariant side of a holographic transformation); for
 # half_diag that is diag(1, 1/gamma).  Proportional rescalings are
 # dropped throughout; class membership is scale free.
-#
-# A half_diag on an eight-vertex f (no matrix step before it, as in every
-# candidate list here) scales the eight entries and builds the image with
-# EightVertexSig._of_entries, which takes them as they are.  The other
-# constructors still pass every value through scalar(): Signature (so
-# holographic_transform's images, half_diag after a matrix step, and each
-# disequality image) and EightVertexSig itself (so outer_rewrite).
 
 
 def _matrix(rows):
@@ -243,26 +236,16 @@ def _cert_scalar(value) -> Cyclo8:
     return parse_cyclo8(_cert_field(value, str, "a value is a scalar string"))
 
 
-def _images(f: EightVertexSig, steps):
-    """The images of f and of the disequality under steps, or None when
-    a step does not apply."""
-    try:
-        return apply_steps_signature(f, steps), transform_disequality(steps)
-    except (ValueError, DivisionByZero):
-        return None
-
-
 # the membership of disequality images in target classes, keyed by the
-# image's (numerators, denominator) pairs and the target: hashing the
-# Cyclo8 values themselves builds Fractions for every value with a
-# denominator.  half_diag fixes the disequality itself (up to the scalar
-# it drops) and outer_rewrite touches no disequality, and in every
-# candidate here they come before the matrix steps, so the image depends
-# on the matrix steps alone.  Whatever the signature, the candidates meet
-# two images: the disequality (no matrix step: the fast path, B1, B6 and
-# B4's corner normalizations) and its z image (the symmetric chains of B4
-# and B5).  Other keys come only from certificates read from outside; the
-# table is emptied when full.
+# image's values and the target.  half_diag fixes the disequality itself
+# (up to the scalar it drops) and outer_rewrite touches no disequality,
+# and in every candidate here they come before the matrix steps, so the
+# image depends on the matrix steps alone.  Whatever the signature, the
+# candidates meet two images: the disequality (no matrix step: the fast
+# path, B1, B6 and B4's corner normalization) and its z image (the
+# symmetric chains of B4 and B5).  Both have integer values, so hashing
+# them builds no Fraction.  Other keys come only from certificates read
+# from outside; the table is emptied when full.
 _DISEQUALITY_MEMBER = {}
 _DISEQUALITY_MEMBER_MAX = 256
 
@@ -270,7 +253,7 @@ _DISEQUALITY_MEMBER_MAX = 256
 def _disequality_in(b: Signature, target: str) -> bool:
     """_in_class(b, target) for a disequality image b, read from the
     table ``_DISEQUALITY_MEMBER`` when it is there."""
-    key = (tuple((c.n, c.d) for c in b.values), target)
+    key = (b.values, target)
     member = _DISEQUALITY_MEMBER.get(key)
     if member is None:
         if len(_DISEQUALITY_MEMBER) >= _DISEQUALITY_MEMBER_MAX:
@@ -280,30 +263,31 @@ def _disequality_in(b: Signature, target: str) -> bool:
 
 
 def _search(f: EightVertexSig, candidates):
-    """The certificate of the first candidate that carries f and the
-    disequality into its target class, or None.
+    """The certificate of the first (steps, target) that carries f and
+    the disequality into the target class, or None.
 
-    Both images are computed for every candidate (once per step list).
-    The image of f is tested for membership every time; the disequality
-    image only when f's is in the class, and then its answer is read from
-    a table keyed by the image's values and the target."""
-    cache = {}
-    for steps, target in candidates:
-        if steps not in cache:
-            cache[steps] = _images(f, steps)
-        pair = cache[steps]
-        if pair is None:
+    Each candidate is a step list with the targets tried on its images,
+    in order.  Both images are computed once per candidate; a step list
+    that does not apply is skipped.  The image of f is tested for
+    membership against each target; the disequality image only when f's
+    is in the class, and then its answer is read from a table keyed by
+    the image's values and the target."""
+    for steps, targets in candidates:
+        try:
+            g = apply_steps_signature(f, steps)
+            b = transform_disequality(steps)
+        except (ValueError, DivisionByZero):
             continue
-        g, b = pair
-        if _in_class(g, target) and _disequality_in(b, target):
-            return Certificate(steps, target, g)
+        for target in targets:
+            if _in_class(g, target) and _disequality_in(b, target):
+                return Certificate(steps, target, g)
     return None
 
 
 def make_certificate(f: EightVertexSig, steps, target: str):
     """Build a Certificate if the step sequence carries both f and the
     disequality into the target class; None otherwise."""
-    return _search(f, ((tuple(steps), target),))
+    return _search(f, ((tuple(steps), (target,)),))
 
 
 def check_certificate(f: EightVertexSig, cert: Certificate) -> bool:
@@ -366,10 +350,11 @@ class Verdict(NamedTuple):
 # -- candidate transforms ---------------------------------------------------
 #
 # Each branch tries a finite, deterministically ordered list of
-# (steps, target-class) pairs.  Every candidate is verified before use,
-# so listing a transform never makes an intractable signature look
-# tractable; the lists only need to be large enough to contain a witness
-# whenever one exists.
+# (steps, targets) candidates: each step list appears once, with the
+# target classes tried on its images in order.  Every candidate is
+# verified before use, so listing a transform never makes an intractable
+# signature look tractable; the lists only need to be large enough to
+# contain a witness whenever one exists.
 
 def _i_pow(k: int) -> Cyclo8:
     return I ** (k % 4)
@@ -378,10 +363,9 @@ def _i_pow(k: int) -> Cyclo8:
 # the fast path: direct or lightly twisted membership; half_diag(i) -> A
 # is the alphaA test, as it scales f by alpha^wt(x) just as in_alphaA does
 FAST_CANDIDATES = (
-    ((), "P"),
-    ((), "A"),
-    *(((("half_diag", _i_pow(k)),), "A") for k in (1, 2, 3)),
-    *(((("half_diag", ALPHA * _i_pow(k)),), "A") for k in range(4)),
+    ((), ("P", "A")),
+    *(((("half_diag", _i_pow(k)),), ("A",)) for k in (1, 2, 3)),
+    *(((("half_diag", ALPHA * _i_pow(k)),), ("A",)) for k in range(4)),
 )
 
 # the targets tried, in order, after the symmetrizing z step of B4 and B5
@@ -392,8 +376,8 @@ def _z_route(prod: Cyclo8, g: Cyclo8) -> list:
     """The symmetric chains of B4 and B5: corners (1, prod), then
     half_diag(g i^k) and z for k = 0..3, each against every target."""
     flat = ("outer_rewrite", ONE, prod)
-    return [((flat, ("half_diag", g * _i_pow(k)), ("z",)), t)
-            for k in range(4) for t in _SYMMETRIC_TARGETS]
+    return [((flat, ("half_diag", g * _i_pow(k)), ("z",)), _SYMMETRIC_TARGETS)
+            for k in range(4)]
 
 
 # -- branch deciders -------------------------------------------------------
@@ -406,10 +390,9 @@ def six_vertex_classify(f: EightVertexSig) -> Verdict:
     """
     if not (f.a * f.x).is_zero():
         raise ValueError("six_vertex_classify requires ax = 0")
-    candidates = [((), "P"), ((), "A")]
+    candidates = [((), ("P", "A"))]
     if not (f.a.is_zero() and f.x.is_zero()):
-        clear = (("outer_rewrite", ZERO, ZERO),)
-        candidates += [(clear, "P"), (clear, "A")]
+        candidates.append(((("outer_rewrite", ZERO, ZERO),), ("P", "A")))
     cert = _search(f, candidates)
     if cert is not None:
         return Verdict.tractable("B1-six-vertex", cert)
@@ -479,8 +462,7 @@ def _b4_classify(f: EightVertexSig, eps: int) -> Verdict:
              "the corner product has no square root in Q(zeta_8), which "
              "every symmetric membership route requires"))
     norm = (("outer_rewrite", mu, mu),)
-    cert = _search(f, ((norm, "A"), (norm, "alphaA"),
-                       *_z_route(s, ONE / mu)))
+    cert = _search(f, ((norm, ("A", "alphaA")), *_z_route(s, ONE / mu)))
     if cert is not None:
         return Verdict.tractable("B4", cert)
     return Verdict.hard(

@@ -207,7 +207,10 @@ def check_cert_cmd(sig, cert_path):
     """Re-verify a tractability certificate."""
     f = EightVertexSig.parse(sig)
     with open(cert_path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"bad certificate: {e}") from None
     if isinstance(data, dict) and "verdict" in data:
         if "certificate" not in data:
             raise ValueError(f"a {data['verdict']} verdict carries no "

@@ -123,11 +123,15 @@ class Grid(NamedTuple):
 
     @staticmethod
     def from_json(text: str) -> "Grid":
-        """Parse a grid file.  Input of the wrong shape, a missing field
-        and a vertex naming an undefined signature raise ValueError."""
-        data = _expect(json.loads(text), dict,
-                       "a grid is an object with signatures, vertices and "
-                       "edges")
+        """Parse a grid file.  Text that is not JSON, input of the wrong
+        shape, a missing field and a vertex naming an undefined signature
+        raise ValueError."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"bad grid: {e}") from None
+        data = _expect(data, dict, "a grid is an object with signatures, "
+                       "vertices and edges")
         sigs = {}
         parsed = {}     # each distinct scalar string of the file, parsed
         for name, spec in _expect(_field(data, "signatures", "the grid"),
@@ -804,7 +808,8 @@ def interpolation_demo(grid: Grid, t, lambdas) -> dict:
 
     Returns a dict with the slot count, the recovered channel sums, the
     interpolated values, the directly evaluated values, and whether the
-    two agree.  A t for which the system is singular raises ValueError.
+    two agree.  A t for which the system is singular raises ValueError,
+    and so does a SLOT signature whose arity is not the chain block's.
     """
     # imported here, so that only this demonstration loads the gadgets
     from .gadgets import chain_power, eigen_report
@@ -820,6 +825,11 @@ def interpolation_demo(grid: Grid, t, lambdas) -> dict:
         return Grid(sigs, grid.vertices, grid.edges)
 
     block = chain_block(t)
+    slot_arity = grid.signatures["SLOT"].arity
+    if slot_arity != block.arity:
+        raise ValueError(f"the SLOT signature has arity {slot_arity}, but "
+                         "the chain block placed in each slot has arity "
+                         f"{block.arity}")
     rows = []
     rhs = []
     for s in range(1, m + 2):

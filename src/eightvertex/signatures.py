@@ -41,7 +41,8 @@ class Signature:
     def __init__(self, arity: int, values):
         if not 1 <= arity <= 6:
             raise ValueError(f"arity must be 1..6, got {arity}")
-        vals = tuple(scalar(v) for v in values)
+        vals = tuple(v if isinstance(v, Cyclo8) else scalar(v)
+                     for v in values)
         if len(vals) != 1 << arity:
             raise ValueError(
                 f"arity {arity} needs {1 << arity} values, got {len(vals)}")
@@ -80,10 +81,6 @@ class Signature:
     def scale(self, s) -> "Signature":
         s = scalar(s)
         return Signature(self.arity, [s * v for v in self.values])
-
-
-_set_arity = Signature.arity.__set__
-_set_values = Signature.values.__set__
 
 
 def proportional(f: Signature, g: Signature) -> bool:
@@ -141,17 +138,6 @@ class EightVertexSig(Signature):
     def __init__(self, a, b, c, d, w, z, y, x):
         super().__init__(4, (a, ZERO, ZERO, b, ZERO, c, d, ZERO,
                              ZERO, w, z, ZERO, y, ZERO, ZERO, x))
-
-    @classmethod
-    def _of_entries(cls, a, b, c, d, w, z, y, x) -> "EightVertexSig":
-        """The EightVertexSig of eight Cyclo8s, taken as they are: no
-        scalar() pass over the sixteen values, which the constructor
-        makes."""
-        f = object.__new__(cls)
-        _set_arity(f, 4)
-        _set_values(f, (a, ZERO, ZERO, b, ZERO, c, d, ZERO,
-                        ZERO, w, z, ZERO, y, ZERO, ZERO, x))
-        return f
 
     @staticmethod
     def parse(text: str) -> "EightVertexSig":
@@ -325,18 +311,16 @@ def half_diagonal(f: Signature, gamma_sq,
     any_parity is set; otherwise OddSupportWithHalfTransform is raised.
 
     An EightVertexSig (even support, so p = 0) takes the eight-entry
-    path: its image (a, g b, g c, g d, g w, g z, g y, g^2 x), with
-    g = gamma_sq, is built from the eight products by
-    ``EightVertexSig._of_entries``, which skips the scalar() pass that
-    the Signature and EightVertexSig constructors make over all sixteen
-    values.  Every other signature (the disequality side, or f after a
-    matrix step) takes the general path below, which still coerces."""
+    path: its image is the EightVertexSig (a, g b, g c, g d, g w, g z,
+    g y, g^2 x), with g = gamma_sq, and no support list is built.  Every
+    other signature (the disequality side, or f after a matrix step)
+    takes the general path below."""
     gamma_sq = scalar(gamma_sq)
     if gamma_sq.is_zero():   # certificate files come from outside
         raise ValueError("gamma_sq must be nonzero")
     if isinstance(f, EightVertexSig):
         a, b, c, d, w, z, y, x = _entries(f.values)
-        return EightVertexSig._of_entries(
+        return EightVertexSig(
             a, gamma_sq * b, gamma_sq * c, gamma_sq * d, gamma_sq * w,
             gamma_sq * z, gamma_sq * y, gamma_sq * gamma_sq * x)
     support = f.support()

@@ -366,8 +366,7 @@ def test_disequality_membership_table_matches_in_class(monkeypatch):
         cases += [(steps, image, t) for t in targets]
     assert len(cases) > 4 * 150
     in_class = classify_mod._in_class
-    keys = {(tuple((c.n, c.d) for c in image.values), t)
-            for _, image, t in cases}
+    keys = {(image.values, t) for _, image, t in cases}
     # every key fits, so the warm pass reads every answer from the table
     assert len(keys) <= classify_mod._DISEQUALITY_MEMBER_MAX
     computed = []
@@ -500,10 +499,10 @@ def test_b4_half_diag_prefix_repeats_its_images():
 
 def test_candidate_lists_hold_no_subsumed_chain(monkeypatch):
     # the fast path tests alphaA only through half_diag(i) -> A, B4
-    # searches its two corner normalizations and 16 z chains, and B5 its
-    # 16 z chains; B4 and B5 build those chains the same way
-    assert len(FAST_CANDIDATES) == 9
-    assert all(target != "alphaA" for _, target in FAST_CANDIDATES)
+    # searches its corner normalization and four z chains, and B5 its
+    # four z chains; B4 and B5 build those chains the same way.  No step
+    # list repeats within a list, so each image is built once
+    assert all("alphaA" not in targets for _, targets in FAST_CANDIDATES)
     # ax = 1, so mu = 1, for B4; ax = i and bcd / (ax)^2 = 1 for B5
     b4, b5 = parse("2;i;-i;-i;i;i;-i;1/2"), parse("2i,1,1,-1,-i,i,i,1/2")
     assert classify(b4).branch == "B4" and classify(b5).branch == "B5"
@@ -514,14 +513,20 @@ def test_candidate_lists_hold_no_subsumed_chain(monkeypatch):
 
     def z_route(prod):
         return [((("outer_rewrite", 1, prod), ("half_diag", I ** k),
-                  ("z",)), target)
-                for k in range(4) for target in ("A", "P", "alphaA", "L")]
+                  ("z",)), ("A", "P", "alphaA", "L")) for k in range(4)]
 
     norm = (("outer_rewrite", 1, 1),)
     classify(b4)
-    assert searched[-1] == [(norm, "A"), (norm, "alphaA"), *z_route(1)]
+    b4_list = searched[-1]
+    assert b4_list == [(norm, ("A", "alphaA")), *z_route(1)]
     classify(b5)
     assert searched[-1] == z_route(I)
+    for candidates, lists, pairs in ((FAST_CANDIDATES, 8, 9),
+                                     (b4_list, 5, 18),
+                                     (searched[-1], 4, 16)):
+        steps = [s for s, _ in candidates]
+        assert len(steps) == len(set(steps)) == lists
+        assert sum(len(targets) for _, targets in candidates) == pairs
 
 
 def test_zero_gamma_sq_certificate_rejected():

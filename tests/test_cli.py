@@ -646,6 +646,36 @@ def test_demo_interp_singular_t_exit_2(runner, t):
                         "system\n")
 
 
+def test_demo_interp_slot_arity_exit_2(runner, tmp_path):
+    # the chain block that goes into each slot has arity 4; an arity-2
+    # SLOT is named as such, not by a port of the substituted grid
+    p = tmp_path / "slot2.json"
+    p.write_text(json.dumps({
+        "signatures": {"SLOT": {"arity": 2, "values": [1, 0, 0, 1]}},
+        "vertices": [{"sig": "SLOT"}] * 2,
+        "edges": [[[0, 1], [1, 1]], [[0, 2], [1, 2]]]}))
+    r = invoke(runner, "demo-interp", "--grid", str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output == ("error: the SLOT signature has arity 2, but the "
+                        "chain block placed in each slot has arity 4\n")
+
+
+@pytest.mark.parametrize("args, kind", [
+    (["eval", "--grid"], "grid"),
+    (["eval-affine", "--grid"], "grid"),
+    (["demo-interp", "--grid"], "grid"),
+    (["check-cert", "--sig", "1,1,1,0,0,1,1,0", "--cert"], "certificate"),
+], ids=["eval", "eval-affine", "demo-interp", "check-cert"])
+def test_file_not_json_exit_2(runner, tmp_path, args, kind):
+    p = tmp_path / "file.json"
+    p.write_text("{x")
+    r = invoke(runner, *args, str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output == (f"error: bad {kind}: Expecting property name "
+                        "enclosed in double quotes: line 1 column 2 "
+                        "(char 1)\n")
+
+
 def test_demo_interp_default(runner):
     r = invoke(runner, "demo-interp", "--json")
     assert r.exit_code == 0

@@ -26,6 +26,19 @@ def test_eight_vertex_round_trip():
     assert back.entries() == ev.entries()
 
 
+def test_signature_keeps_cyclo8_values_and_coerces_the_rest():
+    # a Cyclo8 is stored as it is, an int or a Fraction becomes one, and
+    # anything else raises TypeError
+    v = (1 + I) / 3
+    f = Signature(2, [v, 0, Fraction(1, 2), -3])
+    assert f.values[0] is v and EightVertexSig(v, *[1] * 7).a is v
+    assert all(type(x) is Cyclo8 for x in f.values)
+    assert f.values[1:] == (Cyclo8(0), Cyclo8(Fraction(1, 2)), Cyclo8(-3))
+    for bad in (0.5, 1j):
+        with pytest.raises(TypeError):
+            Signature(1, [1, bad])
+
+
 def test_parse_both_separators():
     p1 = EightVertexSig.parse("0,1,1,2,2,1,1,0")
     p2 = EightVertexSig.parse("0; 1; 1; 2; 2; 1; 1; 0")
