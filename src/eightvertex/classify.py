@@ -40,6 +40,7 @@ from .numeric import (
     Cyclo8,
     DivisionByZero,
     I,
+    InputFormat,
     as_power_of_i,
     parse_cyclo8,
     scalar,
@@ -164,6 +165,9 @@ def _in_class(sig: Signature, target: str) -> bool:
     raise ValueError(f"unknown target class {target!r}")
 
 
+CERTIFICATE = InputFormat("certificate")
+
+
 class Certificate(NamedTuple):
     """A verified tractability witness: transform steps, the target
     class, and the transformed signature the checker compares against."""
@@ -193,47 +197,27 @@ class Certificate(NamedTuple):
         """The certificate of a to_json_dict object.  Input of the wrong
         shape, or with a field missing, raises ValueError naming the
         fault."""
-        _cert_field(data, dict, "a certificate is an object")
+        CERTIFICATE.expect(data, dict, "a certificate is an object")
         steps = []
-        for enc in _cert_field(_cert_key(data, "steps", "the certificate"),
-                               list, "steps is a list"):
-            _cert_field(enc, dict, "a step is an object")
-            kind = _cert_key(enc, "kind", "a step")
+        for enc in CERTIFICATE.field(data, "steps", "the certificate", list):
+            enc = CERTIFICATE.expect(enc, dict, "a step is an object")
+            kind = CERTIFICATE.field(enc, "kind", "a step", str)
             if kind not in STEP_KINDS:
-                raise ValueError(f"unknown step kind {kind!r}")
+                raise CERTIFICATE.fault(f"unknown step kind {kind!r}")
             owner = f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} step"
-            steps.append((kind, *(_cert_scalar(_cert_key(enc, k, owner))
-                                  for k in STEP_FIELDS.get(kind, ()))))
-        vals = [_cert_scalar(v) for v in _cert_field(
-            _cert_key(data, "transformed", "the certificate"), list,
-            "transformed is a list")]
+            steps.append((kind, *(
+                parse_cyclo8(CERTIFICATE.field(enc, k, owner, str))
+                for k in STEP_FIELDS.get(kind, ()))))
+        vals = [parse_cyclo8(CERTIFICATE.expect(v, str,
+                                                "a value is a scalar string"))
+                for v in CERTIFICATE.field(data, "transformed",
+                                           "the certificate", list)]
         arity = len(vals).bit_length() - 1
         if not (1 <= arity <= 6 and len(vals) == 1 << arity):
-            raise ValueError("bad certificate: transformed has 2^n values "
-                             f"for n in 1..6, got {len(vals)}")
-        target = _cert_field(_cert_key(data, "target", "the certificate"),
-                             str, "target is a string")
+            raise CERTIFICATE.fault("transformed has 2^n values for n in "
+                                    f"1..6, got {len(vals)}")
+        target = CERTIFICATE.field(data, "target", "the certificate", str)
         return Certificate(tuple(steps), target, Signature(arity, vals))
-
-
-def _cert_field(value, kind, rule: str):
-    """value if it is a kind; else ValueError naming the rule."""
-    if isinstance(value, kind):
-        return value
-    raise ValueError(f"bad certificate: {rule}, got {value!r:.40}")
-
-
-def _cert_key(obj: dict, key: str, owner: str):
-    """obj[key]; a missing key raises ValueError naming it and its
-    owner."""
-    if key in obj:
-        return obj[key]
-    raise ValueError(f"bad certificate: {owner} has no {key!r} field")
-
-
-def _cert_scalar(value) -> Cyclo8:
-    """A scalar string of a certificate file, parsed."""
-    return parse_cyclo8(_cert_field(value, str, "a value is a scalar string"))
 
 
 # the membership of disequality images in target classes, keyed by the

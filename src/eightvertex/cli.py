@@ -8,7 +8,8 @@ after it even when that starts with '-' (``--sig -i,1,1,1,1,1,1,-i``).
 
 Each handler is a plain function of its options' values: it returns
 (payload, text), the object printed under --json and the human-readable
-text, and raises on bad input.  Only main prints or exits.
+text, and raises on bad input.  Only main prints or exits.  Every
+input file is read by _read, as UTF-8.
 
 Exit codes: 0 on success (a hard verdict is data, not an error),
 2 on input errors and usage errors, 3 on size-limit violations.
@@ -20,10 +21,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .numeric import DivisionByZero, parse_cyclo8
+from .numeric import DivisionByZero, InputFormat, parse_cyclo8
 from .signatures import EightVertexSig, Signature
-from .classify import Certificate, check_certificate, classify as classify_sig
+from .classify import (CERTIFICATE, Certificate, check_certificate,
+                       classify as classify_sig)
 from .evaluate import (
+    GRID,
     Graph,
     Grid,
     NotAffineSignature,
@@ -51,14 +54,17 @@ def _sig_from_options(sig, preset) -> EightVertexSig:
     return EightVertexSig.parse(sig if sig is not None else PRESETS[preset])
 
 
-def _load_grid(path: str) -> Grid:
-    with open(path) as fh:
-        return Grid.from_json(fh.read())
+_GRAPH = InputFormat("graph")
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return Graph.parse(fh.read())
+def _read(path: str, fmt: InputFormat) -> str:
+    """The text of the file at path, read as UTF-8; bytes that do not
+    decode raise ValueError with fmt's prefix."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise fmt.fault(str(e)) from None
 
 
 def _value(val):
@@ -113,10 +119,11 @@ def eval_cmd(grid_path, graph_path, sig, preset, max_edges):
     if max_edges < 0:
         raise ValueError("--max-edges must be at least 0")
     if grid_path is not None:
-        grid = _load_grid(grid_path)
+        grid = Grid.from_json(_read(grid_path, GRID))
     elif graph_path is not None:
         f = _sig_from_options(sig, preset)
-        grid = grid_from_graph(_load_graph(graph_path), f, "f")
+        grid = grid_from_graph(Graph.parse(_read(graph_path, _GRAPH)), f,
+                               "f")
     else:
         raise ValueError("one of --grid or --graph is required")
     # max_edges bounds both paths: over it, brute_force raises
@@ -138,13 +145,13 @@ def eval_cmd(grid_path, graph_path, sig, preset, max_edges):
           _JSON)
 def eval_affine_cmd(grid_path):
     """Evaluate an all-affine grid through the polynomial-time path."""
-    return _value(affine_eval(_load_grid(grid_path)))
+    return _value(affine_eval(Grid.from_json(_read(grid_path, GRID))))
 
 
 @_command("eo", ("--graph", {"dest": "graph_path", "required": True}), _JSON)
 def eo_cmd(graph_path):
     """Count Eulerian orientations of a 4-regular graph."""
-    n = eo_count(_load_graph(graph_path))
+    n = eo_count(Graph.parse(_read(graph_path, _GRAPH)))
     return {"count": n}, str(n)
 
 
@@ -154,7 +161,7 @@ def eo_cmd(graph_path):
           _JSON)
 def tutte33_cmd(graph_path):
     """Evaluate T(G; 3, 3) through the medial-graph Holant."""
-    val = str(tutte33_value(_load_graph(graph_path)))
+    val = str(tutte33_value(Graph.parse(_read(graph_path, _GRAPH))))
     return {"value": val}, val
 
 
@@ -206,11 +213,7 @@ def _coupling(flag: str, text: str) -> Fraction:
 def check_cert_cmd(sig, cert_path):
     """Re-verify a tractability certificate."""
     f = EightVertexSig.parse(sig)
-    with open(cert_path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"bad certificate: {e}") from None
+    data = CERTIFICATE.decode(_read(cert_path, CERTIFICATE))
     if isinstance(data, dict) and "verdict" in data:
         if "certificate" not in data:
             raise ValueError(f"a {data['verdict']} verdict carries no "
@@ -236,7 +239,8 @@ def _demo_grid() -> Grid:
 def demo_interp_cmd(grid_path, t, lambdas):
     """Interpolation demo: recover slot-family Holant values from
     chain-gadget evaluations and compare with direct evaluation."""
-    grid = _load_grid(grid_path) if grid_path else _demo_grid()
+    grid = (Grid.from_json(_read(grid_path, GRID)) if grid_path
+            else _demo_grid())
     tval = parse_cyclo8(t)
     lams = [parse_cyclo8(p.strip()) for p in lambdas.split(",")]
     report = interpolation_demo(grid, tval, lams)

@@ -58,8 +58,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .numeric import (Cyclo8, scalar, parse_cyclo8, solve, ALPHA, ONE, SQRT2,
-                      ZERO, _ZERO4, _over_lcm, _pack, _reduced, _unpack)
+from .numeric import (Cyclo8, InputFormat, scalar, parse_cyclo8, solve, ALPHA,
+                      ONE, SQRT2, ZERO, _ZERO4, _over_lcm, _pack, _reduced,
+                      _unpack)
 from .signatures import Signature, EightVertexSig
 from .classes import in_A
 
@@ -81,6 +82,9 @@ class NotAffineSignature(ValueError):
 
 
 # -- grids ----------------------------------------------------------------
+
+GRID = InputFormat("grid")
+
 
 class Grid(NamedTuple):
     signatures: dict    # name -> Signature
@@ -126,59 +130,33 @@ class Grid(NamedTuple):
         """Parse a grid file.  Text that is not JSON, input of the wrong
         shape, a missing field and a vertex naming an undefined signature
         raise ValueError."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"bad grid: {e}") from None
-        data = _expect(data, dict, "a grid is an object with signatures, "
-                       "vertices and edges")
+        data = GRID.expect(GRID.decode(text), dict, "a grid is an object "
+                           "with signatures, vertices and edges")
         sigs = {}
         parsed = {}     # each distinct scalar string of the file, parsed
-        for name, spec in _expect(_field(data, "signatures", "the grid"),
-                                  dict, "signatures is an object").items():
-            _expect(spec, dict, f"signature {name!r} is an object")
+        for name, spec in GRID.field(data, "signatures", "the grid",
+                                     dict).items():
             owner = f"signature {name!r}"
+            GRID.expect(spec, dict, f"{owner} is an object")
             if "eightvertex" in spec:
-                text8 = _expect(spec["eightvertex"], str,
-                                "an eightvertex entry is a string")
-                sigs[name] = EightVertexSig.parse(text8)
+                sigs[name] = EightVertexSig.parse(
+                    GRID.field(spec, "eightvertex", owner, str))
             else:
-                vals = [_grid_value(v, parsed) for v in _expect(
-                    _field(spec, "values", owner), list, "values is a list")]
-                sigs[name] = Signature(
-                    _expect(_field(spec, "arity", owner), int,
-                            "arity is an int"), vals)
+                vals = [_grid_value(v, parsed)
+                        for v in GRID.field(spec, "values", owner, list)]
+                sigs[name] = Signature(GRID.field(spec, "arity", owner, int),
+                                       vals)
         vertices = []
-        for k, v in enumerate(_expect(_field(data, "vertices", "the grid"),
-                                      list, "vertices is a list")):
-            v = _expect(v, dict, "a vertex is an object")
-            if "sig" not in v:
-                raise ValueError(f"bad grid: vertex {k} has no 'sig' field")
-            name = _expect(v["sig"], str, "a vertex sig is a string")
+        for k, v in enumerate(GRID.field(data, "vertices", "the grid", list)):
+            v = GRID.expect(v, dict, "a vertex is an object")
+            name = GRID.field(v, "sig", f"vertex {k}", str)
             if name not in sigs:
-                raise ValueError(f"bad grid: vertex {k} names undefined "
-                                 f"signature {name!r}")
+                raise GRID.fault(f"vertex {k} names undefined signature "
+                                 f"{name!r}")
             vertices.append(name)
         edges = [_grid_edge(e)
-                 for e in _expect(_field(data, "edges", "the grid"), list,
-                                  "edges is a list")]
+                 for e in GRID.field(data, "edges", "the grid", list)]
         return Grid(sigs, vertices, edges)
-
-
-def _field(obj: dict, key: str, owner: str):
-    """obj[key]; a missing key raises ValueError naming it and its
-    owner."""
-    try:
-        return obj[key]
-    except KeyError:
-        raise ValueError(f"bad grid: {owner} has no {key!r} field") from None
-
-
-def _expect(value, kind, rule: str):
-    """value if it is a kind (a bool is not an int); else ValueError."""
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"bad grid: {rule}, got {json.dumps(value)[:40]}")
 
 
 def _grid_value(v, parsed: dict) -> Cyclo8:
@@ -192,7 +170,7 @@ def _grid_value(v, parsed: dict) -> Cyclo8:
         if c is None:
             c = parsed[v] = parse_cyclo8(v)
         return c
-    return Cyclo8(_expect(v, int, "a value is an int or a scalar string"))
+    return Cyclo8(GRID.expect(v, int, "a value is an int or a scalar string"))
 
 
 def _grid_edge(e) -> tuple:
@@ -204,7 +182,7 @@ def _grid_edge(e) -> tuple:
     # JSON gives ints only inside lists, so four ints mean the right shape
     if not (type(v) is int and type(p) is int and type(w) is int
             and type(q) is int):
-        raise ValueError("bad grid: an edge is [[v, p], [w, q]] of ints, "
+        raise GRID.fault("an edge is [[v, p], [w, q]] of ints, "
                          f"got {json.dumps(e)[:40]}")
     return ((v, p), (w, q))
 

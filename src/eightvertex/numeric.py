@@ -40,13 +40,16 @@ Cyclo8 is the one value type of the package: signature entries,
 certificate entries and Holant sums are all Cyclo8s, and only ints and
 Fractions mix with them (floats and complex numbers raise TypeError).
 :func:`scalar` is the coercion at API boundaries and
-:func:`parse_cyclo8` the text parser.  ``Scalar`` and ``parse_scalar``
-are second names for Cyclo8 and parse_cyclo8, and ``Cyclo8._binop`` is a
-method that nothing calls.  They are kept only for the benchmark: it
-reads ``parse_scalar``, and its tracer (``benchmark/tracing.py``) wraps
-``Scalar._binop``, ``__neg__``, ``__pow__`` and ``__eq__`` by name.  The
-one such shim outside this module is ``EightVertexSig.to_signature``,
-which returns the signature itself: ``benchmark/ops.py`` calls it.
+:func:`parse_cyclo8` the text parser.  :class:`InputFormat`, beside
+it, decodes and checks the JSON files read from outside the package
+(grids and certificates) and names the format in each fault.
+``Scalar`` and ``parse_scalar`` are second names for Cyclo8 and
+parse_cyclo8, and ``Cyclo8._binop`` is a method that nothing calls.
+They are kept only for the benchmark: it reads ``parse_scalar``, and
+its tracer (``benchmark/tracing.py``) wraps ``Scalar._binop``,
+``__neg__``, ``__pow__`` and ``__eq__`` by name.  The one such shim
+outside this module is ``EightVertexSig.to_signature``, which returns
+the signature itself: ``benchmark/ops.py`` calls it.
 
 The section "matrices over the field" holds the package's only matrix
 arithmetic: :func:`mat_mul`, :func:`mat_pow` (repeated squaring) and
@@ -58,10 +61,12 @@ through them.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import re
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 _ZETA = cmath.exp(1j * cmath.pi / 4)
 
@@ -617,6 +622,46 @@ def format_cyclo8(x: Cyclo8) -> str:
     if (c0, c2, c3) == (0, 0, 0) and c1 == -1:
         return "-a"
     return f"{c0},{c1},{c2},{c3}"
+
+
+# the JSON names of the Python types json.loads makes
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an int"}
+
+
+class InputFormat(NamedTuple):
+    """The checks on a file of one format read from outside the
+    package.  Each fault found raises ValueError prefixed with the
+    format's name, as in "bad grid: vertices is a list, got 5"."""
+
+    name: str
+
+    def fault(self, message: str) -> ValueError:
+        return ValueError(f"bad {self.name}: {message}")
+
+    def decode(self, text: str):
+        """The JSON value of text.  Text that is not JSON, that nests too
+        deeply for the decoder, or that writes an int longer than the
+        interpreter converts raises ValueError."""
+        try:
+            return json.loads(text)
+        except (ValueError, RecursionError) as e:
+            raise self.fault(str(e)) from None
+
+    def field(self, obj: dict, key: str, owner: str, kind):
+        """obj[key] if it is a kind.  A missing key raises ValueError
+        naming it and its owner, and a value of another kind the rule
+        "<key> is <kind>", as expect does."""
+        if key not in obj:
+            raise self.fault(f"{owner} has no {key!r} field")
+        return self.expect(obj[key], kind, f"{key} is {_JSON_KINDS[kind]}")
+
+    def expect(self, value, kind, rule: str):
+        """value if it is a kind (a bool is not an int); else ValueError
+        naming the rule and the value, written as JSON."""
+        if isinstance(value, kind) and not isinstance(value, bool):
+            return value
+        raise self.fault(f"{rule}, got {json.dumps(value)[:40]}")
 
 
 Scalar = Cyclo8

@@ -198,8 +198,12 @@ def _grid_without(*path):
     (_grid_without("vertices", 1, "sig"), "vertex 1 has no 'sig' field"),
     (_grid_with(vertices=[{"sig": "F"}, {"sig": "Q"}]),
      "vertex 1 names undefined signature 'Q'"),
+    (_grid_with(vertices=[{"sig": "F"}, {"sig": 0}]),
+     "sig is a string, got 0"),
+    (_grid_with(signatures={"F": {"eightvertex": [1] * 8}}),
+     "eightvertex is a string, got [1, 1, 1, 1, 1, 1, 1, 1]"),
 ], ids=["signatures", "vertices", "edges", "arity", "values", "sig",
-        "undefined-name"])
+        "undefined-name", "int-sig", "list-eightvertex"])
 def test_eval_grid_missing_field_exit_2(runner, tmp_path, text, message):
     p = tmp_path / "grid.json"
     p.write_text(text)
@@ -522,8 +526,23 @@ _T16 = ["1"] + ["0"] * 15
     ({"verdict": "tractable", "certificate": {"target": "A",
                                               "transformed": _T16}},
      "the certificate has no 'steps' field"),
+    # a value that breaks a rule is written as JSON, as in grid messages
+    ({"steps": [{"kind": "rot"}], "target": "A", "transformed": _T16},
+     "unknown step kind 'rot'"),
+    ({"steps": [{"kind": 5}], "target": "A", "transformed": _T16},
+     "kind is a string, got 5"),
+    ({"steps": [{"kind": "half_diag", "gamma_sq": 4}], "target": "A",
+      "transformed": _T16},
+     "gamma_sq is a string, got 4"),
+    ({"steps": [], "target": True, "transformed": _T16},
+     "target is a string, got true"),
+    ({"steps": [], "target": None, "transformed": _T16},
+     "target is a string, got null"),
+    ({"steps": [], "target": "A", "transformed": "1,1"},
+     'transformed is a list, got "1,1"'),
 ], ids=["steps", "target", "transformed", "kind", "gamma_sq", "a", "x",
-        "verdict-steps"])
+        "verdict-steps", "unknown-kind", "int-kind", "int-gamma_sq",
+        "true-target", "null-target", "string-transformed"])
 def test_check_cert_missing_field_exit_2(runner, tmp_path, cert, message):
     p = tmp_path / "cert.json"
     p.write_text(json.dumps(cert))
@@ -551,6 +570,45 @@ def test_check_cert_missing_file(runner):
     r = invoke(runner, "check-cert", "--sig", "1,1,1,0,0,1,1,0",
                "--cert", "/nonexistent/cert.json")
     assert r.exit_code == 2
+
+
+_JSON_FILE_ARGS = {
+    "eval": (["eval", "--grid"], "grid"),
+    "eval-affine": (["eval-affine", "--grid"], "grid"),
+    "demo-interp": (["demo-interp", "--grid"], "grid"),
+    "check-cert": (["check-cert", "--sig", "1,1,1,0,0,1,1,0", "--cert"],
+                   "certificate"),
+}
+_GRAPH_FILE_ARGS = {
+    "eval-graph": ["eval", "--preset", "eo", "--graph"],
+    "eo": ["eo", "--graph"],
+    "tutte33": ["tutte33", "--graph"],
+}
+# file contents and the start of the message after the prefix; an int
+# past the interpreter's int-to-string limit is refused by the decoder
+_NOT_UTF8 = (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in "
+             "position 0: invalid start byte")
+_CONTENTS = {"not-utf8": _NOT_UTF8,
+             "deep": (b"[" * 100000, "maximum recursion depth exceeded"),
+             "long-int": (b"[" + b"1" * 5000 + b"]", "")}
+
+
+@pytest.mark.parametrize("args, what, content", [
+    *(pytest.param(args, what, content, id=f"{cmd}-{name}")
+      for cmd, (args, what) in _JSON_FILE_ARGS.items()
+      for name, content in _CONTENTS.items()),
+    *(pytest.param(args, "graph", _NOT_UTF8, id=f"{cmd}-not-utf8")
+      for cmd, args in _GRAPH_FILE_ARGS.items()),
+])
+def test_undecodable_file_exit_2(runner, tmp_path, args, what, content):
+    # bytes that are not UTF-8, or JSON nested deeper than the decoder
+    # goes, get the prefix of the file's format like any other fault
+    p = tmp_path / "input"
+    p.write_bytes(content[0])
+    r = invoke(runner, *args, str(p))
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr.startswith(f"error: bad {what}: {content[1]}")
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
 
 
 def _grid_value_file(tmp_path, value):
