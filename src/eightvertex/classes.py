@@ -28,11 +28,13 @@ three parts does its work once:
    off it;
 2. the class-A structure of those codes is looked up in a bounded memo
    (``_A_shape``), one immutable ``AShape`` record per shape: the affine
-   hull of the support (itself memoized per support), the Z4 linear and
-   the cross terms of Q, read off the points one and two basis vectors
-   from the offset, the check that Q, extended along the hull's walk,
-   gives e at every point, the terms by variable as read-only mappings,
-   and the exponent table (Q mod 4 at each point, None off the space);
+   hull of the support (itself memoized per support, an ``AffineSpace``
+   record whose walk tables are built with it, not cached lazily), the
+   Z4 linear and the cross terms of Q, read off the points one and two
+   basis vectors from the offset, the check that Q, extended along the
+   hull's walk, gives e at every point, the terms by variable as
+   read-only mappings, and the exponent table (Q mod 4 at each point,
+   None off the space);
 3. the certificate is lam and that record.  ``ACertificate.check``
    compares every value of f with the quarter turn of lam that the
    record's table picks, and with 0 off the space; ``value_at`` reads
@@ -75,41 +77,39 @@ from .signatures import Signature
 
 # -- affine spaces -------------------------------------------------------
 
-class AffineSpace:
-    """An affine subspace of F_2^n: offset + span(basis).
+class AffineSpace(NamedTuple):
+    """An affine subspace of F_2^n: offset + span(basis), with the walk
+    tables that ``in_A``, ``in_P`` and ``affine_eval`` read, built with
+    the space by ``from_support`` and ``full``.
 
     Points are bitmasks where bit (n - i) holds variable x_i, matching
     signature value indexing.  The basis is row reduced so each vector has
     a distinct leading bit; those leading bits are the free coordinates
     (projection onto them is a bijection onto F_2^dim).
-
-    Immutable, and equal to a space of the same n, offset and basis.  The
-    instance dict holds only the cached properties below.
     """
 
-    __slots__ = ("n", "offset", "basis", "__dict__")
-
-    def __init__(self, n: int, offset: int, basis: tuple):
-        _set_n(self, n)
-        _set_offset(self, offset)
-        _set_basis(self, basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSpace is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineSpace):
-            return NotImplemented
-        return (self.n == other.n and self.offset == other.offset
-                and self.basis == other.basis)
+    n: int
+    offset: int
+    basis: tuple
+    # the 1-based variable of each basis vector's pivot bit
+    variables: tuple
+    # offset ^ basis[j] for each j: the point whose free coordinates are
+    # j alone
+    singles: tuple
+    # (j, l, offset ^ basis[j] ^ basis[l]) for each j < l
+    pairs: tuple
+    # (u, j, rest, point) for u = 1 .. 2^dim - 1: the point with free
+    # coordinates u, reached from rest, u with its lowest bit j cleared,
+    # so that rest always comes before u
+    walk: tuple
+    # (ports, rhs) for each non-pivot coordinate, in ascending bit order:
+    # the 1-based variables whose XOR is rhs on every point.  Together
+    # these rows cut out the space
+    parity: tuple
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def pivots(self):
-        return tuple(v.bit_length() - 1 for v in self.basis)
 
     @staticmethod
     def from_support(points, n):
@@ -138,14 +138,14 @@ class AffineSpace:
         basis.sort(reverse=True)
         if len(pts) != 1 << len(basis):
             return None
-        space = AffineSpace(n, p0, tuple(basis))
+        space = _space(n, p0, tuple(basis))
         if all(space.contains(p) for p in pts):
             return space
         return None
 
     @staticmethod
     def full(n) -> "AffineSpace":
-        return AffineSpace(n, 0, tuple(1 << k for k in range(n - 1, -1, -1)))
+        return _space(n, 0, tuple(1 << k for k in range(n - 1, -1, -1)))
 
     def contains(self, m: int) -> bool:
         w = m ^ self.offset
@@ -154,71 +154,35 @@ class AffineSpace:
                 w ^= b
         return w == 0
 
-    @functools.cached_property
-    def mask(self) -> int:
-        """The points as one int: bit m is set iff m is in the space."""
-        out = 1 << self.offset
-        for *_, m in self.walk:
-            out |= 1 << m
-        return out
 
-    @functools.cached_property
-    def variables(self) -> tuple:
-        """The 1-based variable of each basis vector's pivot bit."""
-        return tuple(self.n - p for p in self.pivots)
-
-    @functools.cached_property
-    def singles(self) -> tuple:
-        """offset ^ basis[j] for each j: the point whose free coordinates
-        are j alone."""
-        return tuple(self.offset ^ b for b in self.basis)
-
-    @functools.cached_property
-    def pairs(self) -> tuple:
-        """(j, l, offset ^ basis[j] ^ basis[l]) for each j < l."""
-        off, basis = self.offset, self.basis
-        return tuple((j, l, off ^ basis[j] ^ basis[l])
-                     for j in range(len(basis))
-                     for l in range(j + 1, len(basis)))
-
-    @functools.cached_property
-    def walk(self) -> tuple:
-        """(u, j, rest, point) for u = 1 .. 2^dim - 1: the point with free
-        coordinates u, reached from rest, u with its lowest bit j
-        cleared, so that rest always comes before u."""
-        pt = [self.offset] * (1 << self.dim)
-        out = []
-        for u in range(1, 1 << self.dim):
-            low = u & -u
-            j = low.bit_length() - 1
-            rest = u ^ low
-            pt[u] = pt[rest] ^ self.basis[j]
-            out.append((u, j, rest, pt[u]))
-        return tuple(out)
-
-    @functools.cached_property
-    def parity(self) -> tuple:
-        """(ports, rhs) for each non-pivot coordinate, in ascending bit
-        order: the 1-based variables whose XOR is rhs on every point.
-        Together these rows cut out the space."""
-        n, offset, pivots = self.n, self.offset, self.pivots
-        rows = []
-        for bitpos in range(n):
-            if bitpos in pivots:
-                continue
-            ports = [n - bitpos]
-            rhs = (offset >> bitpos) & 1
-            for bvec, pj in zip(self.basis, pivots):
-                if (bvec >> bitpos) & 1:
-                    ports.append(n - pj)
-                    rhs ^= (offset >> pj) & 1
-            rows.append((tuple(ports), rhs))
-        return tuple(rows)
-
-
-_set_n = AffineSpace.n.__set__
-_set_offset = AffineSpace.offset.__set__
-_set_basis = AffineSpace.basis.__set__
+def _space(n: int, offset: int, basis: tuple) -> AffineSpace:
+    """offset + span(basis) with its walk tables."""
+    pivots = [b.bit_length() - 1 for b in basis]
+    pt = [offset] * (1 << len(basis))
+    walk = []
+    for u in range(1, 1 << len(basis)):
+        low = u & -u
+        j = low.bit_length() - 1
+        rest = u ^ low
+        pt[u] = pt[rest] ^ basis[j]
+        walk.append((u, j, rest, pt[u]))
+    parity = []
+    for bitpos in range(n):
+        if bitpos in pivots:
+            continue
+        ports = [n - bitpos]
+        rhs = (offset >> bitpos) & 1
+        for bvec, pj in zip(basis, pivots):
+            if (bvec >> bitpos) & 1:
+                ports.append(n - pj)
+                rhs ^= (offset >> pj) & 1
+        parity.append((tuple(ports), rhs))
+    return AffineSpace(
+        n, offset, basis, tuple(n - p for p in pivots),
+        tuple(offset ^ b for b in basis),
+        tuple((j, l, offset ^ basis[j] ^ basis[l])
+              for j in range(len(basis)) for l in range(j + 1, len(basis))),
+        tuple(walk), tuple(parity))
 
 
 # -- class A --------------------------------------------------------------
@@ -285,8 +249,8 @@ class AShape(NamedTuple):
     (space, Q): the space, Q's terms by 1-based variable as read-only
     mappings, lin with values in Z4 and quad (the cross terms 2 x_i x_j)
     with values in Z2, and the exponent table, Q mod 4 at each point and
-    None off the space.  A record compares by value, and its space and
-    mappings make it unhashable; ``in_A`` still hands out the one record
+    None off the space.  A record compares by value, and its mappings
+    make it unhashable; ``in_A`` still hands out the one record
     of its memo to every certificate of a shape, so those share it
     (``is``)."""
 
@@ -305,18 +269,16 @@ class AShape(NamedTuple):
         quad = {ij: 1 for ij, b in quad.items() if b % 2}
         bits = [(1 << (n - i), a) for i, a in lin.items()]
         pairs = [(1 << (n - i)) | (1 << (n - j)) for i, j in quad]
-        on = space.mask
         table = [None] * (1 << n)
-        for m in range(1 << n):
-            if on >> m & 1:
-                q = 0
-                for bit, a in bits:
-                    if m & bit:
-                        q += a
-                for mask in pairs:
-                    if m & mask == mask:
-                        q += 2
-                table[m] = q % 4
+        for m in (space.offset, *(pt for *_, pt in space.walk)):
+            q = 0
+            for bit, a in bits:
+                if m & bit:
+                    q += a
+            for mask in pairs:
+                if m & mask == mask:
+                    q += 2
+            table[m] = q % 4
         return cls(space, MappingProxyType(lin), MappingProxyType(quad),
                    tuple(table))
 
@@ -326,10 +288,10 @@ class AShape(NamedTuple):
 # distinct supports recur: over one pass of each benchmark pool (memos
 # cleared first) 231 of 255 lookups hit on eval-affine (24 supports),
 # 1258 of 1289 on classify-planted (31) and 1105 of 1198 on
-# classify-sweep (93); warm, every lookup hits.  The space objects are
-# shared, so the walk tables that ``in_A`` and ``in_P`` read from them
-# (``singles``, ``pairs``, ``walk``, ``variables``) are built once per
-# support as well
+# classify-sweep (93); warm, every lookup hits.  Each space is built
+# with the walk tables that ``in_A`` and ``in_P`` read from it
+# (``singles``, ``pairs``, ``walk``, ``variables``), so those are built
+# once per support as well
 _hull = functools.lru_cache(maxsize=1024)(AffineSpace.from_support)
 
 

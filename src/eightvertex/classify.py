@@ -41,6 +41,7 @@ from .numeric import (
     DivisionByZero,
     I,
     InputFormat,
+    _echo,
     as_power_of_i,
     parse_cyclo8,
     scalar,
@@ -203,7 +204,8 @@ class Certificate(NamedTuple):
             enc = CERTIFICATE.expect(enc, dict, "a step is an object")
             kind = CERTIFICATE.field(enc, "kind", "a step", str)
             if kind not in STEP_KINDS:
-                raise CERTIFICATE.fault(f"unknown step kind {kind!r}")
+                raise CERTIFICATE.fault(
+                    f"unknown step kind {_echo(repr(kind))}")
             owner = f"{'an' if kind[0] in 'aeiou' else 'a'} {kind} step"
             steps.append((kind, *(
                 parse_cyclo8(CERTIFICATE.field(enc, k, owner, str))

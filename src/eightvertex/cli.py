@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .numeric import DivisionByZero, InputFormat, parse_cyclo8
+from .numeric import DivisionByZero, InputFormat, _echo, parse_cyclo8
 from .signatures import EightVertexSig, Signature
 from .classify import (CERTIFICATE, Certificate, check_certificate,
                        classify as classify_sig)
@@ -216,8 +216,8 @@ def check_cert_cmd(sig, cert_path):
     data = CERTIFICATE.decode(_read(cert_path, CERTIFICATE))
     if isinstance(data, dict) and "verdict" in data:
         if "certificate" not in data:
-            raise ValueError(f"a {data['verdict']} verdict carries no "
-                             "certificate")
+            raise CERTIFICATE.fault(f"a {_echo(str(data['verdict']))} "
+                                    "verdict carries no certificate")
         data = data["certificate"]
     ok = check_certificate(f, Certificate.from_json_dict(data))
     return {"valid": ok}, str(ok).lower()

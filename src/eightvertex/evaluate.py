@@ -59,9 +59,9 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .numeric import (Cyclo8, InputFormat, scalar, parse_cyclo8, solve, ALPHA,
-                      ONE, SQRT2, ZERO, _ZERO4, _over_lcm, _pack, _reduced,
-                      _unpack)
-from .signatures import Signature, EightVertexSig
+                      ONE, SQRT2, ZERO, _ZERO4, _echo, _over_lcm, _pack,
+                      _reduced, _unpack)
+from .signatures import ArityError, Signature, EightVertexSig
 from .classes import in_A
 
 
@@ -136,23 +136,26 @@ class Grid(NamedTuple):
         parsed = {}     # each distinct scalar string of the file, parsed
         for name, spec in GRID.field(data, "signatures", "the grid",
                                      dict).items():
-            owner = f"signature {name!r}"
+            owner = f"signature {_echo(repr(name))}"
             GRID.expect(spec, dict, f"{owner} is an object")
-            if "eightvertex" in spec:
-                sigs[name] = EightVertexSig.parse(
-                    GRID.field(spec, "eightvertex", owner, str))
-            else:
-                vals = [_grid_value(v, parsed)
-                        for v in GRID.field(spec, "values", owner, list)]
-                sigs[name] = Signature(GRID.field(spec, "arity", owner, int),
-                                       vals)
+            try:
+                if "eightvertex" in spec:
+                    sigs[name] = EightVertexSig.parse(
+                        GRID.field(spec, "eightvertex", owner, str))
+                else:
+                    vals = [_grid_value(v, parsed)
+                            for v in GRID.field(spec, "values", owner, list)]
+                    sigs[name] = Signature(
+                        GRID.field(spec, "arity", owner, int), vals)
+            except ArityError as e:
+                raise GRID.fault(f"{owner}: {e}") from None
         vertices = []
         for k, v in enumerate(GRID.field(data, "vertices", "the grid", list)):
             v = GRID.expect(v, dict, "a vertex is an object")
             name = GRID.field(v, "sig", f"vertex {k}", str)
             if name not in sigs:
                 raise GRID.fault(f"vertex {k} names undefined signature "
-                                 f"{name!r}")
+                                 f"{_echo(repr(name))}")
             vertices.append(name)
         edges = [_grid_edge(e)
                  for e in GRID.field(data, "edges", "the grid", list)]
@@ -576,7 +579,8 @@ class Graph(NamedTuple):
                     continue
                 u, v = labels
             except ValueError:
-                raise ValueError(f"bad graph line: {line!r}") from None
+                raise ValueError(
+                    f"bad graph line: {_echo(repr(line))}") from None
             edges.append((u, v))
         return Graph(edges, rotations)
 

@@ -5,7 +5,8 @@ the binary disequality: composing two arity-4 signatures through a pair of
 edges multiplies their matrices with N = antidiag(1,1,1,1) in between, and
 attaching a binary signature to a dangling leg goes through one
 disequality edge.  A binary signature is an arity-2 :class:`Signature`
-g, read as g(s, t) = ``g.at(s, t)``.  Scalar factors are always kept;
+g, read as g(s, t) = ``g.values[2 * s + t]``, and acts on a leg as its
+2x2 matrix (``signatures._leg_pass``).  Scalar factors are always kept;
 nothing is normalized away.  Matrix products and powers are
 ``numeric.mat_mul`` and ``numeric.mat_pow``.
 """
@@ -13,7 +14,7 @@ nothing is normalized away.  Matrix products and powers are
 from __future__ import annotations
 
 from .numeric import ONE, SQRT2, ZERO, mat_mul, mat_pow
-from .signatures import Signature
+from .signatures import Signature, _leg_pass
 
 
 class ChainFormUnsupported(ValueError):
@@ -60,28 +61,21 @@ def _require_binary(g: Signature):
 
 def loop_binary(f: Signature, i: int, j: int, g: Signature) -> Signature:
     """Connect variables i and j of f (1-based) through the binary g:
-    h(rest) = sum_{s,t} f(.. s at i .. t at j ..) g(s, t)."""
+    h(rest) = sum_{s,t} f(.. s at i .. t at j ..) g(s, t).
+
+    g's matrix on leg j makes the value at (.. s at i .. u at j ..) the
+    sum over t of g(u, t) f(.. s at i .. t at j ..); h(rest) adds those
+    values at u = s = 0 and at u = s = 1."""
     _require_binary(g)
     n = f.arity
     if not (1 <= i <= n and 1 <= j <= n and i != j):
         raise ValueError("need two distinct variable positions")
     if n - 2 < 1:
         raise ValueError("looping would leave arity 0")
-    bi, bj = n - i, n - j
-    rest = [k for k in range(n - 1, -1, -1) if k not in (bi, bj)]
-    out = []
-    for m in range(1 << (n - 2)):
-        base = 0
-        for pos, k in enumerate(rest):
-            if (m >> (n - 3 - pos)) & 1:
-                base |= 1 << k
-        acc = ZERO
-        for s in (0, 1):
-            for t in (0, 1):
-                idx = base | (s << bi) | (t << bj)
-                acc = acc + f.values[idx] * g.at(s, t)
-        out.append(acc)
-    return Signature(n - 2, out)
+    h = _leg_pass(f, (g.values[:2], g.values[2:]), (j,)).values
+    both = (1 << (n - i)) | (1 << (n - j))
+    return Signature(n - 2, [h[m] + h[m | both]
+                             for m in range(1 << n) if not m & both])
 
 
 def pin(f: Signature, i: int, j: int, vi: int = 1, vj: int = 0) -> Signature:
@@ -93,25 +87,17 @@ def pin(f: Signature, i: int, j: int, vi: int = 1, vj: int = 0) -> Signature:
 
 def binary_modify(f: Signature, i: int, g: Signature) -> Signature:
     """Replace leg i of f by leg 1 of g, joined through a disequality edge:
-    h(.. v at i ..) = sum_s g(v, 1-s) f(.. s at i ..).
+    h(.. v at i ..) = sum_s g(v, 1-s) f(.. s at i ..), the matrix
+    [[g01, g00], [g11, g10]] on leg i.
 
     Modifying by (0, 1, t, 0) scales exactly the entries with x_i = 1
     by t.
     """
     _require_binary(g)
-    n = f.arity
-    if not 1 <= i <= n:
+    if not 1 <= i <= f.arity:
         raise ValueError("variable position out of range")
-    bi = n - i
-    out = []
-    for m in range(1 << n):
-        v = (m >> bi) & 1
-        acc = ZERO
-        for s in (0, 1):
-            idx = (m & ~(1 << bi)) | (s << bi)
-            acc = acc + g.at(v, 1 - s) * f.values[idx]
-        out.append(acc)
-    return Signature(n, out)
+    g00, g01, g10, g11 = g.values
+    return _leg_pass(f, ((g01, g00), (g11, g10)), (i,))
 
 
 # -- eigenstructure of chain gadgets -------------------------------------

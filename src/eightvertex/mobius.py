@@ -38,22 +38,24 @@ class ExtComplex(NamedTuple):
         return "inf" if self.is_infinity else str(self.value)
 
 
-class Mobius:
-    """An invertible 2x2 matrix over Q(zeta8), read projectively."""
+class _Entries(NamedTuple):
+    a: Cyclo8
+    b: Cyclo8
+    c: Cyclo8
+    d: Cyclo8
 
-    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d):
+class Mobius(_Entries):
+    """An invertible 2x2 matrix [[a, b], [c, d]] over Q(zeta8), read
+    projectively, and equal to a Mobius of the same entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
         a, b, c, d = map(scalar, (a, b, c, d))
         if (a * d - b * c).is_zero():
             raise ValueError("Moebius matrix must have nonzero determinant")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mobius is immutable")
+        return super().__new__(cls, a, b, c, d)
 
     def det(self) -> Cyclo8:
         return self.a * self.d - self.b * self.c

@@ -28,8 +28,11 @@ two tuples modulo x^4 + 1 with no denominator and no gcd, and
 2^(4k) + 1; since (2^k)^4 = -1 there, products and sums of packed ints
 are packs of the tuples' products and sums (Kronecker substitution), and
 :func:`_unpack` recovers a tuple whose coefficients lie below 2^(k-1) in
-absolute value.  The kernel has four users:
-``signatures.holographic_transform`` (the slot passes),
+absolute value.  The kernel has these users:
+``signatures._leg_pass``, which applies a 2x2 matrix to legs of a
+signature for ``signatures.holographic_transform`` (every leg) and for
+the gadgets ``gadgets.binary_modify`` and ``gadgets.loop_binary`` (one
+leg; ``gadgets.pin`` goes through ``loop_binary``),
 ``signatures.proportional``, through which ``classify.check_certificate``
 compares a re-derived image with the certificate's, ``classes.in_P``
 with ``PDecomposition.check`` (multiplicativity), and
@@ -568,7 +571,8 @@ def parse_cyclo8(text: str) -> Cyclo8:
     try:
         return _parse_cyclo8(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar: {text!r}") from None
+        raise ValueError("zero denominator in scalar: "
+                         f"{_echo(repr(text))}") from None
 
 
 def _parse_cyclo8(text: str) -> Cyclo8:
@@ -584,7 +588,7 @@ def _parse_cyclo8(text: str) -> Cyclo8:
     if "," in t:
         parts = t.split(",")
         if len(parts) != 4:
-            raise ValueError(f"expected 4 coefficients: {text!r}")
+            raise ValueError(f"expected 4 coefficients: {_echo(repr(text))}")
         if all(map(_RE_INT.fullmatch, parts)):
             return Cyclo8(*map(int, parts))
         return Cyclo8(*[Fraction(p) for p in parts])
@@ -600,7 +604,7 @@ def _parse_cyclo8(text: str) -> Cyclo8:
     if m:
         im = Fraction(m.group(2) + (m.group(3) or "1"))
         return Cyclo8(Fraction(m.group(1)), 0, im, 0)
-    raise ValueError(f"cannot parse scalar: {text!r}")
+    raise ValueError(f"cannot parse scalar: {_echo(repr(text))}")
 
 
 def format_cyclo8(x: Cyclo8) -> str:
@@ -622,6 +626,12 @@ def format_cyclo8(x: Cyclo8) -> str:
     if (c0, c2, c3) == (0, 0, 0) and c1 == -1:
         return "-a"
     return f"{c0},{c1},{c2},{c3}"
+
+
+def _echo(text: str) -> str:
+    """text cut to its first 40 characters: as much of an input from
+    outside as a fault message shows."""
+    return text[:40]
 
 
 # the JSON names of the Python types json.loads makes
@@ -661,7 +671,7 @@ class InputFormat(NamedTuple):
         naming the rule and the value, written as JSON."""
         if isinstance(value, kind) and not isinstance(value, bool):
             return value
-        raise self.fault(f"{rule}, got {json.dumps(value)[:40]}")
+        raise self.fault(f"{rule}, got {_echo(json.dumps(value))}")
 
 
 Scalar = Cyclo8

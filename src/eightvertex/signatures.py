@@ -33,6 +33,11 @@ class OddSupportWithHalfTransform(ValueError):
     the signature side, mixed-parity support on the binary side."""
 
 
+class ArityError(ValueError):
+    """An arity outside 1..6, or a number of values or of eight-vertex
+    entries that does not fit the arity."""
+
+
 class Signature:
     """An exact-valued constraint function of arity 1..6."""
 
@@ -40,11 +45,11 @@ class Signature:
 
     def __init__(self, arity: int, values):
         if not 1 <= arity <= 6:
-            raise ValueError(f"arity must be 1..6, got {arity}")
+            raise ArityError(f"arity must be 1..6, got {arity}")
         vals = tuple(v if isinstance(v, Cyclo8) else scalar(v)
                      for v in values)
         if len(vals) != 1 << arity:
-            raise ValueError(
+            raise ArityError(
                 f"arity {arity} needs {1 << arity} values, got {len(vals)}")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "values", vals)
@@ -53,12 +58,6 @@ class Signature:
         raise AttributeError("Signature is immutable")
 
     def __getitem__(self, m: int) -> Cyclo8:
-        return self.values[m]
-
-    def at(self, *bits) -> Cyclo8:
-        m = 0
-        for b in bits:
-            m = (m << 1) | (b & 1)
         return self.values[m]
 
     def __eq__(self, other):
@@ -150,7 +149,7 @@ class EightVertexSig(Signature):
         else:
             parts = [p.strip() for p in t.split(",")]
         if len(parts) != 8:
-            raise ValueError(
+            raise ArityError(
                 "expected 8 entries a,b,c,d,w,z,y,x "
                 "(use ';' separators if entries contain commas)")
         return EightVertexSig(*(parse_cyclo8(p) for p in parts))
@@ -252,54 +251,38 @@ def pair_orbit(ev: EightVertexSig):
 
 # -- holographic transforms --------------------------------------------
 
+def _leg_pass(f: Signature, rows, legs) -> Signature:
+    """The 2x2 matrix T, given by its rows, applied to each listed leg
+    (1-based) of f: the value at (.. v at the leg ..) becomes the sum
+    over s of T[v][s] times the value at (.. s at the leg ..).
+
+    The passes run on numerator tuples (``numeric._times``): f's values
+    over the lcm D of their denominators, T's entries over the lcm E of
+    theirs.  Each pass multiplies the denominator by E, so every output
+    value is made a field element once, at the end, over D * E^k for k
+    legs."""
+    n = f.arity
+    e, (t00, t01, t10, t11) = _over_lcm([v for row in rows for v in row])
+    d, vals = _over_lcm(f.values)
+    for leg in legs:
+        step = 1 << (n - leg)
+        for m in range(1 << n):
+            if not m & step:
+                lo, hi = vals[m], vals[m | step]
+                a0, a1, a2, a3 = _times(t00, lo)
+                b0, b1, b2, b3 = _times(t01, hi)
+                c0, c1, c2, c3 = _times(t10, lo)
+                d0, d1, d2, d3 = _times(t11, hi)
+                vals[m] = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                vals[m | step] = (c0 + d0, c1 + d1, c2 + d2, c3 + d3)
+    den = d * e ** len(legs)
+    return Signature(n, [_reduced(*v, den) for v in vals])
+
+
 def holographic_transform(f: Signature, rows) -> Signature:
     """T^{tensor n} f with f read as a column vector in lex order, for the
-    2x2 matrix T of field elements given by its rows.
-
-    The n slot passes run on numerator tuples: f's values over the lcm D
-    of their denominators, T's entries over the lcm E of theirs.  Each
-    pass multiplies the denominator by E, so every output value is made
-    a field element once, at the end, over D * E^n."""
-    n = f.arity
-    (t00, t01), (t10, t11) = rows
-    e, ((p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3),
-        (s0, s1, s2, s3)) = _over_lcm((t00, t01, t10, t11))
-    d, vals = _over_lcm(f.values)
-    # apply T to one tensor slot at a time: (lo, hi) becomes
-    # (t00 lo + t01 hi, t10 lo + t11 hi), products modulo x^4 + 1 as in
-    # numeric._times, written out: an arity-4 transform by the z matrix
-    # took 124 us with four _times calls per pair and 92 us written out
-    # (2-core VM, Python 3.11.7)
-    for k in range(n):
-        step = 1 << (n - 1 - k)
-        new = list(vals)
-        for m in range(1 << n):
-            if m & step:
-                continue
-            l0, l1, l2, l3 = vals[m]
-            h0, h1, h2, h3 = vals[m | step]
-            new[m] = (
-                p0 * l0 - p1 * l3 - p2 * l2 - p3 * l1
-                + q0 * h0 - q1 * h3 - q2 * h2 - q3 * h1,
-                p0 * l1 + p1 * l0 - p2 * l3 - p3 * l2
-                + q0 * h1 + q1 * h0 - q2 * h3 - q3 * h2,
-                p0 * l2 + p1 * l1 + p2 * l0 - p3 * l3
-                + q0 * h2 + q1 * h1 + q2 * h0 - q3 * h3,
-                p0 * l3 + p1 * l2 + p2 * l1 + p3 * l0
-                + q0 * h3 + q1 * h2 + q2 * h1 + q3 * h0)
-            new[m | step] = (
-                r0 * l0 - r1 * l3 - r2 * l2 - r3 * l1
-                + s0 * h0 - s1 * h3 - s2 * h2 - s3 * h1,
-                r0 * l1 + r1 * l0 - r2 * l3 - r3 * l2
-                + s0 * h1 + s1 * h0 - s2 * h3 - s3 * h2,
-                r0 * l2 + r1 * l1 + r2 * l0 - r3 * l3
-                + s0 * h2 + s1 * h1 + s2 * h0 - s3 * h3,
-                r0 * l3 + r1 * l2 + r2 * l1 + r3 * l0
-                + s0 * h3 + s1 * h2 + s2 * h1 + s3 * h0)
-        vals = new
-    den = d * e ** n
-    return Signature(n, [_reduced(v0, v1, v2, v3, den)
-                         for v0, v1, v2, v3 in vals])
+    2x2 matrix T of field elements given by its rows: T on every leg."""
+    return _leg_pass(f, rows, range(1, f.arity + 1))
 
 
 def half_diagonal(f: Signature, gamma_sq,

@@ -21,7 +21,7 @@ from eightvertex.signatures import (
 )
 from eightvertex.classes import AffineSpace, in_A, in_P, in_alphaA
 from eightvertex.evaluate import Graph, Grid
-from eightvertex.mobius import ExtComplex
+from eightvertex.mobius import ExtComplex, Mobius
 
 from util import (
     NONUNIT_POOL, NONZERO_POOL, random_affine_signature, random_b4, random_ev,
@@ -540,15 +540,17 @@ def test_zero_gamma_sq_certificate_rejected():
 
 
 def test_records_are_immutable():
-    # verdicts, certificates, signatures, the class witnesses, grids and
-    # graphs refuse every assignment, to a field or to a new name
+    # verdicts, certificates, signatures, the class witnesses, Moebius
+    # maps, grids and graphs refuse every assignment, to a field or to a
+    # new name
     v = classify(parse("1,1,1,0,0,1,1,0"))
     f = parse("0,1,1,1,1,1,1,0")
     dec = in_P(Signature(2, [1, 0, 0, 1]))
     grid = Grid({"f": f}, ["f"], [((0, 1), (0, 2)), ((0, 3), (0, 4))])
     for obj, field in ((v, "kind"), (v.certificate, "target"), (f, "a"),
                        (AffineSpace.full(2), "offset"), (dec, "lam"),
-                       (ExtComplex(I), "value"), (grid, "edges"),
+                       (ExtComplex(I), "value"), (Mobius(1, 2, 3, 4), "a"),
+                       (grid, "edges"),
                        (Graph([(0, 0), (0, 0)]), "rotations")):
         for name in (field, "other"):
             with pytest.raises(AttributeError):

@@ -202,12 +202,22 @@ def _grid_without(*path):
      "sig is a string, got 0"),
     (_grid_with(signatures={"F": {"eightvertex": [1] * 8}}),
      "eightvertex is a string, got [1, 1, 1, 1, 1, 1, 1, 1]"),
+    # values that do not fit the arity; a value's scalar text keeps its
+    # own message (test_zero_denominator_exit_2)
+    (_grid_with(signatures={"F": {"arity": 7, "values": [0] * 128}}),
+     "signature 'F': arity must be 1..6, got 7"),
+    (_grid_with(signatures={"F": {"arity": 2, "values": [1, 0, 1]}}),
+     "signature 'F': arity 2 needs 4 values, got 3"),
+    (_grid_with(signatures={"F": {"eightvertex": "1,0,0,1"}}),
+     "signature 'F': expected 8 entries a,b,c,d,w,z,y,x (use ';' "
+     "separators if entries contain commas)"),
 ], ids=["signatures", "vertices", "edges", "arity", "values", "sig",
-        "undefined-name", "int-sig", "list-eightvertex"])
+        "undefined-name", "int-sig", "list-eightvertex", "arity-7",
+        "value-count", "eightvertex-count"])
 def test_eval_grid_missing_field_exit_2(runner, tmp_path, text, message):
     p = tmp_path / "grid.json"
     p.write_text(text)
-    for cmd in ("eval", "eval-affine"):
+    for cmd in ("eval", "eval-affine", "demo-interp"):
         r = invoke(runner, cmd, "--grid", str(p))
         assert r.exit_code == 2, r.output
         assert r.output == f"error: bad grid: {message}\n"
@@ -474,7 +484,8 @@ def test_check_cert_verdict_without_certificate(runner, tmp_path, sig, kind):
     p.write_text(r.output)
     r = invoke(runner, "check-cert", "--sig", sig, "--cert", str(p))
     assert r.exit_code == 2
-    assert r.output == f"error: a {kind} verdict carries no certificate\n"
+    assert r.output == (f"error: bad certificate: a {kind} verdict "
+                        "carries no certificate\n")
 
 
 @pytest.mark.parametrize("cert, rule", [
@@ -633,6 +644,38 @@ def test_zero_denominator_exit_2(runner, tmp_path, args, text):
     r = invoke(runner, *args)
     assert r.exit_code == 2, r.output
     assert r.output == f"error: zero denominator in scalar: {text!r}\n"
+
+
+_LONG = "x" * 5000
+_SIG = ["--sig", "1,1,1,0,0,1,1,0"]
+
+
+@pytest.mark.parametrize("args, content", [
+    (["classify", "--sig", "1;1;1;1;1;1;1;" + _LONG], None),
+    (["classify", "--sig", "1;1;1;1;1;1;1;" + "1," * 2500], None),
+    (["classify", "--sig", "1,1,1,1,1,1,1,1/" + "0" * 1000], None),
+    (["eval", "--grid"], {"signatures": {"f": {"arity": 1,
+                                                "values": [_LONG, 1]}}}),
+    (["eval", "--grid"], {"signatures": {_LONG: 5}}),
+    (["eval", "--grid"], {"signatures": {}, "vertices": [{"sig": _LONG}]}),
+    (["check-cert", *_SIG, "--cert"], {"verdict": _LONG}),
+    (["check-cert", *_SIG, "--cert"],
+     {"steps": [{"kind": _LONG}], "target": "A", "transformed": ["1", "1"]}),
+    (["eo", "--graph"], "0 1\n" + _LONG + "\n"),
+], ids=["scalar", "coefficients", "zero-denominator",
+        "grid-value", "grid-signature-name", "grid-vertex-name",
+        "verdict", "step-kind", "graph-line"])
+def test_long_input_is_cut_in_the_message(runner, tmp_path, args, content):
+    # a fault echoes at most 40 characters of the input it names
+    if content is not None:
+        p = tmp_path / "input"
+        p.write_text(content if isinstance(content, str)
+                     else json.dumps(content))
+        args = [*args, str(p)]
+    r = invoke(runner, *args)
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr.count("\n") == 1 and r.stderr.endswith("\n")
+    assert len(r.stderr.encode()) < 200, r.stderr
 
 
 @pytest.mark.parametrize("text, vertex, edges", [

@@ -7,6 +7,7 @@ check function is also reused by the acceptance suite on many random
 rational parameterizations.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from eightvertex.gadgets import (
     ChainFormUnsupported,
 )
 
-from util import reorder, nonzero_fraction
+from util import ENTRY_POOL, NONUNIT_POOL, reorder, nonzero_fraction
 
 
 def scaled(s, *entries) -> Signature:
@@ -183,6 +184,53 @@ def test_binary_modify_scales_one_leg():
     g = binary_modify(f, 1, Signature(2, [0, 1, t, 0]))
     ref = [v * t if (m >> 3) & 1 else v for m, v in enumerate(f.values)]
     assert list(g.values) == ref
+
+
+def _at(f: Signature, bits) -> Cyclo8:
+    """f at the inputs bits, x1 first."""
+    return f.values[int("".join(map(str, bits)), 2)]
+
+
+def _with_pair(rest, i, s, j, t) -> tuple:
+    """rest with s inserted at position i and t at position j
+    (1-based positions of the result)."""
+    it = iter(rest)
+    return tuple(s if k == i else t if k == j else next(it)
+                 for k in range(1, len(rest) + 3))
+
+
+def test_leg_actions_match_their_defining_sums():
+    """binary_modify on every leg, loop_binary on every ordered pair of
+    legs and pin on every ordered pair of legs and of values, against
+    the sums that define them, written over bit tuples, on seeded
+    signatures of arity 2..5 whose values have denominators and alpha
+    multiples."""
+    rng = random.Random(3030)
+    pool = ENTRY_POOL + NONUNIT_POOL
+    for n in (2, 3, 4, 5):
+        for _ in range(2):
+            f = Signature(n, [rng.choice(pool) for _ in range(1 << n)])
+            g = Signature(2, [rng.choice(pool) for _ in range(4)])
+            for i in range(1, n + 1):
+                h = binary_modify(f, i, g)
+                for x in itertools.product((0, 1), repeat=n):
+                    assert _at(h, x) == sum(
+                        (_at(g, (x[i - 1], 1 - s))
+                         * _at(f, x[:i - 1] + (s,) + x[i:])
+                         for s in (0, 1)), ZERO), (f, g, i, x)
+            if n == 2:
+                continue
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                h = loop_binary(f, i, j, g)
+                pins = {(s, t): pin(f, i, j, s, t)
+                        for s in (0, 1) for t in (0, 1)}
+                for rest in itertools.product((0, 1), repeat=n - 2):
+                    assert _at(h, rest) == sum(
+                        (_at(f, _with_pair(rest, i, s, j, t)) * _at(g, (s, t))
+                         for s in (0, 1) for t in (0, 1)), ZERO), (f, g, i, j)
+                    for (s, t), p in pins.items():
+                        assert _at(p, rest) == _at(
+                            f, _with_pair(rest, i, s, j, t))
 
 
 def test_binaries_must_have_arity_two():
