@@ -17,7 +17,6 @@ Exit codes: 0 on success (a hard verdict is data, not an error),
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -36,7 +35,6 @@ from .evaluate import (
     eo_count,
     grid_from_graph,
     interpolation_demo,
-    ising_energies,
     ising_signature,
     tutte33 as tutte33_value,
 )
@@ -168,28 +166,13 @@ def tutte33_cmd(graph_path):
 @_command("ising",
           *((flag, {"required": True})
             for flag in ("--jh", "--jv", "--j", "--jp", "--jpp")),
-          ("--approx", {"action": "store_true", "help": "allow energies "
-                        "off the i*pi/4 lattice (float weights)"}),
           _JSON)
-def ising_cmd(jh, jv, j, jp, jpp, approx):
+def ising_cmd(jh, jv, j, jp, jpp):
     """Build the eight-vertex signature of an Ising-type energy
-    function (couplings in units of i*pi/4) and classify it; with
-    --approx, print its float weights instead."""
+    function (couplings in units of i*pi/4) and classify it."""
     params = [_coupling(flag, v) for flag, v in
               zip(("--jh", "--jv", "--j", "--jp", "--jpp"),
                   (jh, jv, j, jp, jpp))]
-    if approx:
-        # the real weights e^{-energy}, written as Python complexes
-        energies = ising_energies(*params)
-        weights = []
-        for k in "abcdwzyx":
-            try:
-                weights.append(math.exp(-float(energies[k])))
-            except OverflowError:
-                raise ValueError(f"the weight of entry {k} (energy "
-                                 f"{energies[k]}) overflows a float") from None
-        text = ";".join(f"{w}+0.0j" for w in weights)
-        return {"signature": text}, f"signature: {text}"
     f = ising_signature(*params)
     verdict = classify_sig(f).to_json_dict()
     return ({"signature": str(f), "classification": verdict},

@@ -658,7 +658,7 @@ def medial_graph(graph: Graph) -> Grid:
         rot = graph.rotation_at(v)
         if sorted(rot) != graph.incident(v):
             raise ValueError(f"rotation at vertex {v} is not a permutation "
-                             f"of its edges {graph.incident(v)}")
+                             f"of its edges {_echo(str(graph.incident(v)))}")
         d = len(rot)
         for k in range(d):
             e = rot[k]
@@ -735,8 +735,8 @@ def _edge_components(edges) -> int:
 def ising_energies(jh, jv, j, jp, jpp) -> dict:
     """The energies of the entries of the eight-vertex signature of a
     two-spin model with horizontal, vertical and three four-spin
-    couplings, as Fractions keyed by entry name: entry k has Boltzmann
-    weight e^{-energy[k]}."""
+    couplings, as Fractions keyed by entry name: with the couplings in
+    units of i*pi/4, entry k has Boltzmann weight alpha^(-energy[k])."""
     jh, jv, j, jp, jpp = (Fraction(t) for t in (jh, jv, j, jp, jpp))
     return {
         "c": -jh - jv - j - jp - jpp,

@@ -45,6 +45,12 @@ class _Entries(NamedTuple):
     d: Cyclo8
 
 
+# the finite projective orders above 1, by tr^2 / det
+# (see Mobius.projective_order)
+_ORDERS = {Cyclo8(0): 2, Cyclo8(1): 3, Cyclo8(2): 4, Cyclo8(3): 6,
+           2 + SQRT2: 8, 2 - SQRT2: 8}
+
+
 class Mobius(_Entries):
     """An invertible 2x2 matrix [[a, b], [c, d]] over Q(zeta8), read
     projectively, and equal to a Mobius of the same entries."""
@@ -119,30 +125,19 @@ class Mobius(_Entries):
         """Smallest n with self^n proportional to the identity, or None
         when the map has infinite projective order.
 
-        For 2x2 matrices over Q(zeta8) the only finite orders that can
-        occur are 1, 2, 3, 4, 6 and 8; each corresponds to a specific
-        value of tr^2 / det, which is checked first and then confirmed by
-        an actual power computation.
+        The order is read off tau = tr^2 / det = r + 2 + 1/r, where r is
+        the ratio of the two eigenvalues.  tau = 4 means r = 1: order 1
+        for a scalar matrix, infinite for any other.  Any other tau means
+        distinct eigenvalues, so the order is that of r, a root of unity
+        exactly when r + 1/r = tau - 2 is 2cos(2 pi j / k) for j prime
+        to k.  Those values in Q(zeta8) are the ones of k = 2, 3, 4, 6
+        and 8 in _ORDERS: the real numbers of Q(zeta8) form Q(sqrt2), and
+        2cos(2 pi j / k) lies there for no other k > 1.
         """
-        tr2 = self.trace() ** 2
-        dt = self.det()
-        tau = tr2 / dt
-        candidates = {
-            Cyclo8(4): 1,
-            Cyclo8(0): 2,
-            Cyclo8(1): 3,
-            Cyclo8(2): 4,
-            Cyclo8(3): 6,
-            Cyclo8(2) + SQRT2: 8,
-            Cyclo8(2) - SQRT2: 8,
-        }
-        n = candidates.get(tau)
-        if n is None:
-            return None
-        for k in range(1, n + 1):
-            if self.power(k).is_scalar():
-                return k
-        return None
+        tau = self.trace() ** 2 / self.det()
+        if tau == 4:
+            return 1 if self.is_scalar() else None
+        return _ORDERS.get(tau)
 
     def orbit(self, z0: ExtComplex, steps: int):
         """The points z0, m(z0), ..., m^{steps-1}(z0) together with a flag

@@ -39,6 +39,12 @@ with ``PDecomposition.check`` (multiplicativity), and
 ``evaluate.brute_force``, whose frontier sum runs on packed ints with k
 chosen from a bound on its result's coefficients.
 
+Square roots go up the tower Q < Q(i) < Q(zeta8) by one quadratic step,
+:func:`_sqrt_step`, taken twice: over Q(i) by root sqrt(2) for
+:func:`sqrt_in_field`, and over Q by root i for its base case, whose own
+base is the nonnegative root of a rational from ``math.isqrt``.  Each
+step works on field values, and no Fraction is built on the way.
+
 Cyclo8 is the one value type of the package: signature entries,
 certificate entries and Holant sums are all Cyclo8s, and only ints and
 Fractions mix with them (floats and complex numbers raise TypeError).
@@ -428,84 +434,58 @@ def as_power_of_i(x: Cyclo8):
 
 # -- square roots ------------------------------------------------------
 
-def _rational_sqrt(q: Fraction):
-    if q < 0:
+def _sqrt_step(x: Cyclo8, conj: int, root: Cyclo8, base_sqrt):
+    """A y in F(root) with y*y = x, or None, for x in a quadratic
+    extension F(root) of F: ``galois(conj)`` fixes F and sends root to
+    -root, and base_sqrt(v) is a square root in F of a v in F, or None.
+
+    An x fixed by conj lies in F, and its roots are those of x in F and
+    root times those of x / root^2 in F.  Otherwise a root
+    y = c + e*root (c, e in F) has conjugate y' = c - e*root, so with
+    x' = conj(x): y*y' = c^2 - e^2 root^2 is a square root m of x*x',
+    c^2 = (x + x' + 2m) / 4, and e*root = (x - x') / (4c)."""
+    xc = x.galois(conj)
+    if xc == x:
+        y = base_sqrt(x)
+        if y is not None:
+            return y
+        y = base_sqrt(x / (root * root))
+        return None if y is None else root * y
+    n = base_sqrt(x * xc)
+    if n is None:
         return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
+    for m in (n, -n):
+        c = base_sqrt((x + xc + 2 * m) / 4)
+        if c:   # neither None nor zero
+            y = c + (x - xc) / (4 * c)
+            if y * y == x:
+                return y
     return None
 
 
-def _sqrt_qi(m: Fraction, n: Fraction):
-    """Square root of m + n*i inside Q(i), as a (re, im) pair, or None."""
-    if n == 0:
-        if m == 0:
-            return (Fraction(0), Fraction(0))
-        r = _rational_sqrt(m)
-        if r is not None:
-            return (r, Fraction(0))
-        r = _rational_sqrt(-m)
-        if r is not None:
-            return (Fraction(0), r)
-        return None
-    t = _rational_sqrt(m * m + n * n)
-    if t is None:
-        return None
-    c = _rational_sqrt((m + t) / 2)
-    if c is None or c == 0:
-        return None
-    return (c, n / (2 * c))
+def _sqrt_rational(x: Cyclo8):
+    """The nonnegative square root of a rational x, or None.  x is in
+    lowest terms, so it is a square iff its numerator and denominator
+    are."""
+    n, d = x.n[0], x.d
+    if n >= 0:
+        r, s = math.isqrt(n), math.isqrt(d)
+        if r * r == n and s * s == d:
+            return _raw((r, 0, 0, 0), s)
+    return None
 
 
-def _qi_parts(x: Cyclo8):
-    """Write x = A + B*sqrt(2) with A, B in Q(i); return ((Are,Aim),(Bre,Bim))."""
-    c0, c1, c2, c3 = x.coeffs
-    return (c0, c2), ((c1 - c3) / 2, (c1 + c3) / 2)
-
-
-def _from_qi_parts(a, b) -> Cyclo8:
-    (p, q), (r, s) = a, b
-    return Cyclo8(p, r + s, q, s - r)
+def _sqrt_gaussian(x: Cyclo8):
+    """A square root in Q(i) of an x in Q(i), or None: the step over Q
+    by root i, whose conjugation is zeta -> zeta^7."""
+    return _sqrt_step(x, 7, I, _sqrt_rational)
 
 
 def sqrt_in_field(x: Cyclo8):
-    """A y in Q(zeta8) with y*y = x, or None if no square root exists there."""
-    if x.is_zero():
-        return ZERO
-    (am, an), (bm, bn) = _qi_parts(x)
-    if bm == 0 and bn == 0:
-        y = _sqrt_qi(am, an)
-        if y is not None:
-            return _from_qi_parts(y, (Fraction(0), Fraction(0)))
-        y = _sqrt_qi(am / 2, an / 2)
-        if y is not None:
-            return _from_qi_parts((Fraction(0), Fraction(0)), y)
-        return None
-    # x = A + B*sqrt2, B != 0; look for y = C + E*sqrt2 with C, E in Q(i):
-    # C^2 + 2E^2 = A and 2CE = B, so 2C^4 - 2AC^2 + B^2 = 0.
-    a_re, a_im = am, an
-    # Delta = A^2 - 2 B^2 over Q(i)
-    d_re = a_re * a_re - a_im * a_im - 2 * (bm * bm - bn * bn)
-    d_im = 2 * a_re * a_im - 2 * (2 * bm * bn)
-    delta = _sqrt_qi(d_re, d_im)
-    if delta is None:
-        return None
-    for sgn in (1, -1):
-        c2_re = (a_re + sgn * delta[0]) / 2
-        c2_im = (a_im + sgn * delta[1]) / 2
-        c = _sqrt_qi(c2_re, c2_im)
-        if c is None or (c[0] == 0 and c[1] == 0):
-            continue
-        # E = B / (2C) in Q(i)
-        den = 2 * (c[0] * c[0] + c[1] * c[1])
-        e_re = (bm * c[0] + bn * c[1]) / den
-        e_im = (bn * c[0] - bm * c[1]) / den
-        y = _from_qi_parts(c, (e_re, e_im))
-        if y * y == x:
-            return y
-    return None
+    """A y in Q(zeta8) with y*y = x, or None if no square root exists
+    there: the step over Q(i) by root sqrt(2), whose conjugation is
+    zeta -> zeta^5."""
+    return _sqrt_step(x, 5, SQRT2, _sqrt_gaussian)
 
 
 # -- matrices over the field -------------------------------------------
@@ -591,7 +571,11 @@ def _parse_cyclo8(text: str) -> Cyclo8:
             raise ValueError(f"expected 4 coefficients: {_echo(repr(text))}")
         if all(map(_RE_INT.fullmatch, parts)):
             return Cyclo8(*map(int, parts))
-        return Cyclo8(*[Fraction(p) for p in parts])
+        try:
+            return Cyclo8(*map(Fraction, parts))
+        except ValueError:
+            raise ValueError("cannot parse scalar: "
+                             f"{_echo(repr(text))}") from None
     if _RE_INT.fullmatch(t):
         return Cyclo8(int(t))
     m = _RE_RATIONAL.match(t)

@@ -720,8 +720,8 @@ def test_ising_exact_point():
 
 
 def test_ising_approx_mode():
-    # the energies behind both the exact weights and the float weights
-    # of ising --approx
+    # the energies behind the exact weights: entry k of ising_signature
+    # is alpha^(-energy[k])
     e = ising_energies(Fraction(1, 2), 0, 0, 0, 0)
     assert [e[k] for k in "abcdwzyx"] == [
         0, 0, Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2),

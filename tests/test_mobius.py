@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -56,13 +57,32 @@ def test_projective_orders_finite():
     assert Mobius(1, 0, 0, ALPHA).projective_order() == 8
 
 
+def _order_by_powers(m):
+    """The smallest k with m^k scalar, or None.  A finite order k is that
+    of an eigenvalue ratio, a root of unity in a quadratic extension of
+    Q(zeta8), so phi(k) <= 8 and k <= 30."""
+    p = m
+    for k in range(1, 31):
+        if p.is_scalar():
+            return k
+        p = p.compose(m)
+    return None
+
+
 def test_projective_order_matches_powers():
-    for m in (Mobius(0, 1, 1, 0), Mobius(0, -1, 1, -1),
-              Mobius(1, -1, 1, 1), Mobius(3, -3, 1, 0)):
-        n = m.projective_order()
-        assert m.power(n).is_scalar()
-        for k in range(1, n):
-            assert not m.power(k).is_scalar()
+    # every invertible map with entries from {0, 1, -1, 2, i, -i, alpha},
+    # and one of order 6 with an entry 3
+    entries = [Cyclo8(v) for v in (0, 1, -1, 2)] + [I, -I, ALPHA]
+    maps = [Mobius(a, b, c, d)
+            for a, b, c, d in itertools.product(entries, repeat=4)
+            if not (a * d - b * c).is_zero()]
+    orders = {}
+    for m in [*maps, Mobius(3, -3, 1, 0)]:
+        n = _order_by_powers(m)
+        assert m.projective_order() == n, m
+        orders[n] = orders.get(n, 0) + 1
+    assert orders == {None: 1584, 1: 6, 2: 216, 3: 76, 4: 128, 6: 9,
+                      8: 104}
 
 
 def test_infinite_order_map():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -117,6 +118,34 @@ def test_sqrt_in_field_hits():
               one_plus_zeta * one_plus_zeta):
         r = sqrt_in_field(v)
         assert r is not None and r * r == v
+
+
+# sha256 of the roots below, recorded before square roots were rewritten
+# as one quadratic step up the tower: the root chosen, not only its
+# square, is pinned, since certificates and fixed points print it
+SQRT_DIGEST = "79ec134d6390f5d3da7dbe1cb23f896053e5be3911a04fb29fab59afd937eafb"
+
+
+def test_sqrt_in_field_root_choice_is_pinned():
+    rng = random.Random(31)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    units = (ONE, Cyclo8(-1), Cyclo8(2), Cyclo8(-2), I, -I, 2 * I)
+    values = []
+    for _ in range(560):
+        # a rational, a Gaussian and a general value; each as it is, its
+        # square and its square times a unit, 2 or 2i
+        for y in (Cyclo8(q()), Cyclo8(q(), 0, q(), 0),
+                  Cyclo8(q(), q(), q(), q())):
+            values += [y, y * y, rng.choice(units) * y * y]
+    roots = [sqrt_in_field(v) for v in values]
+    for v, r in zip(values, roots):
+        assert r is None or r * r == v
+    assert sum(r is None for r in roots) == 1441
+    text = "\n".join("none" if r is None else str(r) for r in roots)
+    assert hashlib.sha256(text.encode()).hexdigest() == SQRT_DIGEST
 
 
 @given(cyclos, st.integers(min_value=0, max_value=7))
