@@ -136,23 +136,15 @@ class AffineSpace(NamedTuple):
                 if j != idx and basis[j] & lead:
                     basis[j] ^= b
         basis.sort(reverse=True)
+        # the basis spans every p ^ p0, so the points lie in the space,
+        # and they fill it exactly when there are 2^dim of them
         if len(pts) != 1 << len(basis):
             return None
-        space = _space(n, p0, tuple(basis))
-        if all(space.contains(p) for p in pts):
-            return space
-        return None
+        return _space(n, p0, tuple(basis))
 
     @staticmethod
     def full(n) -> "AffineSpace":
         return _space(n, 0, tuple(1 << k for k in range(n - 1, -1, -1)))
-
-    def contains(self, m: int) -> bool:
-        w = m ^ self.offset
-        for b in self.basis:
-            if w ^ b < w:
-                w ^= b
-        return w == 0
 
 
 def _space(n: int, offset: int, basis: tuple) -> AffineSpace:
@@ -203,24 +195,6 @@ class ACertificate(NamedTuple):
 
     lam: Cyclo8
     shape: AShape
-
-    @property
-    def space(self) -> AffineSpace:
-        return self.shape.space
-
-    @property
-    def lin(self) -> Mapping:
-        return self.shape.lin
-
-    @property
-    def quad(self) -> Mapping:
-        return self.shape.quad
-
-    @property
-    def exponents(self) -> tuple:
-        """Q(m) at each point m of the space and None off it, for
-        m = 0 .. 2^n - 1."""
-        return self.shape.table
 
     def value_at(self, m: int) -> Cyclo8:
         q = self.shape.table[m]

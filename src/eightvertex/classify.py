@@ -30,6 +30,7 @@ produces a wrong Tractable verdict.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .numeric import (
@@ -231,21 +232,11 @@ class Certificate(NamedTuple):
 # path, B1, B6 and B4's corner normalization) and its z image (the
 # symmetric chains of B4 and B5).  Both have integer values, so hashing
 # them builds no Fraction.  Other keys come only from certificates read
-# from outside; the table is emptied when full.
-_DISEQUALITY_MEMBER = {}
-_DISEQUALITY_MEMBER_MAX = 256
-
-
-def _disequality_in(b: Signature, target: str) -> bool:
-    """_in_class(b, target) for a disequality image b, read from the
-    table ``_DISEQUALITY_MEMBER`` when it is there."""
-    key = (b.values, target)
-    member = _DISEQUALITY_MEMBER.get(key)
-    if member is None:
-        if len(_DISEQUALITY_MEMBER) >= _DISEQUALITY_MEMBER_MAX:
-            _DISEQUALITY_MEMBER.clear()
-        member = _DISEQUALITY_MEMBER[key] = _in_class(b, target)
-    return member
+# from outside, which the bound keeps from growing the memo
+@functools.lru_cache(maxsize=256)
+def _disequality_in(values: tuple, target: str) -> bool:
+    """_in_class of the disequality image with these values."""
+    return _in_class(Signature(len(values).bit_length() - 1, values), target)
 
 
 def _search(f: EightVertexSig, candidates):
@@ -256,7 +247,7 @@ def _search(f: EightVertexSig, candidates):
     in order.  Both images are computed once per candidate; a step list
     that does not apply is skipped.  The image of f is tested for
     membership against each target; the disequality image only when f's
-    is in the class, and then its answer is read from a table keyed by
+    is in the class, and then its answer is read from a memo keyed by
     the image's values and the target."""
     for steps, targets in candidates:
         try:
@@ -265,7 +256,7 @@ def _search(f: EightVertexSig, candidates):
         except (ValueError, DivisionByZero):
             continue
         for target in targets:
-            if _in_class(g, target) and _disequality_in(b, target):
+            if _in_class(g, target) and _disequality_in(b.values, target):
                 return Certificate(steps, target, g)
     return None
 

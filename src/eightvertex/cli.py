@@ -1,8 +1,8 @@
 """Command-line front end, on the standard library's argparse.
 
-Subcommands: classify, eval, eval-affine, eo, tutte33, ising,
-check-cert, demo-interp.  JSON output is the machine interface
-(--json); the default output is a short human-readable summary.
+Subcommands: classify, eval, eo, tutte33, ising, check-cert,
+demo-interp.  JSON output is the machine interface (--json); the
+default output is a short human-readable summary.
 Options are never abbreviated, and an option's value is the argument
 after it even when that starts with '-' (``--sig -i,1,1,1,1,1,1,-i``).
 
@@ -124,26 +124,14 @@ def eval_cmd(grid_path, graph_path, sig, preset, max_edges):
                                "f")
     else:
         raise ValueError("one of --grid or --graph is required")
-    # max_edges bounds both paths: over it, brute_force raises
-    # TooManyEdges.  affine_eval tests each signature name for class A
-    # once and raises NotAffineSignature at the first that is not
-    if len(grid.edges) > max_edges:
+    # affine_eval tests each signature name for class A once and raises
+    # NotAffineSignature at the first that is not; only then does the
+    # frontier sum run, and only it is bounded by max_edges
+    try:
+        val = affine_eval(grid)
+    except NotAffineSignature:
         val = brute_force(grid, max_edges=max_edges)
-    else:
-        try:
-            val = affine_eval(grid)
-        except NotAffineSignature:
-            val = brute_force(grid, max_edges=max_edges)
     return _value(val)
-
-
-@_command("eval-affine",
-          ("--grid", {"dest": "grid_path", "required": True,
-                      "help": "grid JSON file"}),
-          _JSON)
-def eval_affine_cmd(grid_path):
-    """Evaluate an all-affine grid through the polynomial-time path."""
-    return _value(affine_eval(Grid.from_json(_read(grid_path, GRID))))
 
 
 @_command("eo", ("--graph", {"dest": "graph_path", "required": True}), _JSON)

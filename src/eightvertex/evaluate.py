@@ -30,9 +30,9 @@ each numerator tuple is packed as its value at x = 2^K modulo
 product is one int product and remainder and a merge one addition.  K is
 set from the input so that 2^K exceeds four times a bound on every
 coefficient of the result, which then unpacks exactly and is reduced to
-a field value once, at the end.  Only
-``max_edges`` (a ``TooManyEdges`` error, exit 3 in the CLI) bounds the
-size of a grid.
+a field value once, at the end.  ``max_edges`` (a ``TooManyEdges``
+error, exit 3 in the CLI) bounds the frontier sum only; the class-A
+evaluator below takes a grid of any size.
 
 Beyond the frontier sum this module provides: a polynomial-time
 evaluator for grids whose signatures all lie in class A (Gauss sums over
@@ -541,27 +541,15 @@ class Graph(NamedTuple):
     edges: list                                 # (u, v) pairs
     rotations: Mapping = MappingProxyType({})   # vertex -> [edge ids]
 
-    @property
-    def vertices(self):
-        vs = set(self.rotations)
-        for u, v in self.edges:
-            vs.add(u)
-            vs.add(v)
-        return sorted(vs)
-
-    def incident(self, v):
-        out = []
-        for e, (a, b) in enumerate(self.edges):
-            if a == v:
-                out.append(e)
-            if b == v:
-                out.append(e)
-        return out
-
-    def rotation_at(self, v):
-        if v in self.rotations:
-            return self.rotations[v]
-        return self.incident(v)
+    def incidence(self) -> dict:
+        """Each vertex, in label order, mapped to the ids of its edges in
+        edge order, a loop twice; a vertex that only a rotation names maps
+        to []."""
+        inc = {v: [] for v in self.rotations}
+        for e, (u, v) in enumerate(self.edges):
+            inc.setdefault(u, []).append(e)
+            inc.setdefault(v, []).append(e)
+        return dict(sorted(inc.items()))
 
     @staticmethod
     def parse(text: str) -> "Graph":
@@ -598,9 +586,13 @@ def grid_from_graph(graph: Graph, sig: Signature, sig_name: str) -> Grid:
     numbered by order of incidence, and join them by the graph edges.  A
     vertex whose degree (a loop counts twice) is not sig's arity raises
     ValueError naming the vertex as the graph labels it."""
-    vs = graph.vertices
-    vindex = {v: k for k, v in enumerate(vs)}
-    next_port = {v: 1 for v in vs}
+    inc = graph.incidence()
+    for v, es in inc.items():
+        if len(es) != sig.arity:
+            raise ValueError(f"vertex {v} has degree {len(es)}, "
+                             f"but the signature has arity {sig.arity}")
+    vindex = {v: k for k, v in enumerate(inc)}
+    next_port = dict.fromkeys(inc, 1)
     ends = []
     for (u, v) in graph.edges:
         pu = next_port[u]
@@ -608,11 +600,7 @@ def grid_from_graph(graph: Graph, sig: Signature, sig_name: str) -> Grid:
         pv = next_port[v]
         next_port[v] += 1
         ends.append(((vindex[u], pu), (vindex[v], pv)))
-    for v in vs:
-        if next_port[v] != sig.arity + 1:
-            raise ValueError(f"vertex {v} has degree {next_port[v] - 1}, "
-                             f"but the signature has arity {sig.arity}")
-    return Grid({sig_name: sig}, [sig_name] * len(vs), ends)
+    return Grid({sig_name: sig}, [sig_name] * len(inc), ends)
 
 
 def eo_count(graph: Graph) -> int:
@@ -654,33 +642,35 @@ def medial_graph(graph: Graph) -> Grid:
             raise ValueError("self-loops are not supported")
     sig = tutte_signature()
     ends = []
-    for v in graph.vertices:
-        rot = graph.rotation_at(v)
-        if sorted(rot) != graph.incident(v):
+    # the successor of each edge around each of its ends
+    succ = {}
+    for v, incident in graph.incidence().items():
+        rot = graph.rotations.get(v, incident)
+        if sorted(rot) != incident:
             raise ValueError(f"rotation at vertex {v} is not a permutation "
-                             f"of its edges {_echo(str(graph.incident(v)))}")
+                             f"of its edges {_echo(str(incident))}")
         d = len(rot)
         for k in range(d):
             e = rot[k]
             f = rot[(k + 1) % d]
+            succ[(v, e)] = f
             # the corner between e and f at v joins (succ side of e at v)
             # to (pred side of f at v)
             pe = 1 if graph.edges[e][0] == v else 4
             pf = 2 if graph.edges[f][0] == v else 3
             ends.append(((e, pe), (f, pf)))
-    _check_planar(graph)    # after the loop has checked each rotation
+    _check_planar(graph, succ)  # after the loop has checked each rotation
     return Grid({"tutte": sig}, ["tutte"] * len(graph.edges), ends)
 
 
-def _check_planar(graph: Graph):
+def _check_planar(graph: Graph, succ: dict):
     """Raise ValueError unless the rotations embed every component with
     an edge in the plane, i.e. V - E + F = 2 for each.  Each component
     has V - E + F = 2 - 2g for the genus g of its embedding, so the sum
     over components is 2c exactly when all are planar.  The faces are
     traced as orbits of darts: edge e = (u, v) gives the dart (e, 0) from
     u to v and (e, 1) back, and the dart after one entering w leaves w
-    along the next edge of w's rotation."""
-    rot = {v: graph.rotation_at(v) for v in graph.vertices}
+    along succ[(w, e)], the next edge of w's rotation."""
     seen = set()
     faces = 0
     for start in itertools.product(range(len(graph.edges)), (0, 1)):
@@ -692,8 +682,7 @@ def _check_planar(graph: Graph):
             seen.add(dart)
             e, end = dart
             w = graph.edges[e][1 - end]
-            around = rot[w]
-            f = around[(around.index(e) + 1) % len(around)]
+            f = succ[(w, e)]
             dart = (f, 0 if graph.edges[f][0] == w else 1)
     verts = len({v for edge in graph.edges for v in edge})
     chi = verts - len(graph.edges) + faces

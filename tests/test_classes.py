@@ -61,6 +61,24 @@ def test_simple_non_members():
     assert in_P(g) is None
 
 
+def test_hull_of_every_point_set_up_to_arity_4():
+    """from_support, on every nonempty set of points of F_2^n for n <= 4,
+    gives a space exactly when the set is affine, i.e. closed under
+    x ^ y ^ z, and then a space whose points are the set."""
+    for n in range(1, 5):
+        for bits in range(1, 1 << (1 << n)):
+            pts = [m for m in range(1 << n) if bits >> m & 1]
+            space = AffineSpace.from_support(pts, n)
+            closed = all(bits >> (x ^ y ^ z) & 1
+                         for x in pts for y in pts for z in pts)
+            assert (space is not None) == closed, pts
+            if space is not None:
+                span = {space.offset}
+                for b in space.basis:
+                    span |= {m ^ b for m in span}
+                assert span == set(pts), pts
+
+
 @given(rng_seed)
 @settings(max_examples=150, deadline=None)
 def test_in_A_matches_oracle(seed):
@@ -329,8 +347,9 @@ def _a_answer(cert):
     lin, sorted quad)."""
     if cert is None:
         return None
-    return (cert.lam, cert.space.offset, cert.space.basis,
-            sorted(cert.lin.items()), sorted(cert.quad.items()))
+    shape = cert.shape
+    return (cert.lam, shape.space.offset, shape.space.basis,
+            sorted(shape.lin.items()), sorted(shape.quad.items()))
 
 
 def test_in_A_rechecks_on_memo_hits(monkeypatch):
@@ -355,17 +374,18 @@ def test_in_A_memo_terms_are_read_only():
     f = Signature(3, [I ** (x1 + 3 * x2 + 2 * x1 * x3)
                       for x1 in (0, 1) for x2 in (0, 1) for x3 in (0, 1)])
     cert = in_A(f)
-    assert dict(cert.lin) == {1: 1, 2: 3} and dict(cert.quad) == {(1, 3): 1}
+    shape = cert.shape
+    assert dict(shape.lin) == {1: 1, 2: 3} and dict(shape.quad) == {(1, 3): 1}
     with pytest.raises(TypeError):
-        cert.lin[1] = 2
+        shape.lin[1] = 2
     with pytest.raises(TypeError):
-        cert.quad[(1, 2)] = 1
+        shape.quad[(1, 2)] = 1
     with pytest.raises(TypeError):
-        del cert.lin[2]
-    again = in_A(f)
-    assert again.lin is cert.lin and again.quad is cert.quad
+        del shape.lin[2]
+    again = in_A(f).shape
+    assert again.lin is shape.lin and again.quad is shape.quad
     assert dict(again.lin) == {1: 1, 2: 3} and dict(again.quad) == {(1, 3): 1}
-    assert again.check(f)
+    assert cert.check(f)
 
 
 def test_A_records_and_certificates_are_immutable():
@@ -376,7 +396,7 @@ def test_A_records_and_certificates_are_immutable():
     f = Signature(2, [I ** (x1 + x2) for x1 in (0, 1) for x2 in (0, 1)])
     loop = Grid({"f": f}, ["f"], [((0, 1), (0, 2))])
     cert = in_A(f)
-    before = _a_answer(cert), cert.exponents
+    before = _a_answer(cert), cert.shape.table
     rec = cert.shape
     for name, value in (("space", AffineSpace.full(2)),
                         ("lin", MappingProxyType({1: 2})),
@@ -385,14 +405,12 @@ def test_A_records_and_certificates_are_immutable():
         with pytest.raises(AttributeError):
             setattr(rec, name, value)
     for name, value in (("lam", I), ("shape", AShape.of(rec.space, {}, {})),
-                        ("space", AffineSpace.full(2)), ("lin", {1: 2}),
-                        ("quad", {}), ("exponents", (0, 0, 0, 0)),
                         ("other", 0)):
         with pytest.raises(AttributeError):
             setattr(cert, name, value)
     again = in_A(f)
-    assert again.shape is rec and (_a_answer(again), again.exponents) == before
-    assert dict(again.lin) == {1: 1, 2: 1} and again.check(f)
+    assert again.shape is rec and (_a_answer(again), rec.table) == before
+    assert dict(rec.lin) == {1: 1, 2: 1} and again.check(f)
     assert affine_eval(loop) == brute_force(loop) == 2 * I
 
 
@@ -412,10 +430,11 @@ def test_A_check_reads_the_certificates_own_terms():
             if not any(m >> (n - i) & 1 for m in f.support()):
                 continue
             for delta in (1, -1):
-                lin = dict(cert.lin)
+                shape = cert.shape
+                lin = dict(shape.lin)
                 lin[i] = lin.get(i, 0) + delta
                 bad = ACertificate(cert.lam,
-                                   AShape.of(cert.space, lin, cert.quad))
+                                   AShape.of(shape.space, lin, shape.quad))
                 assert not bad.check(f), (f, i, delta)
                 assert any(bad.value_at(m) != f.values[m]
                            for m in range(1 << n))
@@ -470,8 +489,6 @@ def test_A_shape_table_is_Q_on_the_space():
         f = random_affine_signature(rng, n)
         cert = in_A(f)
         rec = cert.shape
-        assert (cert.space, cert.lin, cert.quad, cert.exponents) == (
-            rec.space, rec.lin, rec.quad, rec.table)
         assert in_A(f).shape is rec
         built = AShape.of(rec.space, rec.lin, rec.quad)
         assert built.table == rec.table
@@ -486,8 +503,11 @@ def test_A_shape_table_is_Q_on_the_space():
         assert (shifted.table, dict(shifted.lin), dict(shifted.quad)) == (
             rec.table, dict(rec.lin), dict(rec.quad))
         assert len(rec.table) == 1 << n
+        span = {rec.space.offset}
+        for b in rec.space.basis:
+            span |= {m ^ b for m in span}
         for m, q in enumerate(rec.table):
-            assert (q is None) == (not rec.space.contains(m))
+            assert (q is None) == (m not in span)
         assert ACertificate(cert.lam, built).check(f)
         seen.add(n)
     assert seen == {1, 2, 3, 4, 5, 6}

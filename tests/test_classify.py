@@ -338,7 +338,7 @@ def test_transform_disequality_matches_reference():
 
 
 def test_disequality_membership_table_matches_in_class(monkeypatch):
-    """The table's answer is _in_class of the recomputed disequality
+    """The memo's answer is _in_class of the recomputed disequality
     image, cold and warm, on the fast path's and B1's step lists, one B4
     and one B5 symmetric chain, and seeded random step lists."""
     targets = classify_mod._TARGETS
@@ -367,21 +367,22 @@ def test_disequality_membership_table_matches_in_class(monkeypatch):
     assert len(cases) > 4 * 150
     in_class = classify_mod._in_class
     keys = {(image.values, t) for _, image, t in cases}
-    # every key fits, so the warm pass reads every answer from the table
-    assert len(keys) <= classify_mod._DISEQUALITY_MEMBER_MAX
+    memo = classify_mod._disequality_in
+    # every key fits, so the warm pass reads every answer from the memo
+    assert len(keys) <= memo.cache_info().maxsize
     computed = []
     monkeypatch.setattr(classify_mod, "_in_class",
                         lambda sig, t: computed.append(t) or in_class(sig, t))
-    classify_mod._DISEQUALITY_MEMBER.clear()
+    memo.cache_clear()
     seen = set()
     for want_computed in (len(keys), 0):    # cold, then warm
         computed.clear()
         for steps, image, target in cases:
             want = in_class(image, target)
-            assert classify_mod._disequality_in(image, target) == want, \
-                (steps, target)
+            assert memo(image.values, target) == want, (steps, target)
             seen.add(want)
         assert len(computed) == want_computed
+    assert memo.cache_info().currsize == len(keys)
     assert seen == {True, False}
 
 

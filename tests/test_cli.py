@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -170,10 +171,9 @@ def _values_grid(value):
 def test_eval_malformed_grid_exit_2(runner, tmp_path, text):
     p = tmp_path / "grid.json"
     p.write_text(text)
-    for cmd in ("eval", "eval-affine"):
-        r = invoke(runner, cmd, "--grid", str(p))
-        assert r.exit_code == 2, r.output
-        assert r.output.startswith("error: bad grid:")
+    r = invoke(runner, "eval", "--grid", str(p))
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("error: bad grid:")
 
 
 def _grid_without(*path):
@@ -217,17 +217,27 @@ def _grid_without(*path):
 def test_eval_grid_missing_field_exit_2(runner, tmp_path, text, message):
     p = tmp_path / "grid.json"
     p.write_text(text)
-    for cmd in ("eval", "eval-affine", "demo-interp"):
+    for cmd in ("eval", "demo-interp"):
         r = invoke(runner, cmd, "--grid", str(p))
         assert r.exit_code == 2, r.output
         assert r.output == f"error: bad grid: {message}\n"
 
 
 def test_eval_max_edges_exit_3(runner, tmp_path):
+    # --max-edges bounds the frontier sum, which a signature outside
+    # class A needs
     p = tmp_path / "grid.json"
-    p.write_text(GRID_JSON)
+    p.write_text(_grid_with(signatures={
+        "F": {"eightvertex": "1,2,3,1,1,2,1,3"}}))
     r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "2")
-    assert r.exit_code == 3
+    assert (r.exit_code, r.stdout) == (3, ""), r.output
+    assert r.stderr == "error: 4 edges exceeds 2\n"
+    # the grid is checked before its size: a malformed grid over the
+    # limit is reported by its first fault
+    p.write_text(_grid_with(edges=[[[0, 1], [1, 1]]] * 4))
+    r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "2")
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr == "error: port 1 of vertex 0 used twice\n"
 
 
 def test_eval_negative_max_edges_exit_2(runner, tmp_path):
@@ -270,6 +280,20 @@ def test_size_limit_exit_3(runner, tmp_path, command, flag, text, edges):
         assert r.stderr == f"error: {edges} edges exceeds 28\n"
 
 
+def test_tutte33_long_cycle_exit_3_within_2_s(runner, tmp_path):
+    # the graph is indexed in one pass, so a 20,000-edge cycle reaches the
+    # edge limit of its 40,000-edge medial grid in linear time
+    n = 20000
+    p = tmp_path / "cycle.txt"
+    p.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+    start = time.perf_counter()
+    r = invoke(runner, "tutte33", "--graph", str(p))
+    elapsed = time.perf_counter() - start
+    assert (r.exit_code, r.stdout) == (3, ""), r.output
+    assert r.stderr == "error: 40000 edges exceeds 28\n"
+    assert elapsed < 2, elapsed
+
+
 def test_eval_class_a_grid_takes_affine_path(runner, tmp_path, monkeypatch):
     # a 48-edge prism of full-support class-A signatures: eval gives
     # brute_force's value without running the exponential sum
@@ -286,16 +310,13 @@ def test_eval_class_a_grid_takes_affine_path(runner, tmp_path, monkeypatch):
         "vertices": [{"sig": name} for name in grid.vertices],
         "edges": [[list(a), list(b)] for a, b in grid.edges],
     }))
-    # the edge limit still comes first
-    r = invoke(runner, "eval", "--grid", str(p), "--json")
-    assert r.exit_code == 3
 
     def no_brute_force(grid, max_edges=28):
         raise AssertionError("brute_force called on a class-A grid")
 
+    # the default edge limit bounds only brute_force, which never runs
     monkeypatch.setattr(cli, "brute_force", no_brute_force)
-    r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "60",
-               "--json")
+    r = invoke(runner, "eval", "--grid", str(p), "--json")
     assert r.exit_code == 0, r.output
     assert json.loads(r.output)["exact"] == value == "-268435456-268435456i"
 
@@ -334,8 +355,8 @@ def test_eval_tests_each_signature_name_once(runner, tmp_path, monkeypatch):
 def test_eval_deep_ring(runner, tmp_path):
     # 1500 binary equalities in a ring: the two consistent orientations
     # alternate around the (even) ring.  Every signature is in class A, so
-    # eval sums it through affine_eval; test_evaluate.py runs brute_force
-    # on the same ring
+    # eval sums it through affine_eval, with no edge limit; test_evaluate.py
+    # runs brute_force on the same ring
     n = 1500
     p = tmp_path / "ring.json"
     p.write_text(json.dumps({
@@ -343,7 +364,7 @@ def test_eval_deep_ring(runner, tmp_path):
         "vertices": [{"sig": "eq"}] * n,
         "edges": [[[v, 2], [(v + 1) % n, 1]] for v in range(n)],
     }))
-    r = invoke(runner, "eval", "--grid", str(p), "--max-edges", "5000")
+    r = invoke(runner, "eval", "--grid", str(p))
     assert r.exit_code == 0, r.output
     assert r.output.startswith("2  ")
 
@@ -356,7 +377,7 @@ def test_eval_missing_file_exit_2(runner):
 def test_eval_affine(runner, tmp_path):
     p = tmp_path / "grid.json"
     p.write_text(GRID_JSON)
-    r = invoke(runner, "eval-affine", "--grid", str(p), "--json")
+    r = invoke(runner, "eval", "--grid", str(p), "--json")
     assert r.exit_code == 0
     assert json.loads(r.output)["exact"] == "2"
 
@@ -580,7 +601,6 @@ def test_check_cert_missing_file(runner):
 
 _JSON_FILE_ARGS = {
     "eval": (["eval", "--grid"], "grid"),
-    "eval-affine": (["eval-affine", "--grid"], "grid"),
     "demo-interp": (["demo-interp", "--grid"], "grid"),
     "check-cert": (["check-cert", "--sig", "1,1,1,0,0,1,1,0", "--cert"],
                    "certificate"),
@@ -628,11 +648,10 @@ def _grid_value_file(tmp_path, value):
     (["classify", "--sig", "1,1,1,1,1,1,1,0/0"], "0/0"),
     (["classify", "--sig", "1;1;1;1;1;1;1;0,1/0,0,0"], "0,1/0,0,0"),
     (["eval", "--grid", "GRID"], "1/0"),
-    (["eval-affine", "--grid", "GRID"], "1/0"),
     (["demo-interp", "--t", "1/0"], "1/0"),
     (["demo-interp", "--lambdas", "1/0"], "1/0"),
-], ids=["sig", "sig-0/0", "sig-coefficients", "eval-grid",
-        "eval-affine-grid", "demo-t", "demo-lambdas"])
+], ids=["sig", "sig-0/0", "sig-coefficients", "eval-grid", "demo-t",
+        "demo-lambdas"])
 def test_zero_denominator_exit_2(runner, tmp_path, args, text):
     args = [_grid_value_file(tmp_path, "1/0") if a == "GRID" else a
             for a in args]
@@ -761,10 +780,9 @@ def test_demo_interp_slot_arity_exit_2(runner, tmp_path):
 
 @pytest.mark.parametrize("args, kind", [
     (["eval", "--grid"], "grid"),
-    (["eval-affine", "--grid"], "grid"),
     (["demo-interp", "--grid"], "grid"),
     (["check-cert", "--sig", "1,1,1,0,0,1,1,0", "--cert"], "certificate"),
-], ids=["eval", "eval-affine", "demo-interp", "check-cert"])
+], ids=["eval", "demo-interp", "check-cert"])
 def test_file_not_json_exit_2(runner, tmp_path, args, kind):
     p = tmp_path / "file.json"
     p.write_text("{x")
@@ -829,10 +847,12 @@ def test_option_value_may_start_with_a_dash(runner):
     ["classify", "--sig"],
     ["classify", "--preset", "eo", "extra"],
     ["eval", "--max-edges", "q"],
-    ["eval-affine"],
+    ["eo"],
     ["frobnicate"],
+    ["eval-affine", "--grid", "grid.json"],
 ], ids=["abbreviation", "unknown-preset", "missing-value", "extra-argument",
-        "non-int-max-edges", "missing-required", "unknown-command"])
+        "non-int-max-edges", "missing-required", "unknown-command",
+        "retired-eval-affine"])
 def test_usage_errors_exit_2(runner, args):
     r = invoke(runner, *args)
     assert r.exit_code == 2, r.output
@@ -843,7 +863,6 @@ def test_usage_errors_exit_2(runner, args):
 @pytest.mark.parametrize("args", [
     ["classify", "--sig", "1,2,3"],
     ["eval", "--grid", "/nonexistent/grid.json"],
-    ["eval-affine", "--grid", "GRID"],
     ["eo", "--graph", "GRAPH"],
     ["tutte33", "--graph", "GRAPH"],
     ["ising", "--jh", "x", "--jv", "0", "--j", "0", "--jp", "0",
@@ -852,12 +871,10 @@ def test_usage_errors_exit_2(runner, args):
     ["demo-interp", "--lambdas", "1,zzz"],
 ], ids=lambda a: a[0])
 def test_bad_input_exit_2(runner, tmp_path, args):
-    # a grid whose signature is not in class A, a graph with a self-loop
-    # and no 4-regular vertex, and a grid file that is no certificate:
-    # one line on stderr
+    # a graph with a self-loop and no 4-regular vertex, and a grid file
+    # that is no certificate: one line on stderr
     grid = tmp_path / "grid.json"
-    grid.write_text(_grid_with(signatures={
-        "F": {"eightvertex": "1,2,3,1,1,2,1,3"}}))
+    grid.write_text(GRID_JSON)
     graph = tmp_path / "graph.txt"
     graph.write_text("0 0\n0 1\n")
     args = [{"GRID": str(grid), "GRAPH": str(graph)}.get(a, a) for a in args]
@@ -882,7 +899,7 @@ def test_handlers_return_without_printing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    [], ["classify"], ["eval"], ["eval-affine"], ["eo"], ["tutte33"],
+    [], ["classify"], ["eval"], ["eo"], ["tutte33"],
     ["ising"], ["check-cert"], ["demo-interp"]],
     ids=lambda c: " ".join(c) or "eightvertex")
 def test_help_exit_0(runner, command):

@@ -781,8 +781,9 @@ def test_class_A_memos_stay_bounded():
 
     def answer(f):
         cert = in_A(f)
-        return (cert.lam, cert.space, sorted(cert.lin.items()),
-                sorted(cert.quad.items()), cert.exponents, cert.space.parity)
+        shape = cert.shape
+        return (cert.lam, shape.space, sorted(shape.lin.items()),
+                sorted(shape.quad.items()), shape.table, shape.space.parity)
 
     warm = [answer(f) for f in corpus]
     # in_A met more shapes than fit

@@ -201,9 +201,9 @@ def a_outcome(f) -> str:
     cert = in_A(f)
     if cert is None:
         return "None"
-    space = cert.space
-    return repr((str(cert.lam), space.offset, space.basis,
-                 sorted(cert.lin.items()), sorted(cert.quad.items())))
+    shape = cert.shape
+    return repr((str(cert.lam), shape.space.offset, shape.space.basis,
+                 sorted(shape.lin.items()), sorted(shape.quad.items())))
 
 
 def test_in_A_certificate_digest():
