@@ -117,6 +117,8 @@ def eval_cmd(grid_path, graph_path, sig, preset, max_edges):
     if max_edges < 0:
         raise ValueError("--max-edges must be at least 0")
     if grid_path is not None:
+        if (graph_path, sig, preset) != (None, None, None):
+            raise ValueError("--grid takes no --graph, --sig or --preset")
         grid = Grid.from_json(_read(grid_path, GRID))
     elif graph_path is not None:
         f = _sig_from_options(sig, preset)

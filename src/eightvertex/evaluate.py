@@ -7,9 +7,11 @@ partition function is
     sum over {0,1}-values on half-edges, opposite across each edge,
     of the product of all vertex signature values.
 
-Both evaluators first call :meth:`Grid.validate`, which checks that
-the edges join every port exactly once and returns a flat port table:
-port p of vertex v is slot[base[v] + p - 1] = 2 * edge + end.
+A grid checks that its edges join every port exactly once when it is
+built (:meth:`Grid.validate`), so the evaluators never check it again:
+they read the per-vertex port offsets ``grid.base`` and the flat port
+table of :meth:`Grid.ports`, in which port p of vertex v is
+slot[base[v] + p - 1] = 2 * edge + end.
 
 The exact sum (:func:`brute_force`) is a frontier sum.  Vertices are
 placed in a greedy order, the next being the unplaced vertex with the
@@ -86,10 +88,42 @@ class NotAffineSignature(ValueError):
 GRID = InputFormat("grid")
 
 
-class Grid(NamedTuple):
-    signatures: dict    # name -> Signature
-    vertices: list      # vertex index -> signature name
-    edges: list         # ((v, p), (w, q)) with 1-based ports
+class _GridFields(NamedTuple):
+    signatures: Mapping     # name -> Signature, read-only
+    vertices: tuple         # vertex index -> signature name
+    edges: tuple            # ((v, p), (w, q)) with 1-based ports
+    base: tuple             # vertex index -> slot index of its port 1
+
+
+class Grid(_GridFields):
+    """A closed grid, checked once, when it is built: its edges join
+    every port of every vertex exactly once.  Every way of building one
+    (``Grid(signatures, vertices, edges)``, :meth:`from_json`, ``_make``
+    and ``_replace``) runs :meth:`validate` and raises its first
+    DanglingPort, so the evaluators read a grid's ports without checking
+    them again.  The signatures are copied into a read-only mapping and
+    the vertices and edges into tuples, so a built grid stays valid;
+    ``base`` holds the per-vertex port offsets, and is derived.
+
+    The slot table of :meth:`ports` is rebuilt on each call rather than
+    stored with the grid: it holds two ints per edge, and a program that
+    keeps many grids would pay for it in memory."""
+
+    __slots__ = ()
+
+    def __new__(cls, signatures, vertices, edges):
+        signatures = MappingProxyType(dict(signatures))
+        vertices, edges = tuple(vertices), tuple(edges)
+        base, _ = super().__new__(cls, signatures, vertices, edges,
+                                  ()).validate()
+        return super().__new__(cls, signatures, vertices, edges, tuple(base))
+
+    @classmethod
+    def _make(cls, iterable):
+        """A grid of the first three fields of iterable, checked; base
+        is derived from them."""
+        signatures, vertices, edges, *_ = iterable
+        return cls(signatures, vertices, edges)
 
     def validate(self) -> tuple:
         """Check that the edges join every port of every vertex exactly
@@ -98,32 +132,40 @@ class Grid(NamedTuple):
         slot[base[v] + p - 1] = 2 * edge + end, end 0 for the first
         endpoint of the edge and 1 for the second.
 
-        The edges are scanned in order, each end in turn (the vertex's
-        range, then the port's range, then a port used twice), so the
-        fault reported is the first one met; an unused port is looked
-        for last, over the vertices in order."""
+        The endpoints are scanned in order, in one flat pass over the
+        edges (for each: the vertex's range, then the port's range, then
+        a port used twice), so the fault reported is the first one met;
+        an unused port is looked for last, over the vertices in order."""
         arity = [self.signatures[name].arity for name in self.vertices]
         nv = len(arity)
         *base, total = itertools.accumulate(arity, initial=0)
         slot = [-1] * total
-        k = 0                   # 2 * edge + end of the next endpoint
-        for first, second in self.edges:
-            for u, r in (first, second):
-                if not 0 <= u < nv:
-                    raise DanglingPort(f"vertex {u} out of range")
-                if not 1 <= r <= arity[u]:
-                    raise DanglingPort(f"port {r} out of range on vertex {u}")
-                i = base[u] + r - 1
-                if slot[i] >= 0:
-                    raise DanglingPort(f"port {r} of vertex {u} used twice")
-                slot[i] = k
-                k += 1
+        # k is 2 * edge + end
+        for k, (u, r) in enumerate(itertools.chain.from_iterable(self.edges)):
+            if not 0 <= u < nv:
+                raise DanglingPort(f"vertex {u} out of range")
+            if not 1 <= r <= arity[u]:
+                raise DanglingPort(f"port {r} out of range on vertex {u}")
+            i = base[u] + r - 1
+            if slot[i] >= 0:
+                raise DanglingPort(f"port {r} of vertex {u} used twice")
+            slot[i] = k
         if -1 in slot:
             for v in range(nv):
                 for r in range(1, arity[v] + 1):
                     if slot[base[v] + r - 1] < 0:
                         raise DanglingPort(f"port {r} of vertex {v} unused")
         return base, slot
+
+    def ports(self) -> list:
+        """The slot table of :meth:`validate`, built unchecked in one pass
+        over the endpoints: port p of vertex v is
+        slot[base[v] + p - 1] = 2 * edge + end."""
+        base = self.base
+        slot = [0] * (2 * len(self.edges))
+        for k, (u, r) in enumerate(itertools.chain.from_iterable(self.edges)):
+            slot[base[u] + r - 1] = k
+        return slot
 
     @staticmethod
     def from_json(text: str) -> "Grid":
@@ -247,10 +289,11 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     addition.  K is set from a bound on the coefficients of the result,
     so that the final residue unpacks to its numerators exactly
     (``numeric._unpack``).  The edge at each port is read from the flat
-    port table of :meth:`Grid.validate`."""
+    port table of :meth:`Grid.ports`."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
-    base, slot = grid.validate()
+    base = grid.base
+    slot = grid.ports()
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
@@ -376,16 +419,17 @@ def affine_eval(grid: Grid) -> Cyclo8:
     ports and parity rows (``AffineSpace.parity``) are read straight from
     its certificate's ``AShape`` record: the one memo entry per shape,
     which ``in_A``'s check reads as well.  Ports come from the flat port
-    table of :meth:`Grid.validate`."""
-    base, slot = grid.validate()
-    certs = {}                     # signature name -> its ACertificate
-    for v, name in enumerate(grid.vertices):
-        if name not in certs:
-            cert = in_A(grid.signatures[name])
-            if cert is None:
-                raise NotAffineSignature(
-                    f"vertex {v} signature is not in class A")
-            certs[name] = cert
+    table of :meth:`Grid.ports`."""
+    base = grid.base
+    slot = grid.ports()
+    # signature name -> its ACertificate, in order of first vertex
+    certs = dict.fromkeys(grid.vertices)
+    for name in certs:
+        cert = in_A(grid.signatures[name])
+        if cert is None:
+            raise NotAffineSignature(f"vertex {grid.vertices.index(name)} "
+                                     "signature is not in class A")
+        certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
         return ZERO
     shapes = {name: cert.shape for name, cert in certs.items()}
@@ -791,9 +835,7 @@ def interpolation_demo(grid: Grid, t, lambdas) -> dict:
         raise ValueError("grid has no slot vertices")
 
     def with_slot(sig: Signature) -> Grid:
-        sigs = dict(grid.signatures)
-        sigs["SLOT"] = sig
-        return Grid(sigs, grid.vertices, grid.edges)
+        return grid._replace(signatures={**grid.signatures, "SLOT": sig})
 
     block = chain_block(t)
     slot_arity = grid.signatures["SLOT"].arity

@@ -129,6 +129,24 @@ def test_eval_grid_file(runner, tmp_path):
     assert data["exact"] == "2"
 
 
+@pytest.mark.parametrize("extra", [
+    ["--graph", "GRAPH"],
+    ["--sig", "1,2,3,4,5,6,7,8"],
+    ["--preset", "eo"],
+], ids=["graph", "sig", "preset"])
+def test_eval_grid_takes_no_other_source(runner, tmp_path, extra):
+    # a grid file is the whole input: another source is refused, not
+    # ignored
+    grid = tmp_path / "grid.json"
+    grid.write_text(GRID_JSON)
+    graph = tmp_path / "dipole.txt"
+    graph.write_text(DIPOLE_TEXT)
+    extra = [str(graph) if a == "GRAPH" else a for a in extra]
+    r = invoke(runner, "eval", "--grid", str(grid), *extra)
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr == "error: --grid takes no --graph, --sig or --preset\n"
+
+
 def test_eval_threads_agree(runner, tmp_path):
     # eval runs brute force in one thread; its value on the dipole with
     # the eo preset is the Eulerian orientation count
@@ -776,6 +794,19 @@ def test_demo_interp_slot_arity_exit_2(runner, tmp_path):
     assert r.exit_code == 2, r.output
     assert r.output == ("error: the SLOT signature has arity 2, but the "
                         "chain block placed in each slot has arity 4\n")
+
+
+def test_demo_interp_malformed_grid_reports_its_port_fault(runner, tmp_path):
+    # the grid is checked when it is read, before its SLOT vertices are
+    # counted
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps({
+        "signatures": {"f": {"arity": 2, "values": [1, 0, 0, 1]}},
+        "vertices": [{"sig": "f"}] * 2,
+        "edges": [[[0, 1], [1, 1]]]}))
+    r = invoke(runner, "demo-interp", "--grid", str(p))
+    assert (r.exit_code, r.stdout) == (2, ""), r.output
+    assert r.stderr == "error: port 2 of vertex 0 unused\n"
 
 
 @pytest.mark.parametrize("args, kind", [

@@ -238,13 +238,11 @@ def test_brute_force_edge_limit():
 
 def test_validate_rejects_dangling():
     f = equality(2)
-    grid = Grid({"f": f}, ["f", "f"], [((0, 1), (1, 1))])
     with pytest.raises(DanglingPort):
-        grid.validate()
-    grid = Grid({"f": f}, ["f", "f"],
-                [((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 1), (1, 2))])
+        Grid({"f": f}, ["f", "f"], [((0, 1), (1, 1))])
     with pytest.raises(DanglingPort):
-        grid.validate()
+        Grid({"f": f}, ["f", "f"],
+             [((0, 1), (1, 1)), ((0, 2), (1, 2)), ((0, 1), (1, 2))])
 
 
 def test_validate_returns_port_map():
@@ -255,6 +253,8 @@ def test_validate_returns_port_map():
     base, slot = grid.validate()
     assert base == [0, 3]
     assert slot == [1, 3, 0, 2]
+    assert grid.base == (0, 3)
+    assert grid.ports() == slot
     # (edge, end) of each port
     ends = {(v, p): divmod(slot[base[v] + p - 1], 2)
             for v, p in ((0, 3), (0, 1), (1, 1), (0, 2))}
@@ -262,7 +262,7 @@ def test_validate_returns_port_map():
                     (1, 1): (1, 0), (0, 2): (1, 1)}
 
 
-@pytest.mark.parametrize("edges, message", [
+VALIDATE_MESSAGES = [
     ([((0, 1), (2, 1)), ((0, 2), (1, 1))], "vertex 2 out of range"),
     ([((0, 1), (-1, 1))], "vertex -1 out of range"),
     ([((0, 1), (1, 3)), ((0, 2), (1, 2))], "port 3 out of range on vertex 1"),
@@ -283,12 +283,54 @@ def test_validate_returns_port_map():
     # unused ports are reported in vertex order, then port order
     ([((1, 2), (1, 1))], "port 1 of vertex 0 unused"),
     ([], "port 1 of vertex 0 unused"),
-])
+]
+
+
+@pytest.mark.parametrize("edges, message", VALIDATE_MESSAGES)
 def test_validate_messages(edges, message):
-    grid = Grid({"f": equality(2)}, ["f", "f"], edges)
     with pytest.raises(DanglingPort) as info:
-        grid.validate()
+        Grid({"f": equality(2)}, ["f", "f"], edges)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges, message", VALIDATE_MESSAGES)
+def test_every_way_of_building_a_grid_checks_its_ports(edges, message):
+    """from_json, _make and _replace raise the same first fault as the
+    constructor: a grid is checked whenever it is built."""
+    good = Grid({"f": equality(2)}, ["f", "f"],
+                [((0, 1), (1, 1)), ((0, 2), (1, 2))])
+    text = json.dumps({"signatures": {"f": {"arity": 2,
+                                            "values": [1, 0, 0, 1]}},
+                       "vertices": [{"sig": "f"}] * 2,
+                       "edges": [[list(a), list(b)] for a, b in edges]})
+    for build in (lambda: Grid.from_json(text),
+                  lambda: Grid._make((good.signatures, good.vertices, edges)),
+                  lambda: good._replace(edges=edges)):
+        with pytest.raises(DanglingPort) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_grid_is_read_only_and_rebuilds_its_offsets():
+    sigs = {"f": equality(3), "u": Signature(1, [1, 1])}
+    edges = [((0, 3), (0, 1)), ((1, 1), (0, 2))]
+    grid = Grid(sigs, ["f", "u"], edges)
+    with pytest.raises(TypeError):
+        grid.signatures["f"] = equality(1)
+    with pytest.raises(AttributeError):
+        grid.edges = []
+    # the grid holds copies of what it was built from
+    sigs["f"] = equality(1)
+    edges.pop()
+    assert grid.signatures["f"] == equality(3)
+    assert len(grid.edges) == 2
+    assert isinstance(grid.vertices, tuple) and isinstance(grid.edges, tuple)
+    # base is derived: _replace and _make rebuild it from the other fields
+    swapped = grid._replace(vertices=["u", "f"],
+                            edges=[((1, 3), (1, 1)), ((0, 1), (1, 2))])
+    assert swapped.base == (0, 1)
+    assert swapped.ports() == swapped.validate()[1]
+    assert Grid._make(grid) == grid
 
 
 def test_validate_port_table_on_random_grids():
@@ -303,6 +345,8 @@ def test_validate_port_table_on_random_grids():
         base, slot = grid.validate()
         arity = [pool[name].arity for name in grid.vertices]
         assert base == [sum(arity[:v]) for v in range(len(arity))]
+        assert grid.base == tuple(base)
+        assert grid.ports() == slot
         assert sorted(slot) == list(range(2 * len(grid.edges)))
         for e, ends in enumerate(grid.edges):
             for end, (v, p) in enumerate(ends):
@@ -313,11 +357,12 @@ def test_validate_port_table_on_random_grids():
 
 def test_validate_matches_a_port_dict_scan():
     """The table's faults and messages equal those of a scan that keys
-    a dict by (vertex, port), on random malformed and valid grids."""
-    def dict_scan(grid):
-        arity = [grid.signatures[name].arity for name in grid.vertices]
+    a dict by (vertex, port), on random malformed and valid grids; on a
+    valid one, validate's table and that of ports() match the scan."""
+    def dict_scan(signatures, vertices, edges):
+        arity = [signatures[name].arity for name in vertices]
         ends = {}
-        for e, ((v, p), (w, q)) in enumerate(grid.edges):
+        for e, ((v, p), (w, q)) in enumerate(edges):
             for end, (u, r) in enumerate(((v, p), (w, q))):
                 if not 0 <= u < len(arity):
                     raise DanglingPort(f"vertex {u} out of range")
@@ -344,7 +389,7 @@ def test_validate_matches_a_port_dict_scan():
     kinds = set()               # the messages with their numbers blanked
     for _ in range(4000):
         grid = random_grid(rng, pool, rng.randint(1, 6))
-        edges = grid.edges
+        edges = list(grid.edges)
         for _ in range(rng.randint(0, 2)):
             if not edges:
                 break
@@ -358,14 +403,16 @@ def test_validate_matches_a_port_dict_scan():
                 (v, p), end = edges[k]
                 edges[k] = ((v + rng.randint(-2, 2), p + rng.randint(-2, 2)),
                             end)
-        want = outcome(lambda: dict_scan(grid))
-        got = outcome(grid.validate)
+        want = outcome(lambda: dict_scan(grid.signatures, grid.vertices,
+                                         edges))
+        got = outcome(lambda: Grid(grid.signatures, grid.vertices, edges))
         if isinstance(want, str):
             faults += 1
             kinds.add(re.sub(r"-?[0-9]+", "N", want))
             assert got == want
         else:
-            base, slot = got
+            base, slot = got.validate()
+            assert got.ports() == slot
             assert {(v, p): divmod(slot[base[v] + p - 1], 2)
                     for v in range(len(base))
                     for p in range(1, pool[grid.vertices[v]].arity + 1)
