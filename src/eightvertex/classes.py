@@ -204,11 +204,11 @@ class ACertificate(NamedTuple):
         """True iff f is this certificate's function.  Each value is
         compared, as its (numerators, denominator), with the quarter turn
         of lam that Q picks, and with 0 off the space."""
-        shape = self.shape
+        lam, shape = self
         if f.arity != shape.space.n:
             return False
-        d = self.lam.d
-        turns = _quarter_turns(self.lam)
+        d = lam.d
+        turns = _quarter_turns(lam)
         for c, q in zip(f.values, shape.table):
             if q is None:
                 if any(c.n):

@@ -8,9 +8,10 @@ partition function is
     of the product of all vertex signature values.
 
 A grid checks that its edges join every port exactly once when it is
-built (:meth:`Grid.validate`), so the evaluators never check it again:
+built (:meth:`Grid.validate`) and keeps the port table that check
+built, so the evaluators neither check it again nor rebuild the table:
 they read the per-vertex port offsets ``grid.base`` and the flat port
-table of :meth:`Grid.ports`, in which port p of vertex v is
+table ``grid.slot``, in which port p of vertex v is
 slot[base[v] + p - 1] = 2 * edge + end.
 
 The exact sum (:func:`brute_force`) is a frontier sum.  Vertices are
@@ -93,6 +94,7 @@ class _GridFields(NamedTuple):
     vertices: tuple         # vertex index -> signature name
     edges: tuple            # ((v, p), (w, q)) with 1-based ports
     base: tuple             # vertex index -> slot index of its port 1
+    slot: tuple             # slot index -> 2 * edge + end at that port
 
 
 class Grid(_GridFields):
@@ -102,26 +104,24 @@ class Grid(_GridFields):
     and ``_replace``) runs :meth:`validate` and raises its first
     DanglingPort, so the evaluators read a grid's ports without checking
     them again.  The signatures are copied into a read-only mapping and
-    the vertices and edges into tuples, so a built grid stays valid;
-    ``base`` holds the per-vertex port offsets, and is derived.
-
-    The slot table of :meth:`ports` is rebuilt on each call rather than
-    stored with the grid: it holds two ints per edge, and a program that
-    keeps many grids would pay for it in memory."""
+    the vertices and edges into tuples, so a built grid stays valid.
+    ``base`` and ``slot`` are derived: the per-vertex port offsets and
+    the flat port table that :meth:`validate` built, kept as tuples, so
+    that the evaluators index them directly.  The table costs one tuple
+    of 2 * |E| ints per grid."""
 
     __slots__ = ()
 
     def __new__(cls, signatures, vertices, edges):
-        signatures = MappingProxyType(dict(signatures))
-        vertices, edges = tuple(vertices), tuple(edges)
-        base, _ = super().__new__(cls, signatures, vertices, edges,
-                                  ()).validate()
-        return super().__new__(cls, signatures, vertices, edges, tuple(base))
+        given = (MappingProxyType(dict(signatures)), tuple(vertices),
+                 tuple(edges))
+        base, slot = super().__new__(cls, *given, (), ()).validate()
+        return super().__new__(cls, *given, tuple(base), tuple(slot))
 
     @classmethod
     def _make(cls, iterable):
         """A grid of the first three fields of iterable, checked; base
-        is derived from them."""
+        and slot are derived from them."""
         signatures, vertices, edges, *_ = iterable
         return cls(signatures, vertices, edges)
 
@@ -156,16 +156,6 @@ class Grid(_GridFields):
                     if slot[base[v] + r - 1] < 0:
                         raise DanglingPort(f"port {r} of vertex {v} unused")
         return base, slot
-
-    def ports(self) -> list:
-        """The slot table of :meth:`validate`, built unchecked in one pass
-        over the endpoints: port p of vertex v is
-        slot[base[v] + p - 1] = 2 * edge + end."""
-        base = self.base
-        slot = [0] * (2 * len(self.edges))
-        for k, (u, r) in enumerate(itertools.chain.from_iterable(self.edges)):
-            slot[base[u] + r - 1] = k
-        return slot
 
     @staticmethod
     def from_json(text: str) -> "Grid":
@@ -289,11 +279,11 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
     addition.  K is set from a bound on the coefficients of the result,
     so that the final residue unpacks to its numerators exactly
     (``numeric._unpack``).  The edge at each port is read from the flat
-    port table of :meth:`Grid.ports`."""
+    port table ``grid.slot`` that the grid kept when it was checked."""
     if len(grid.edges) > max_edges:
         raise TooManyEdges(f"{len(grid.edges)} edges exceeds {max_edges}")
     base = grid.base
-    slot = grid.ports()
+    slot = grid.slot
     # Lists and literal tuples only: a tuple built from a generator is
     # resized into place and then parked on the interpreter's tuple free
     # list, which grows the peak RSS of a process that calls this often.
@@ -336,8 +326,7 @@ def brute_force(grid: Grid, max_edges: int = 28) -> Cyclo8:
         else:
             offset[v] = width
             width += _FIELD
-        for p in range(1, arity[v] + 1):
-            k = slot[base[v] + p - 1]
+        for k in slot[base[v]:base[v] + arity[v]]:
             end = k & 1
             (a, pa), (b, pb) = grid.edges[k >> 1]
             if not placed[b if end == 0 else a] or (a == b and end):
@@ -416,12 +405,13 @@ def affine_eval(grid: Grid) -> Cyclo8:
     value c, as c ** (the number of vertices carrying it).
 
     Each name's linear terms (i, a), cross terms (i, j) over its 1-based
-    ports and parity rows (``AffineSpace.parity``) are read straight from
-    its certificate's ``AShape`` record: the one memo entry per shape,
-    which ``in_A``'s check reads as well.  Ports come from the flat port
-    table of :meth:`Grid.ports`."""
+    ports and parity rows (``AffineSpace.parity``) are read once per
+    distinct name from its certificate's ``AShape`` record: the one memo
+    entry per shape, which ``in_A``'s check reads as well.  Ports come
+    from the flat port table ``grid.slot`` that the grid kept when it was
+    checked."""
     base = grid.base
-    slot = grid.ports()
+    slot = grid.slot
     # signature name -> its ACertificate, in order of first vertex
     certs = dict.fromkeys(grid.vertices)
     for name in certs:
@@ -432,14 +422,16 @@ def affine_eval(grid: Grid) -> Cyclo8:
         certs[name] = cert
     if any(cert.lam.is_zero() for cert in certs.values()):
         return ZERO
-    shapes = {name: cert.shape for name, cert in certs.items()}
+    # signature name -> (parity rows, linear terms, cross terms)
+    terms = {name: (c.shape.space.parity, c.shape.lin.items(), c.shape.quad)
+             for name, c in certs.items()}
 
     # one GF(2) variable per edge; the second endpoint sees its negation.
     # echelon[top]: (row, rhs) with top bit `top`, its pivot
     echelon = {}
     for v, name in enumerate(grid.vertices):
         at = base[v] - 1           # port i of v: slot[at + i]
-        for ports, rhs in shapes[name].space.parity:
+        for ports, rhs in terms[name][0]:
             mask = 0
             for i in ports:
                 k = slot[at + i]
@@ -462,16 +454,16 @@ def affine_eval(grid: Grid) -> Cyclo8:
     lin = [0] * nvars              # Z4, reduced when read
     nb = [0] * nvars               # bit y of nb[x]: the term 2 x y
     for v, name in enumerate(grid.vertices):
-        shape = shapes[name]
+        _, lin_terms, quad = terms[name]
         at = base[v] - 1
-        for i, a in shape.lin.items():
+        for i, a in lin_terms:
             k = slot[at + i]
             if k & 1:
                 const += a
                 lin[k >> 1] -= a
             else:
                 lin[k >> 1] += a
-        for i, j in shape.quad:
+        for i, j in quad:
             k1 = slot[at + i]
             k2 = slot[at + j]
             e1, t1 = k1 >> 1, k1 & 1

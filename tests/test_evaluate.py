@@ -254,7 +254,7 @@ def test_validate_returns_port_map():
     assert base == [0, 3]
     assert slot == [1, 3, 0, 2]
     assert grid.base == (0, 3)
-    assert grid.ports() == slot
+    assert grid.slot == tuple(slot)
     # (edge, end) of each port
     ends = {(v, p): divmod(slot[base[v] + p - 1], 2)
             for v, p in ((0, 3), (0, 1), (1, 1), (0, 2))}
@@ -325,12 +325,56 @@ def test_grid_is_read_only_and_rebuilds_its_offsets():
     assert grid.signatures["f"] == equality(3)
     assert len(grid.edges) == 2
     assert isinstance(grid.vertices, tuple) and isinstance(grid.edges, tuple)
-    # base is derived: _replace and _make rebuild it from the other fields
+    # base and slot are derived: _replace and _make rebuild them from the
+    # other fields
     swapped = grid._replace(vertices=["u", "f"],
                             edges=[((1, 3), (1, 1)), ((0, 1), (1, 2))])
     assert swapped.base == (0, 1)
-    assert swapped.ports() == swapped.validate()[1]
+    assert swapped.slot == tuple(swapped.validate()[1]) == (2, 1, 3, 0)
+    assert grid._replace(slot=(), base=()) == grid
     assert Grid._make(grid) == grid
+
+
+def test_every_way_of_building_a_grid_stores_its_port_table(monkeypatch):
+    """Every way of building a grid keeps, as a tuple, the table that
+    validate() builds from its first three fields."""
+    def stored(grid):
+        assert isinstance(grid.slot, tuple)
+        assert grid.slot == tuple(grid.validate()[1])
+        return grid
+
+    sigs = {"f": equality(3), "u": Signature(1, [1, 1])}
+    grid = stored(Grid(sigs, ["f", "u"],
+                       [((0, 3), (0, 1)), ((1, 1), (0, 2))]))
+    text = json.dumps({"signatures": {"f": {"arity": 3,
+                                            "values": [1] + [0] * 6 + [1]},
+                                      "u": {"arity": 1, "values": [1, 1]}},
+                       "vertices": [{"sig": "u"}, {"sig": "f"}],
+                       "edges": [[[1, 2], [0, 1]], [[1, 1], [1, 3]]]})
+    assert stored(Grid.from_json(text)).slot == (1, 2, 0, 3)
+    stored(Grid._make((sigs, ["u", "f"], [((1, 2), (0, 1)),
+                                          ((1, 1), (1, 3))])))
+    stored(grid._replace(vertices=["u", "f"],
+                         edges=[((1, 3), (1, 1)), ((0, 1), (1, 2))]))
+    stored(grid_from_graph(DIPOLE, eo_signature(), "eo"))
+    stored(medial_graph(K3))
+
+    # interpolation_demo's with_slot grids, as brute_force receives them
+    seen = []
+    real = evaluate.brute_force
+
+    def spy(g, *args):
+        seen.append(stored(g))
+        return real(g, *args)
+
+    monkeypatch.setattr(evaluate, "brute_force", spy)
+    demo = Grid({"SLOT": slot_signature(0), "e": equality(2)},
+                ["SLOT", "e", "SLOT"],
+                [((0, 1), (1, 1)), ((1, 2), (2, 1))]
+                + [((0, p), (2, p)) for p in range(2, 5)])
+    assert interpolation_demo(demo, 2, [3])["agrees"]
+    assert len(seen) == 4
+    assert all(g.edges == demo.edges and g.slot == demo.slot for g in seen)
 
 
 def test_validate_port_table_on_random_grids():
@@ -346,7 +390,7 @@ def test_validate_port_table_on_random_grids():
         arity = [pool[name].arity for name in grid.vertices]
         assert base == [sum(arity[:v]) for v in range(len(arity))]
         assert grid.base == tuple(base)
-        assert grid.ports() == slot
+        assert grid.slot == tuple(slot)
         assert sorted(slot) == list(range(2 * len(grid.edges)))
         for e, ends in enumerate(grid.edges):
             for end, (v, p) in enumerate(ends):
@@ -358,7 +402,8 @@ def test_validate_port_table_on_random_grids():
 def test_validate_matches_a_port_dict_scan():
     """The table's faults and messages equal those of a scan that keys
     a dict by (vertex, port), on random malformed and valid grids; on a
-    valid one, validate's table and that of ports() match the scan."""
+    valid one, validate's table and the grid's stored slot match the
+    scan."""
     def dict_scan(signatures, vertices, edges):
         arity = [signatures[name].arity for name in vertices]
         ends = {}
@@ -412,7 +457,7 @@ def test_validate_matches_a_port_dict_scan():
             assert got == want
         else:
             base, slot = got.validate()
-            assert got.ports() == slot
+            assert got.slot == tuple(slot)
             assert {(v, p): divmod(slot[base[v] + p - 1], 2)
                     for v in range(len(base))
                     for p in range(1, pool[grid.vertices[v]].arity + 1)
